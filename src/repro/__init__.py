@@ -21,7 +21,7 @@ Quick start::
 Sub-packages:
 
 * :mod:`repro.core` -- the OPT problem, the RankHow MILP, SYM-GD, TREE.
-* :mod:`repro.solvers` -- the from-scratch LP/MILP substrate.
+* :mod:`repro.solvers` -- the MILP substrate (branch-and-bound on HiGHS LPs).
 * :mod:`repro.data` -- the relational substrate and dataset generators.
 * :mod:`repro.baselines` -- the competitors of Section VI.
 * :mod:`repro.bench` -- the experiment harness reproducing every table/figure.

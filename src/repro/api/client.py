@@ -163,21 +163,18 @@ class RankHowClient:
         problem: RankingProblem,
         method: str = "symgd",
         options: dict | None = None,
-        aggressive: bool = False,
     ):
         """Open an edit-solve-edit loop over ``problem``.
 
         Returns a :class:`~repro.api.session.SynthesisSession` bound to this
         client's engine: consecutive solves of the session reuse the
-        previous solve's artifacts (delta-aware cache fallback, root-basis
-        warm starts) instead of starting cold.  Many sessions can share one
-        client; closing the client ends them all.
+        previous solve's artifacts (delta-aware cache fallback, the batched
+        cell evaluator) instead of starting cold.  Many sessions can share
+        one client; closing the client ends them all.
         """
         from repro.api.session import SynthesisSession
 
-        return SynthesisSession(
-            self.engine, problem, method=method, options=options, aggressive=aggressive
-        )
+        return SynthesisSession(self.engine, problem, method=method, options=options)
 
     def resume_session(self, data: dict):
         """Replay a serialized session (see ``SynthesisSession.to_dict``)."""

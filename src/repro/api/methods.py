@@ -61,12 +61,10 @@ class _WarmStartedRankHow(RankHow):
         super().__init__(options)
         self._warm_start = warm_start
 
-    def solve(self, problem, cell_bounds=None, warm_start=None, context=None):
+    def solve(self, problem, cell_bounds=None, warm_start=None):
         if warm_start is None:
             warm_start = self._warm_start
-        return super().solve(
-            problem, cell_bounds, warm_start=warm_start, context=context
-        )
+        return super().solve(problem, cell_bounds, warm_start=warm_start)
 
 
 @register_method("rankhow")
@@ -115,22 +113,6 @@ class RankHowMethod(SynthesisMethod):
             RankHowOptions.from_dict(options),
             None if warm_start is None else np.asarray(warm_start, dtype=float),
         )
-
-    def synthesize_resolved(
-        self,
-        problem: RankingProblem,
-        effective: dict,
-        *,
-        executor=None,
-        context=None,
-    ) -> SynthesisResult:
-        """Exact solve, threading incremental-session artifacts through.
-
-        The context's warm root basis reaches the branch-and-bound root LP
-        (and this solve's root basis is captured back) -- see
-        :meth:`RankHow.solve`.
-        """
-        return self.build(effective).solve(problem, context=context)
 
 
 class SymGDMethod(SynthesisMethod):
@@ -257,7 +239,7 @@ class SamplingMethod(SynthesisMethod):
         return SamplingBaseline(SamplingOptions(**effective))
 
     def synthesize_resolved(
-        self, problem: RankingProblem, effective: dict, *, executor=None, context=None
+        self, problem: RankingProblem, effective: dict, *, executor=None
     ) -> SynthesisResult:
         baseline = SamplingBaseline(
             SamplingOptions(**effective), executor=executor

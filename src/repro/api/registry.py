@@ -137,20 +137,12 @@ class SynthesisMethod(abc.ABC):
         effective: dict,
         *,
         executor=None,
-        context=None,
     ) -> SynthesisResult:
         """Run the method with already-resolved options (no re-merging).
 
         This is the entry point the engine's worker tasks call: the front-end
         resolves (and fingerprints) the options once, and the worker must not
         repeat that work.  Methods that can exploit an executor override this.
-
-        ``context`` is an optional
-        :class:`~repro.engine.context.SolveContext` from the delta-aware
-        incremental path.  The default implementation ignores it (a method
-        with no reusable cross-solve state solves cold either way); methods
-        that can consume parent artifacts -- the exact solver's root-basis
-        warm start -- override and thread it through.
         """
         return self.build(effective).solve(problem)
 

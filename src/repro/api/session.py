@@ -5,8 +5,8 @@ A session is the client-side unit of interactive synthesis: it pins a base
 :class:`~repro.core.delta.ProblemDelta` edits, and solves the current head
 through the engine's delta-aware incremental path
 (:meth:`~repro.engine.engine.SolveEngine.solve_incremental`), so consecutive
-solves reuse the previous solve's artifacts (root LP basis, cached results,
-cell evaluators) instead of starting cold.
+solves reuse the previous solve's artifacts (cached results, cell
+evaluators) instead of starting cold.
 
 Quick start::
 
@@ -20,13 +20,9 @@ Quick start::
         second = session.solve()             # ... solved incrementally
         print(second.served, second.result.describe())
 
-The default session is **exact-parity safe**: every solve returns exactly
-what a cold solve of the edited problem returns (the differential oracle's
-``incremental_parity`` invariant).  ``aggressive=True`` additionally
-warm-starts the exact solver from the previous solve (root LP basis +
-incumbent weights): fewer simplex pivots on interactive re-solves, at the
-cost that a truncated or tie-heavy search may return a different
-representative within the same guarantees.
+A session is **exact-parity safe**: every solve returns exactly what a
+cold solve of the edited problem returns (the differential oracle's
+``incremental_parity`` invariant).
 
 Sessions serialize: :meth:`to_dict` captures the base problem and the wire
 form of the delta chain, and :meth:`from_dict` replays it -- fingerprints
@@ -79,11 +75,6 @@ class SynthesisSession:
         problem: The base problem the edit chain starts from.
         method: Default registered method for :meth:`solve`.
         options: Default wire options for :meth:`solve`.
-        aggressive: Actively warm-start the exact solver from the previous
-            solve (root LP basis + incumbent weights).  Saves simplex pivots
-            on interactive re-solves, but under tied optima or a truncated
-            search the returned representative may differ from a cold
-            solve's; the default keeps exact cold parity.
     """
 
     def __init__(
@@ -92,12 +83,10 @@ class SynthesisSession:
         problem: RankingProblem,
         method: str = "symgd",
         options: dict | None = None,
-        aggressive: bool = False,
     ) -> None:
         self.engine = engine
         self.method = method
         self.options = dict(options or {})
-        self.aggressive = bool(aggressive)
         self._base = problem
         self._problem = problem
         self._deltas: list[ProblemDelta] = []
@@ -235,7 +224,7 @@ class SynthesisSession:
 
         The previous solve's request fingerprint addresses the engine's
         artifact side-table, so this solve falls back exact-hit ->
-        parent-warm-start -> cold (see
+        parent-artifacts -> cold (see
         :meth:`~repro.engine.engine.SolveEngine.solve_incremental`).
         """
         request = SynthesisRequest(
@@ -244,9 +233,7 @@ class SynthesisSession:
             dict(options if options is not None else self.options),
         )
         outcome = self.engine.solve_incremental(
-            request,
-            parent_fingerprint=self._last_fingerprint,
-            aggressive=self.aggressive,
+            request, parent_fingerprint=self._last_fingerprint
         )
         self._last_fingerprint = request.fingerprint
         self.history.append(
@@ -288,11 +275,6 @@ class SynthesisSession:
             "evaluator:" + self._problem.fingerprint()
         )
         captured.problem_fingerprint = self._problem.fingerprint()
-        if warm is not None:
-            # Keep the solve artifacts (basis, weights) alongside the
-            # refreshed evaluator.
-            captured.weights = warm.weights
-            captured.root_basis = warm.root_basis
         self.engine.store_artifacts(captured)
         self._evaluator_key = captured.request_fingerprint
         return bounds
@@ -306,7 +288,6 @@ class SynthesisSession:
             "deltas": [delta.to_dict() for delta in self._deltas],
             "method": self.method,
             "options": dict(self.options),
-            "aggressive": self.aggressive,
         }
 
     @classmethod
@@ -316,13 +297,13 @@ class SynthesisSession:
         The delta chain is re-applied through ``apply_delta``, so the
         resumed head's composed fingerprint equals the original's and its
         next solve dedupes against the cache entries the original populated.
+        Keys it does not read are ignored, so older exports still resume.
         """
         session = cls(
             engine,
             RankingProblem.from_dict(data["base"]),
             method=data.get("method", "symgd"),
             options=dict(data.get("options") or {}),
-            aggressive=bool(data.get("aggressive", False)),
         )
         deltas = deltas_from_dicts(data.get("deltas") or [])
         if deltas:

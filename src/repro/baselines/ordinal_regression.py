@@ -44,7 +44,6 @@ class OrdinalRegressionOptions:
             value such as ``1e-10`` to mimic the imprecision-oblivious "OR-".
         include_unranked: Require the last-ranked tuple to beat every unranked
             tuple (with slack); keeps the synthesized top-k near the top.
-        lp_method: LP backend.
         apply_weight_constraints: Respect the problem's weight constraints
             (useful when the result seeds SYM-GD).
     """
@@ -52,7 +51,6 @@ class OrdinalRegressionOptions:
     support_ties: bool = True
     separation_margin: float | None = None
     include_unranked: bool = True
-    lp_method: str = "scipy"
     apply_weight_constraints: bool = True
 
     def to_dict(self) -> dict:
@@ -65,7 +63,6 @@ class OrdinalRegressionOptions:
                 else float(self.separation_margin)
             ),
             "include_unranked": bool(self.include_unranked),
-            "lp_method": self.lp_method,
             "apply_weight_constraints": bool(self.apply_weight_constraints),
         }
 
@@ -76,7 +73,6 @@ class OrdinalRegressionOptions:
             support_ties=bool(data.get("support_ties", True)),
             separation_margin=None if margin is None else float(margin),
             include_unranked=bool(data.get("include_unranked", True)),
-            lp_method=data.get("lp_method", "scipy"),
             apply_weight_constraints=bool(
                 data.get("apply_weight_constraints", True)
             ),
@@ -164,7 +160,7 @@ class OrdinalRegressionBaseline:
                 lp.add_constraint(row_lower, ">=", -tie_eps)
                 slack_index += 1
 
-        solution = lp.solve(method=options.lp_method)
+        solution = lp.solve()
         elapsed = time.perf_counter() - start
 
         if not solution.is_optimal:

@@ -763,23 +763,13 @@ def experiment_fig3mno_derived(
 
 def experiment_hotpaths(
     scale: BenchmarkScale | None = None,
-    distributions: Sequence[str] = ("uniform", "correlated", "anticorrelated"),
-    warmstart_tuples: int = 120,
-    warmstart_k: int = 6,
     cells_tuples: int = 800,
     cells_max: int = 256,
     seeds_tuples: int = 120,
     num_seeds: int = 4,
 ) -> list[ExperimentRecord]:
-    """Micro-benchmarks of the three solver hot paths.
+    """Micro-benchmarks of two solver hot paths.
 
-    * ``hotpaths_warmstart`` -- the fig3jkl scalability workload (synthetic
-      data ranked by the cubic function, one problem per distribution)
-      solved by SYM-GD on the built-in simplex backend, once with the
-      branch-and-bound basis warm start disabled (cold two-phase solve per
-      node) and once enabled.  ``extra["lp_iterations"]`` carries the total
-      simplex pivots across every cell solve's B&B nodes -- the quantity the
-      bench asserts strictly shrinks under warm-starting.
     * ``hotpaths_cells`` -- the per-cell error-bound classification of a
       simplex-covering grid, scalar reference loop vs. the batched
       matrix-program classifier (``extra["cells_per_second"]``).
@@ -797,59 +787,7 @@ def experiment_hotpaths(
     )
     from repro.core.symgd import SymGD, default_seed_points
 
-    scale = scale or BenchmarkScale.from_environment()
     records: list[ExperimentRecord] = []
-
-    # -- warm-started branch-and-bound on the fig3jkl workload ---------------
-    def _symgd_simplex_params(warm: bool) -> dict:
-        # Uniform (simplex-center) seeding instead of the ordinal default:
-        # the microbench needs descents that actually branch, not ones whose
-        # seed already achieves error 0 and never enters the tree.
-        return {
-            "cell_size": 0.05,
-            "max_iterations": 4,
-            "seed_strategy": "uniform",
-            "solver_options": {
-                "node_limit": 80,
-                "lp_method": "simplex",
-                "verify": False,
-                "warm_start_strategy": "none",
-                "extra": {"warm_start_lp": warm},
-            },
-        }
-
-    for distribution in distributions:
-        for warm in (False, True):
-            problem = synthetic_problem(
-                distribution,
-                num_tuples=warmstart_tuples,
-                k=warmstart_k,
-                exponent=3.0,
-                seed=0,
-            )
-            start = time.perf_counter()
-            result = get_method("symgd").synthesize(
-                problem, _symgd_simplex_params(warm)
-            )
-            wall = time.perf_counter() - start
-            records.append(
-                ExperimentRecord(
-                    experiment="hotpaths_warmstart",
-                    dataset=distribution,
-                    method="symgd_bb[warm]" if warm else "symgd_bb[cold]",
-                    params={"n": warmstart_tuples, "k": warmstart_k, "warm": warm},
-                    error=float(result.error),
-                    per_tuple_error=float(result.error) / max(warmstart_k, 1),
-                    time_seconds=wall,
-                    extra={
-                        "nodes": result.nodes,
-                        "lp_iterations": int(
-                            result.diagnostics.get("lp_iterations", 0)
-                        ),
-                        "cell_solves": result.iterations,
-                    },
-                )
-            )
 
     # -- batched cell-bound classification -----------------------------------
     problem = synthetic_problem("uniform", num_tuples=cells_tuples, k=10, seed=0)
@@ -935,26 +873,22 @@ def experiment_incremental(
     Models the analyst loop the delta layer exists for: a base problem is
     edited through ``scenarios.mutate()``-style deltas (jitter, tolerance
     tightening), inspected, partially undone (:meth:`SynthesisSession.rewind`),
-    and re-solved -- six visited states, one of them a revisit.  Three legs
+    and re-solved -- six visited states, one of them a revisit.  Two legs
     run the same visit sequence:
 
     * ``cold`` -- every visited state solved from scratch through the
       registry, exactly as a stateless caller would;
-    * ``incremental`` -- one exact-parity session: composed fingerprints
-      dedupe the revisited state into a cache hit (zero simplex pivots) and
-      every other state solves bitwise-identically to cold;
-    * ``aggressive`` -- the same session with cross-solve warm starts (root
-      LP basis + incumbent seeding), recorded for the trajectory; its
-      iteration count is informational, not asserted, because steering the
-      search can win or lose depending on degeneracy.
+    * ``incremental`` -- one session: composed fingerprints dedupe the
+      revisited state into a cache hit (zero LP iterations) and every other
+      state solves bitwise-identically to cold.
 
-    The exact solver runs on the built-in simplex backend with a weak
-    (``uniform``) warm-start strategy so every solve does real LP work --
-    with the default seeding the incumbent-cutoff presolve prunes these
-    sizes at the root and there would be no iterations to compare.
-    ``extra["lp_iterations"]`` counts pivots actually performed in that leg
-    (zero for an exact cache hit), so the totals the bench asserts on are
-    work done, not work remembered.
+    The exact solver runs with a weak (``uniform``) warm-start strategy so
+    every solve does real LP work -- with the default seeding the
+    incumbent-cutoff presolve prunes these sizes at the root and there
+    would be no iterations to compare.  ``extra["lp_iterations"]`` counts
+    HiGHS iterations actually performed in that leg (zero for an exact
+    cache hit), so the totals the bench asserts on are work done, not work
+    remembered.
     """
     from repro.api.client import RankHowClient
     from repro.scenarios.generator import mutation_delta
@@ -972,7 +906,6 @@ def experiment_incremental(
         "node_limit": node_limit,
         "time_limit": scale.rankhow_time_limit,
         "verify": False,
-        "lp_method": "simplex",
         "warm_start_strategy": "uniform",
     }
 
@@ -1035,54 +968,48 @@ def experiment_incremental(
             )
         )
 
-    # -- incremental / aggressive legs: one session each ----------------------
-    for mode in ("incremental", "aggressive"):
-        with RankHowClient() as client:
-            session = client.session(
-                base,
-                method="rankhow",
-                options=options,
-                aggressive=(mode == "aggressive"),
+    # -- incremental leg: one session ------------------------------------------
+    with RankHowClient() as client:
+        session = client.session(base, method="rankhow", options=options)
+
+        def _solve_and_record(index):
+            start = time.perf_counter()
+            outcome = session.solve()
+            wall = time.perf_counter() - start
+            performed = (
+                0
+                if outcome.served == "exact"
+                else outcome.result.diagnostics["lp_iterations"]
             )
-            index = 0
-
-            def _solve_and_record(index):
-                start = time.perf_counter()
-                outcome = session.solve()
-                wall = time.perf_counter() - start
-                performed = (
-                    0
-                    if outcome.served == "exact"
-                    else outcome.result.diagnostics["lp_iterations"]
-                )
-                records.append(
-                    _visit_record(
-                        mode, index, outcome.result, performed, outcome.served, wall
-                    )
-                )
-
-            _solve_and_record(index)
-            for step in script:
-                index += 1
-                if step is None:
-                    session.rewind(2)
-                else:
-                    kind, mutation_seed = step
-                    deltas, _ = mutation_delta(
-                        session.problem, kind, seed=mutation_seed
-                    )
-                    session.edit(*deltas)
-                _solve_and_record(index)
-            stats = client.stats()["incremental"]
             records.append(
-                ExperimentRecord(
-                    experiment="incremental_stats",
-                    dataset="uniform",
-                    method=mode,
-                    params={"n": num_tuples, "k": k},
-                    extra=dict(stats),
+                _visit_record(
+                    "incremental",
+                    index,
+                    outcome.result,
+                    performed,
+                    outcome.served,
+                    wall,
                 )
             )
+
+        _solve_and_record(0)
+        for index, step in enumerate(script, start=1):
+            if step is None:
+                session.rewind(2)
+            else:
+                kind, mutation_seed = step
+                deltas, _ = mutation_delta(session.problem, kind, seed=mutation_seed)
+                session.edit(*deltas)
+            _solve_and_record(index)
+        records.append(
+            ExperimentRecord(
+                experiment="incremental_stats",
+                dataset="uniform",
+                method="incremental",
+                params={"n": num_tuples, "k": k},
+                extra=dict(client.stats()["incremental"]),
+            )
+        )
     return records
 
 

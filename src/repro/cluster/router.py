@@ -334,8 +334,8 @@ class ClusterRouter:
         self._supervisor_task: asyncio.Task | None = None
         self._deadline_exceeded = 0
         # Append-only session journal: session_id -> {base, method, params,
-        # aggressive, deltas}.  Deltas are appended only AFTER the owning
-        # shard acknowledged them, so replaying the journal on a restarted
+        # deltas}.  Deltas are appended only AFTER the owning shard
+        # acknowledged them, so replaying the journal on a restarted
         # shard reconstructs exactly the state the client knows about (an
         # op in flight at crash time fails retryably and re-applies once).
         self._session_journal: dict[str, dict] = {}
@@ -598,7 +598,6 @@ class ClusterRouter:
             "deltas": list(journal["deltas"]),
             "method": journal["method"],
             "params": dict(journal["params"]),
-            "aggressive": journal["aggressive"],
         }
 
     def _routable(self, index: int) -> bool:
@@ -853,7 +852,6 @@ class ClusterRouter:
         problem: RankingProblem,
         method: str = "symgd",
         params: dict | None = None,
-        aggressive: bool = False,
     ) -> str:
         """Open an edit session, pinned to the base problem's owning shard.
 
@@ -869,8 +867,7 @@ class ClusterRouter:
         session_id = self._pin_session(shard_index)
         try:
             await self.shards[shard_index].open_session(
-                problem, method, params, session_id=session_id,
-                aggressive=aggressive,
+                problem, method, params, session_id=session_id
             )
         except BaseException as error:
             self._session_shard.pop(session_id, None)
@@ -884,7 +881,6 @@ class ClusterRouter:
             "base": problem.to_dict(),
             "method": method,
             "params": dict(params or {}),
-            "aggressive": bool(aggressive),
             "deltas": [],
         }
         return session_id
@@ -990,7 +986,6 @@ class ClusterRouter:
             "base": data["base"],
             "method": method,
             "params": dict(data.get("params") or {}),
-            "aggressive": bool(data.get("aggressive", False)),
             "deltas": list(data.get("deltas") or []),
         }
         return session_id

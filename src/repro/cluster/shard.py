@@ -168,11 +168,10 @@ class InprocShard:
         method: str,
         params: dict | None,
         session_id: str,
-        aggressive: bool = False,
     ) -> str:
         self._check_alive()
         return await self.server.open_session(
-            problem, method, params, session_id=session_id, aggressive=aggressive
+            problem, method, params, session_id=session_id
         )
 
     async def submit_session(
@@ -277,7 +276,6 @@ async def _worker_handle(server: QueryServer, op: str, payload: dict) -> dict:
             payload["method"],
             payload.get("params"),
             session_id=payload["session_id"],
-            aggressive=payload.get("aggressive", False),
         )
         return {"session_id": session_id}
     if op == "submit_session":
@@ -548,7 +546,6 @@ class ProcessShard:
         method: str,
         params: dict | None,
         session_id: str,
-        aggressive: bool = False,
     ) -> str:
         reply = await self._call(
             "open_session",
@@ -557,7 +554,6 @@ class ProcessShard:
                 "method": method,
                 "params": params,
                 "session_id": session_id,
-                "aggressive": aggressive,
             },
         )
         return reply["session_id"]

@@ -35,12 +35,10 @@ class RankHowOptions:
     Attributes:
         time_limit: Wall-clock limit in seconds for the MILP solve.
         node_limit: Branch-and-bound node limit.
-        lp_method: LP backend ("scipy", "simplex", or "auto").
         eliminate_dominated: Apply the Section V-B indicator elimination.
         verify: Run exact-arithmetic verification on the returned weights.
         error_weights: Optional per-tuple objective weights (tuple index ->
             weight); defaults to plain position error.
-        search: Branch-and-bound node order ("best_first" or "depth_first").
         warm_start_strategy: How to obtain an initial incumbent when the caller
             does not supply one.  Commercial MILP solvers lean heavily on
             primal heuristics to find strong incumbents early; this package's
@@ -48,15 +46,15 @@ class RankHowOptions:
             (``"symgd"``) it borrows the paper's own SYM-GD descent as its
             primal heuristic before starting the exact search.  Other choices:
             ``"ordinal_regression"``, ``"uniform"``, ``"none"``.
+        extra: Further switches; ``{"prune": True}`` drops provably
+            irrelevant tuples before the MILP is built (:mod:`repro.core.prune`).
     """
 
     time_limit: float | None = None
     node_limit: int = 50000
-    lp_method: str = "scipy"
     eliminate_dominated: bool = True
     verify: bool = True
     error_weights: dict[int, float] | None = None
-    search: str = "best_first"
     warm_start_strategy: str = "symgd"
     extra: dict = field(default_factory=dict)
 
@@ -70,7 +68,6 @@ class RankHowOptions:
         return {
             "time_limit": None if self.time_limit is None else float(self.time_limit),
             "node_limit": int(self.node_limit),
-            "lp_method": self.lp_method,
             "eliminate_dominated": bool(self.eliminate_dominated),
             "verify": bool(self.verify),
             "error_weights": (
@@ -78,7 +75,6 @@ class RankHowOptions:
                 if self.error_weights is None
                 else {str(k): float(v) for k, v in self.error_weights.items()}
             ),
-            "search": self.search,
             "warm_start_strategy": self.warm_start_strategy,
             "extra": dict(self.extra),
         }
@@ -89,7 +85,6 @@ class RankHowOptions:
         return cls(
             time_limit=data.get("time_limit"),
             node_limit=int(data.get("node_limit", 50000)),
-            lp_method=data.get("lp_method", "scipy"),
             eliminate_dominated=bool(data.get("eliminate_dominated", True)),
             verify=bool(data.get("verify", True)),
             error_weights=(
@@ -97,7 +92,6 @@ class RankHowOptions:
                 if error_weights is None
                 else {int(k): float(v) for k, v in error_weights.items()}
             ),
-            search=data.get("search", "best_first"),
             warm_start_strategy=data.get("warm_start_strategy", "symgd"),
             extra=dict(data.get("extra", {})),
         )
@@ -114,7 +108,6 @@ class RankHow:
         problem: RankingProblem,
         cell_bounds: tuple[np.ndarray, np.ndarray] | None = None,
         warm_start: np.ndarray | None = None,
-        context=None,
     ) -> SynthesisResult:
         """Solve OPT (optionally restricted to a weight-space cell).
 
@@ -122,22 +115,13 @@ class RankHow:
             problem: The problem instance.
             cell_bounds: Optional ``(lower, upper)`` box on the weights.
             warm_start: Optional weight vector used as the initial incumbent.
-            context: Optional :class:`~repro.engine.context.SolveContext`
-                (duck-typed -- this module does not import the engine).  Warm
-                artifacts from a parent solve flow in when the context opts
-                in (``reuse_basis``: the parent's root LP basis;
-                ``reuse_incumbent``: its weights as an extra incumbent), and
-                this solve's reusable artifacts flow back out via
-                ``context.capture_*``.  A context with both flags off (the
-                exact-parity default) captures without injecting, so the
-                solve is bitwise the cold solve.
 
         Returns:
             A :class:`SynthesisResult`; ``optimal`` is ``True`` only when the
             branch-and-bound proved optimality within its limits.
         """
         with obs_span("solver.rankhow", k=problem.k) as sp:
-            result = self._solve(problem, cell_bounds, warm_start, context)
+            result = self._solve(problem, cell_bounds, warm_start)
             if sp:
                 diagnostics = result.diagnostics
                 sp.set_attributes(
@@ -147,9 +131,6 @@ class RankHow:
                     indicators=int(diagnostics.get("indicators", 0)),
                     eliminated=int(diagnostics.get("eliminated", 0)),
                     lp_iterations=int(diagnostics.get("lp_iterations", 0)),
-                    warm_started_nodes=int(
-                        diagnostics.get("warm_started_nodes", 0)
-                    ),
                 )
             return result
 
@@ -158,7 +139,6 @@ class RankHow:
         problem: RankingProblem,
         cell_bounds: tuple[np.ndarray, np.ndarray] | None,
         warm_start: np.ndarray | None,
-        context,
     ) -> SynthesisResult:
         options = self.options
         start = time.perf_counter()
@@ -186,38 +166,23 @@ class RankHow:
         initial_incumbent = None
         if warm_start is None and options.warm_start_strategy != "none":
             warm_start = self._warm_start_weights(problem, cell_bounds)
-        if context is not None:
-            warm_start = self._merge_context_incumbent(
-                problem, warm_start, cell_bounds, context
-            )
         if warm_start is not None:
             initial_incumbent = formulation.incumbent_from_weights(
                 np.asarray(warm_start, dtype=float)
             )
 
-        initial_basis = None
-        if context is not None and context.reuse_basis:
-            initial_basis = context.warm_root_basis()
-
         gap_tolerance = 1.0 - 1e-6 if options.error_weights is None else 1e-6
         solver_options = SolverOptions(
             time_limit=options.time_limit,
             node_limit=options.node_limit,
-            lp_method=options.lp_method,
             incumbent_callback=formulation.incumbent_callback,
             initial_incumbent=initial_incumbent,
-            search=options.search,
             # With the plain (integer-valued) objective a gap below 1 already
             # proves optimality; weighted objectives need a tight gap.
             gap_tolerance=gap_tolerance,
-            warm_start_lp=bool(options.extra.get("warm_start_lp", True)),
-            node_presolve=bool(options.extra.get("node_presolve", True)),
-            initial_basis=initial_basis,
         )
         solver = BranchAndBoundSolver(solver_options)
         solution = solver.solve(formulation.model)
-        if context is not None:
-            context.capture_root_basis(solution.root_basis)
         elapsed = time.perf_counter() - start
 
         if not solution.has_solution:
@@ -277,49 +242,9 @@ class RankHow:
                 "eliminated": formulation.num_eliminated_indicators,
                 "milp_objective": float(objective),
                 "lp_iterations": int(solution.lp_iterations),
-                "warm_started_nodes": int(solution.warm_started_nodes),
                 **prune_diag,
             },
         )
-
-
-    def _merge_context_incumbent(
-        self,
-        problem: RankingProblem,
-        warm_start: np.ndarray | None,
-        cell_bounds: tuple[np.ndarray, np.ndarray] | None,
-        context,
-    ) -> np.ndarray | None:
-        """Fold a parent solve's incumbent weights into the warm start.
-
-        Only when the context opts in (``reuse_incumbent``): an extra
-        incumbent tightens pruning, which can change *which* optimal solution
-        a truncated search reports -- the exact-parity incremental path keeps
-        it off and reuses only output-invariant artifacts.  Preference on
-        ties goes to the cold path's own warm start, so enabling reuse can
-        only substitute a strictly better (lower true error) incumbent.
-        """
-        if not context.reuse_incumbent:
-            return warm_start
-        candidate = context.warm_weights()
-        if candidate is None:
-            return warm_start
-        candidate = np.asarray(candidate, dtype=float).ravel()
-        if candidate.shape[0] != problem.num_attributes or not np.all(
-            np.isfinite(candidate)
-        ):
-            return warm_start
-        if cell_bounds is not None:
-            lower, upper = cell_bounds
-            if np.any(candidate < np.asarray(lower) - 1e-9) or np.any(
-                candidate > np.asarray(upper) + 1e-9
-            ):
-                return warm_start
-        if warm_start is None:
-            return candidate
-        if problem.error_of(candidate) < problem.error_of(warm_start):
-            return candidate
-        return warm_start
 
     def _warm_start_weights(
         self,
@@ -341,7 +266,6 @@ class RankHow:
                 time_limit=None if budget is None else max(budget * 0.25, 1.0),
                 solver_options=RankHowOptions(
                     node_limit=500,
-                    lp_method=self.options.lp_method,
                     verify=False,
                     warm_start_strategy="none",
                 ),

@@ -50,7 +50,6 @@ class TreeOptions:
         prune_by_bound: Prune subtrees whose partial error already exceeds the
             best complete error found so far.
         strategy: ``"dfs"`` (default) or ``"bfs"``.
-        lp_method: LP backend for the feasibility checks.
     """
 
     time_limit: float | None = None
@@ -58,7 +57,6 @@ class TreeOptions:
     use_separation_gap: bool = True
     prune_by_bound: bool = True
     strategy: str = "dfs"
-    lp_method: str = "scipy"
 
     def to_dict(self) -> dict:
         """Canonical JSON-serializable representation (for fingerprinting)."""
@@ -68,7 +66,6 @@ class TreeOptions:
             "use_separation_gap": bool(self.use_separation_gap),
             "prune_by_bound": bool(self.prune_by_bound),
             "strategy": self.strategy,
-            "lp_method": self.lp_method,
         }
 
     @classmethod
@@ -79,7 +76,6 @@ class TreeOptions:
             use_separation_gap=bool(data.get("use_separation_gap", True)),
             prune_by_bound=bool(data.get("prune_by_bound", True)),
             strategy=data.get("strategy", "dfs"),
-            lp_method=data.get("lp_method", "scipy"),
         )
 
 
@@ -213,7 +209,7 @@ class TreeSolver:
                 leaves += 1
                 error = leaf_error(node.assignment)
                 if error < best_error:
-                    solution = region_lp(node.assignment).solve(options.lp_method)
+                    solution = region_lp(node.assignment).solve()
                     if solution.is_optimal:
                         best_error = error
                         best_weights = np.asarray(solution.x[: problem.num_attributes])
@@ -226,7 +222,7 @@ class TreeSolver:
                 assignment = list(node.assignment)
                 assignment[index] = value
                 lp = region_lp(assignment)
-                feasibility = lp.solve(options.lp_method)
+                feasibility = lp.solve()
                 if feasibility.is_optimal:
                     frontier.append(_TreeNode(node.depth + 1, assignment))
 

@@ -1,37 +1,24 @@
 """Cross-solve artifact carrier for delta-aware incremental synthesis.
 
-A :class:`SolveContext` travels with one solve and does two jobs:
+A :class:`SolveContext` travels along an edit chain and does two jobs:
 
-* **Warm side (in)** -- artifacts captured from the parent solve of an edit
-  chain: the parent's root-LP basis (plus the standard-form shape it is
-  valid for), its incumbent weights, and its batched
-  :class:`~repro.core.cells.CellBoundEvaluator`.  Solvers consume what they
-  can; everything is best-effort and shape-guarded, with the cold path as
-  the universal fallback.
-* **Capture side (out)** -- the same artifacts of *this* solve, recorded so
-  the engine can stash them for the next edit in the chain.
+* **Warm side (in)** -- artifacts captured from the parent solve of the
+  chain: its batched :class:`~repro.core.cells.CellBoundEvaluator`.
+* **Capture side (out)** -- the same artifacts for *this* problem, recorded
+  so the engine can stash them for the next edit in the chain.
 
-The default configuration is **exact-parity safe**: only artifacts that
-cannot change a solver's output are reused -- composed-fingerprint cache
-dedupe, preserved problem memos, and the batched cell evaluator (whose
-incremental row updates are bit-identical to a rebuild).  ``reuse_basis``
-and ``reuse_incumbent`` are opt-in (sessions expose both as
-``aggressive=True``): a warm root basis or a seeded incumbent genuinely
-saves simplex pivots, but it steers the search -- under tied optima or a
-truncated node budget the solver may return a *different* representative
-(same guarantees, not bitwise the same result), which is exactly what the
-exact-parity default must never do.
+Only artifacts that cannot change a solver's output are reused: the batched
+cell evaluator, whose incremental row updates are bit-identical to a
+rebuild.  Every incremental solve therefore returns exactly what the cold
+solve of the same request returns.
 
-This module is an engine leaf: solvers receive the context duck-typed (the
-core layer never imports the engine), and nothing here imports the rest of
+This module is an engine leaf: nothing here imports the rest of
 :mod:`repro.engine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = ["SolveArtifacts", "SolveContext"]
 
@@ -44,11 +31,6 @@ class SolveArtifacts:
         request_fingerprint: Fingerprint of the request that produced these
             artifacts (the engine's side-table key).
         problem_fingerprint: Fingerprint of the problem that was solved.
-        weights: The result's weight vector (incumbent candidate for an
-            opt-in ``reuse_incumbent`` child solve).
-        root_basis: Optimal standard-form basis of the root LP relaxation
-            (built-in simplex backend only; shape-checked against the
-            consumer's prepared standard form inside the branch-and-bound).
         cell_evaluator: A :class:`~repro.core.cells.CellBoundEvaluator`
             built for the problem (reused or incrementally row-updated for
             tuple deltas by :meth:`SolveContext.evaluator_for`).
@@ -56,62 +38,20 @@ class SolveArtifacts:
 
     request_fingerprint: str = ""
     problem_fingerprint: str = ""
-    weights: np.ndarray | None = None
-    root_basis: np.ndarray | None = None
     cell_evaluator: object | None = None
 
 
 @dataclass
 class SolveContext:
-    """One solve's view of the edit chain: warm artifacts in, captured out.
+    """One step's view of the edit chain: warm artifacts in, captured out.
 
     Attributes:
         warm: Artifacts of the parent solve (``None`` on a cold chain head).
-        reuse_basis: Feed the parent's root basis to the exact solver's root
-            LP.  Saves pivots, but under degenerate/tied optima the root LP
-            may land on a different optimal vertex and steer the search, so
-            it is off by default (exact parity) and on in aggressive mode.
-        reuse_incumbent: Feed the parent's weights as an extra incumbent
-            (tightens pruning; can change which optimal solution a
-            truncated search reports; aggressive mode only).
-        captured: Artifacts recorded by the solver(s) this context rode
-            along with.
+        captured: Artifacts recorded for the current problem.
     """
 
     warm: SolveArtifacts | None = None
-    reuse_basis: bool = False
-    reuse_incumbent: bool = False
     captured: SolveArtifacts = field(default_factory=SolveArtifacts)
-
-    # -- warm side (consumed by solvers) --------------------------------------
-
-    def warm_root_basis(self) -> np.ndarray | None:
-        """The parent's root basis, or ``None`` when there is nothing to reuse."""
-        if self.warm is None:
-            return None
-        return self.warm.root_basis
-
-    def warm_weights(self) -> np.ndarray | None:
-        """The parent's result weights (incumbent candidate), if any."""
-        if self.warm is None:
-            return None
-        return self.warm.weights
-
-    # -- capture side (filled by solvers) -------------------------------------
-
-    def capture_root_basis(self, basis: np.ndarray | None) -> None:
-        """Record this solve's root basis for the next edit in the chain."""
-        if basis is not None:
-            self.captured.root_basis = np.asarray(basis, dtype=int).copy()
-
-    def capture_weights(self, weights) -> None:
-        """Record this solve's result weights."""
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if np.all(np.isfinite(weights)):
-                self.captured.weights = weights.copy()
-
-    # -- cell-bound evaluator reuse -------------------------------------------
 
     def evaluator_for(self, problem):
         """A :class:`CellBoundEvaluator` for ``problem``, reusing the parent's.

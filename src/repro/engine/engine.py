@@ -423,7 +423,6 @@ class SolveEngine:
         self,
         request: SolveRequest,
         parent_fingerprint: str | None = None,
-        aggressive: bool = False,
     ) -> SolveOutcome:
         """Solve one request with the delta-aware fallback chain.
 
@@ -439,35 +438,28 @@ class SolveEngine:
            prefix); no solver runs.
         2. **Parent hit** -- artifacts captured from the parent solve of the
            edit chain (addressed by ``parent_fingerprint``, the previous
-           request's fingerprint) travel with this solve; with
-           ``aggressive`` set they actively warm-start it (the exact
-           solver's root LP resumes from the parent's optimal basis and the
-           parent's weights seed the incumbent).
+           request's fingerprint) exist; the solve runs cold and the
+           parent's batched cell evaluator is carried forward to this one.
         3. **Cold** -- no reusable state; the solve runs exactly as
            :meth:`solve` would.
 
-        With ``aggressive`` off (the default) every tier returns
-        byte-identical results to a cold solve of the same request: tier 1
-        is the same request's cached result, and tier 2 attaches only
-        output-invariant artifacts (the differential oracle's
+        Every tier returns byte-identical results to a cold solve of the
+        same request: tier 1 is the same request's cached result, and tier 2
+        carries only output-invariant artifacts (the differential oracle's
         ``incremental_parity`` invariant checks this per scenario family).
-        Aggressive mode trades that guarantee for pivots: under tied optima
-        or a truncated node budget the solver may return a different
-        representative within the same optimality guarantees.  The solve
-        runs in-process (not on the executor): artifacts must survive the
-        round trip, and an interactive session's latency is dominated by
-        the solver, not by dispatch.
+        The solve runs in-process (not on the executor): artifacts must
+        survive the round trip, and an interactive session's latency is
+        dominated by the solver, not by dispatch.
         """
         tracer = self._tracer()
         if tracer is None:
-            return self._solve_incremental(request, parent_fingerprint, aggressive)
+            return self._solve_incremental(request, parent_fingerprint)
         with tracer.span(
             "engine.solve_incremental",
             method=request.method,
             fingerprint=request.fingerprint,
-            aggressive=aggressive,
         ) as span:
-            outcome = self._solve_incremental(request, parent_fingerprint, aggressive)
+            outcome = self._solve_incremental(request, parent_fingerprint)
             span.set_attributes(served=outcome.served, cache_hit=outcome.cache_hit)
             return outcome
 
@@ -475,7 +467,6 @@ class SolveEngine:
         self,
         request: SolveRequest,
         parent_fingerprint: str | None,
-        aggressive: bool,
     ) -> SolveOutcome:
         start = time.perf_counter()
         key = request.fingerprint
@@ -499,34 +490,25 @@ class SolveEngine:
             if parent_fingerprint is not None and parent_fingerprint != key
             else None
         )
-        context = SolveContext(
-            warm=warm, reuse_basis=aggressive, reuse_incumbent=aggressive
-        )
         method = get_method(request.method)
         with self._artifact_lock:
             self.solver_invocations += 1
-        result = method.synthesize_resolved(
-            request.problem, request.effective, context=context
-        )
+        result = method.synthesize_resolved(request.problem, request.effective)
         self._harvest_dataplane(result)
         self.cache.put(key, result, cost=time.perf_counter() - start)
-        context.capture_weights(result.weights)
-        captured = context.captured
-        captured.request_fingerprint = key
-        captured.problem_fingerprint = request.problem.fingerprint()
-        if (
-            captured.cell_evaluator is None
-            and warm is not None
-            and warm.cell_evaluator is not None
-        ):
+        captured = SolveArtifacts(
+            request_fingerprint=key,
+            problem_fingerprint=request.problem.fingerprint(),
+        )
+        if warm is not None and warm.cell_evaluator is not None:
             # Carry the batched cell evaluator along the chain: reuse it
             # verbatim for a same-content edit, row-update it for tuple /
             # tolerance deltas, and drop it (rebuild on demand) for
             # structural ones -- otherwise every solve would sever the
             # evaluator chain a session's cell_error_bounds() calls rely on.
-            evaluator = warm.cell_evaluator.updated_for(request.problem)
-            if evaluator is not None:
-                captured.cell_evaluator = evaluator
+            captured.cell_evaluator = warm.cell_evaluator.updated_for(
+                request.problem
+            )
         self.store_artifacts(captured)
         with self._artifact_lock:
             if warm is not None:
@@ -575,15 +557,14 @@ class SolveEngine:
         deltas,
         method: str = "symgd",
         params: dict | None = None,
-        aggressive: bool = False,
     ) -> SolveOutcome:
         """Apply a delta chain to ``base`` and solve the edited problem.
 
         Convenience wrapper for one-shot callers: the parent request is
         ``(base, method, params)``, so if ``base`` was solved through this
-        engine before, its artifacts warm-start the edited solve.  Session
-        loops (:meth:`repro.api.client.RankHowClient.session`) track the
-        parent fingerprint across many edits instead.
+        engine before, its cell evaluator carries over to the edited solve.
+        Session loops (:meth:`repro.api.client.RankHowClient.session`) track
+        the parent fingerprint across many edits instead.
         """
         params = dict(params or {})
         child = base.apply_delta(deltas)
@@ -594,7 +575,6 @@ class SolveEngine:
         return self.solve_incremental(
             SolveRequest(child, method, params),
             parent_fingerprint=parent_fingerprint,
-            aggressive=aggressive,
         )
 
     # -- parallel primitives --------------------------------------------------

@@ -119,8 +119,8 @@ def fingerprint_options(options) -> str:
 
     Options *objects* are tagged with their module-qualified class name: two
     different methods' options dataclasses can serialize to identical dicts
-    (both the exact solver and TREE have a ``node_limit`` / ``time_limit`` /
-    ``lp_method`` surface), and without the tag such requests would collide
+    (both the exact solver and TREE have a ``node_limit`` / ``time_limit``
+    surface), and without the tag such requests would collide
     in the content-addressed cache.  The module prefix matters because
     plugin methods registered at runtime may reuse a class name.  Plain
     mappings are the registry's wire format, where the method name (hashed

@@ -16,7 +16,7 @@ into efficient work for a :class:`~repro.engine.engine.SolveEngine`:
   percentiles come from a bounded streaming histogram, counters flow into a
   :class:`~repro.obs.MetricsRegistry` (Prometheus/JSON exports), and with an
   :class:`~repro.obs.Observability` bundle attached every request carries a
-  trace from service intake through engine dispatch down to solver pivots,
+  trace from service intake through engine dispatch down to the solver,
   plus an append-only workload profile (JSONL) for replay.
 * **Stateful sessions** -- the incremental-synthesis path: a session pins a
   base problem server-side, clients ship only :class:`ProblemDelta` edits
@@ -189,7 +189,6 @@ class ServerSession:
     last_fingerprint: str | None = None
     edits: int = 0
     solves: int = 0
-    aggressive: bool = False
 
     def to_dict(self) -> dict:
         """Portable wire form: base problem + delta chain + defaults."""
@@ -199,7 +198,6 @@ class ServerSession:
             "deltas": list(self.deltas),
             "method": self.method,
             "params": dict(self.params),
-            "aggressive": self.aggressive,
         }
 
     def info(self) -> dict:
@@ -750,7 +748,6 @@ class QueryServer:
         method: str = "symgd",
         params: dict | None = None,
         session_id: str | None = None,
-        aggressive: bool = False,
     ) -> str:
         """Open a stateful edit session; returns its id.
 
@@ -776,7 +773,6 @@ class QueryServer:
                 problem=problem,
                 method=method,
                 params=params,
-                aggressive=aggressive,
             )
         )
 
@@ -869,9 +865,7 @@ class QueryServer:
                 ctx = span.context
                 self._inflight_ctx[key] = ctx
                 task = loop.create_task(
-                    self._run_session_solve(
-                        key, request, parent, session.aggressive, ctx
-                    )
+                    self._run_session_solve(key, request, parent, ctx)
                 )
                 self._session_tasks.add(task)
                 task.add_done_callback(self._session_tasks.discard)
@@ -979,7 +973,6 @@ class QueryServer:
         key: str,
         request: SolveRequest,
         parent: str | None,
-        aggressive: bool,
         ctx=None,
     ) -> None:
         loop = asyncio.get_running_loop()
@@ -991,10 +984,7 @@ class QueryServer:
             outcome = await loop.run_in_executor(
                 None,
                 lambda: run_in_context(tracer, ctx)(
-                    self.engine.solve_incremental,
-                    request,
-                    parent,
-                    aggressive=aggressive,
+                    self.engine.solve_incremental, request, parent
                 ),
             )
         except Exception as error:  # pragma: no cover - defensive
@@ -1023,7 +1013,8 @@ class QueryServer:
         The delta chain replays through ``apply_delta``, so the resumed
         head's composed fingerprint matches the exported session's -- its
         first solve is answered from the cache if this server (or a shared
-        cache tier) solved it before.
+        cache tier) solved it before.  Keys it does not read are ignored, so
+        older exports still resume.
         """
         if self._loop_task is None or self._closing:
             raise RuntimeError("QueryServer is not running; call start() first")
@@ -1034,7 +1025,6 @@ class QueryServer:
         SolveRequest(base, method, dict(params))
         deltas = list(data.get("deltas") or [])
         problem = base.apply_delta(deltas_from_dicts(deltas))
-        aggressive = bool(data.get("aggressive", False))
         self._session_counter += 1
         session_id = session_id or data.get("session_id") or f"sess{self._session_counter}"
         if session_id in self._sessions:
@@ -1048,7 +1038,6 @@ class QueryServer:
                 params=params,
                 deltas=deltas,
                 edits=len(deltas),
-                aggressive=aggressive,
             )
         )
 

@@ -1,12 +1,10 @@
 """Linear and mixed-integer linear programming substrate.
 
 The RankHow paper relies on Gurobi, a commercial MILP solver.  This package
-provides the equivalent substrate built from scratch:
+provides the equivalent substrate on top of SciPy's HiGHS LP solver:
 
-* :mod:`repro.solvers.simplex` -- a dense two-phase primal simplex method.
 * :mod:`repro.solvers.lp` -- a general LP model (bounds, inequalities,
-  equalities) solved either by the built-in simplex or by SciPy's HiGHS
-  backend.
+  equalities) solved by ``scipy.optimize.linprog`` (HiGHS).
 * :mod:`repro.solvers.milp` -- a mixed-integer model with binary variables and
   indicator constraints encoded through tight big-M rows.
 * :mod:`repro.solvers.branch_and_bound` -- a best-first branch-and-bound MILP
@@ -14,12 +12,7 @@ provides the equivalent substrate built from scratch:
 * :mod:`repro.solvers.presolve` -- bound tightening and indicator fixing.
 """
 
-from repro.solvers.lp import (
-    LinearProgram,
-    LPSolution,
-    LPStatus,
-    PreparedStandardForm,
-)
+from repro.solvers.lp import LinearProgram, LPSolution, LPStatus
 from repro.solvers.milp import (
     IndicatorConstraint,
     MILPModel,
@@ -27,20 +20,15 @@ from repro.solvers.milp import (
     MILPStatus,
 )
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, SolverOptions
-from repro.solvers.simplex import SimplexResult, SimplexStatus, solve_standard_form
 
 __all__ = [
     "LinearProgram",
     "LPSolution",
     "LPStatus",
-    "PreparedStandardForm",
     "IndicatorConstraint",
     "MILPModel",
     "MILPSolution",
     "MILPStatus",
     "BranchAndBoundSolver",
     "SolverOptions",
-    "SimplexResult",
-    "SimplexStatus",
-    "solve_standard_form",
 ]

@@ -1,10 +1,10 @@
 """Best-first branch-and-bound for the MILP models in this package.
 
 The solver operates on :class:`~repro.solvers.milp.MILPModel` instances.  It
-builds the big-M LP relaxation once and re-solves it with per-node bound
-changes on the binary variables, which keeps node processing cheap.  Key
-features that mirror what the paper credits modern MILP solvers for
-(Section III-B):
+builds the big-M LP relaxation once and re-solves it with HiGHS under
+per-node bound changes on the binary variables, which keeps node processing
+cheap.  Key features that mirror what the paper credits modern MILP solvers
+for (Section III-B):
 
 * **Holistic bounding** -- a global incumbent prunes any node whose LP
   relaxation bound cannot improve on it, so information discovered in one part
@@ -13,18 +13,14 @@ features that mirror what the paper credits modern MILP solvers for
   rounding heuristic (RankHow derives a feasible integral solution from the
   relaxation's weight vector by simply ranking the tuples), which typically
   produces near-optimal incumbents at the root node.
-* **Pseudo-cost-free reliable branching** -- branching on the most fractional
-  binary with ties broken by objective coefficient.
-* **Warm-started node LPs** -- with the built-in simplex backend the standard
-  form is prepared once (only the right-hand side changes across nodes) and
-  each child resumes from its parent's optimal basis, skipping simplex
-  phase 1 whenever the basis stays feasible after the bound change; any
-  defect falls back to the cold two-phase solve automatically.
+* **Most-fractional branching** -- branching on the binary closest to 0.5.
 * **Per-node bound tightening** -- implied-bound propagation over the big-M
   rows plus an incumbent objective cutoff fixes additional binaries after
   each branching decision and prunes infeasible nodes before their LP solve.
 
-The solver is deterministic given the model and options.
+A node whose LP fails numerically is neither explored nor pruned: its parent
+bound stays in the reported ``best_bound`` and the search never claims
+optimality.  The solver is deterministic given the model and options.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from repro.obs.trace import span as obs_span
-from repro.solvers.lp import LPStatus, PreparedStandardForm
+from repro.solvers.lp import LPStatus
 from repro.solvers.milp import MILPModel, MILPSolution, MILPStatus
 from repro.solvers.presolve import BoundTightener
 
@@ -59,45 +55,18 @@ class SolverOptions:
             style tolerances prove optimality early).
         integrality_tolerance: Values within this distance of an integer are
             treated as integral.
-        lp_method: LP backend passed through to :meth:`LinearProgram.solve`.
         incumbent_callback: Optional heuristic mapping a (fractional) relaxation
             solution to a feasible integral assignment.
         initial_incumbent: Optional feasible assignment used as the starting
             incumbent (a warm start).
-        branching: ``"most_fractional"`` or ``"pseudo_objective"``.
-        search: ``"best_first"`` or ``"depth_first"``.
-        warm_start_lp: Reuse the parent node's optimal basis for the child
-            LP solve (built-in simplex backend only; phase 1 is skipped when
-            the parent basis stays feasible after the bound change, with
-            automatic fallback to the cold two-phase path).
-        node_presolve: Run implied-bound tightening per node before the LP
-            solve (fixes implied binaries, prunes infeasible nodes early).
-        initial_basis: Optional standard-form basis for the *root* LP solve,
-            typically the ``root_basis`` of a previous solve on a nearby
-            model (the incremental-synthesis aggressive path).  Consumed
-            only by the built-in simplex backend; a basis whose shape no
-            longer fits the prepared standard form is ignored, and an
-            ill-conditioned or infeasible one falls back to the cold
-            two-phase solve via the same machinery node warm starts use.
-            Status-level guarantees (optimality proofs, bounds) are
-            unaffected, but under tied optima the warm root LP may land on
-            a different optimal vertex and steer the search toward a
-            different -- equally valid -- representative, which is why the
-            exact-parity incremental path leaves this unset.
     """
 
     time_limit: float | None = None
     node_limit: int = 100000
     gap_tolerance: float = 1e-6
     integrality_tolerance: float = 1e-6
-    lp_method: str = "scipy"
     incumbent_callback: IncumbentCallback | None = None
     initial_incumbent: np.ndarray | None = None
-    branching: str = "most_fractional"
-    search: str = "best_first"
-    warm_start_lp: bool = True
-    node_presolve: bool = True
-    initial_basis: np.ndarray | None = None
 
 
 @dataclass(order=True)
@@ -105,8 +74,6 @@ class _Node:
     priority: float
     sequence: int
     fixings: dict[int, int] = field(compare=False)
-    depth: int = field(compare=False, default=0)
-    basis: np.ndarray | None = field(compare=False, default=None)
 
 
 class BranchAndBoundSolver:
@@ -120,21 +87,16 @@ class BranchAndBoundSolver:
 
         Instrumented unconditionally: with tracing off the span call is a
         no-op contextvar read; with tracing on the search's node count, LP
-        pivots, warm-start outcomes, and final bound/gap land as span
-        attributes on ``solver.branch_and_bound``.
+        iterations, and final bound/gap land as span attributes on
+        ``solver.branch_and_bound``.
         """
-        with obs_span(
-            "solver.branch_and_bound",
-            search=self.options.search,
-            warm_start_requested=self.options.initial_basis is not None,
-        ) as sp:
+        with obs_span("solver.branch_and_bound") as sp:
             solution = self._solve(model)
             if sp:
                 sp.set_attributes(
                     status=solution.status.name,
                     nodes=solution.nodes,
                     lp_iterations=solution.lp_iterations,
-                    warm_started_nodes=solution.warm_started_nodes,
                     best_bound=float(solution.best_bound),
                     gap=float(solution.gap),
                 )
@@ -148,18 +110,8 @@ class BranchAndBoundSolver:
         base_lower = relaxation.lower_bounds.copy()
         base_upper = relaxation.upper_bounds.copy()
 
-        # Node LPs differ only in bounds: prepare the standard form once so
-        # the simplex backend skips the per-node matrix reduction and can
-        # warm-start from the parent basis.
-        prepared: PreparedStandardForm | None = None
-        if options.lp_method == "simplex":
-            try:
-                prepared = PreparedStandardForm(relaxation)
-            except ValueError:
-                prepared = None
-
         tightener: BoundTightener | None = None
-        if options.node_presolve and binaries and relaxation.constraints:
+        if binaries and relaxation.constraints:
             rows = np.vstack(
                 [con.coefficients for con in relaxation.constraints]
             )
@@ -175,9 +127,10 @@ class BranchAndBoundSolver:
         incumbent_x: np.ndarray | None = None
         incumbent_obj = float("inf")
         best_bound = float("-inf")
+        # Smallest parent bound over nodes whose LP failed numerically.
+        unresolved_bound = float("inf")
         nodes_processed = 0
         total_lp_iterations = 0
-        warm_started_nodes = 0
         counter = itertools.count()
 
         def time_exceeded() -> bool:
@@ -196,40 +149,13 @@ class BranchAndBoundSolver:
         if options.initial_incumbent is not None:
             try_incumbent(np.asarray(options.initial_incumbent, dtype=float))
 
-        # Cross-solve warm start: seed the root node with a basis from a
-        # previous solve on a nearby model.  Shape-guarded here; anything
-        # subtler (singular, primal infeasible after the data change) is
-        # handled by the simplex warm-start fallback exactly as for
-        # parent-to-child node bases.
-        root_basis: np.ndarray | None = None
-        if (
-            options.initial_basis is not None
-            and options.warm_start_lp
-            and prepared is not None
-        ):
-            candidate = np.asarray(options.initial_basis, dtype=int)
-            n_rows, n_cols = prepared.standard_shape
-            if (
-                candidate.ndim == 1
-                and candidate.shape[0] == n_rows
-                and candidate.size > 0
-                and candidate.min() >= 0
-                and candidate.max() < n_cols
-            ):
-                root_basis = candidate
-
-        root_basis_out: np.ndarray | None = None
-        heap: list[_Node] = [_Node(float("-inf"), next(counter), {}, 0, basis=root_basis)]
-        stack: list[_Node] = list(heap)
+        heap: list[_Node] = [_Node(float("-inf"), next(counter), {})]
         root_bound_known = False
 
-        while heap if options.search == "best_first" else stack:
+        while heap:
             if nodes_processed >= options.node_limit or time_exceeded():
                 break
-            if options.search == "best_first":
-                node = heapq.heappop(heap)
-            else:
-                node = stack.pop()
+            node = heapq.heappop(heap)
 
             # Prune on the parent bound before paying for an LP solve.
             if node.priority >= incumbent_obj - options.gap_tolerance:
@@ -256,11 +182,7 @@ class BranchAndBoundSolver:
             relaxation.lower_bounds = lower
             relaxation.upper_bounds = upper
 
-            if prepared is not None and prepared.matches(lower, upper):
-                warm_basis = node.basis if options.warm_start_lp else None
-                lp_solution = prepared.solve(lower, upper, initial_basis=warm_basis)
-            else:
-                lp_solution = relaxation.solve(method=options.lp_method)
+            lp_solution = relaxation.solve()
             total_lp_iterations += lp_solution.iterations
             if lp_solution.status is LPStatus.INFEASIBLE:
                 continue
@@ -271,29 +193,17 @@ class BranchAndBoundSolver:
                     float("-inf"),
                     nodes=nodes_processed,
                     lp_iterations=total_lp_iterations,
-                    warm_started_nodes=warm_started_nodes,
-                    root_basis=root_basis_out,
                 )
             if not lp_solution.is_optimal:
-                # Numerical trouble on this node; fall back to the built-in
-                # simplex once before giving up on the node.
-                lp_solution = relaxation.solve(method="simplex")
-                total_lp_iterations += lp_solution.iterations
-                if not lp_solution.is_optimal:
-                    continue
-            # Counted only now: a warm attempt that died at the iteration
-            # limit and was re-solved cold must not inflate the statistic.
-            if lp_solution.warm_started:
-                warm_started_nodes += 1
+                # Numerical trouble: the subtree was neither searched nor
+                # pruned, so its parent bound caps what may be claimed.
+                unresolved_bound = min(unresolved_bound, node.priority)
+                continue
 
             node_bound = lp_solution.objective
             if not root_bound_known:
                 best_bound = node_bound
                 root_bound_known = True
-                # The root relaxation's optimal basis is the cross-solve
-                # warm-start artifact: a nearby problem's root LP can resume
-                # from it (see SolverOptions.initial_basis).
-                root_basis_out = lp_solution.basis
 
             # Prune by bound.
             if node_bound >= incumbent_obj - options.gap_tolerance:
@@ -309,50 +219,47 @@ class BranchAndBoundSolver:
             if node_bound >= incumbent_obj - options.gap_tolerance:
                 continue
 
-            fractional = self._fractional_binaries(
-                x, binaries, options.integrality_tolerance
-            )
+            fractional = [
+                i
+                for i in binaries
+                if abs(x[i] - round(x[i])) > options.integrality_tolerance
+            ]
             if not fractional:
                 # Integral relaxation solution: snap the binaries exactly and
                 # keep the LP values for the continuous part.
-                try_incumbent(self._snap(x, binaries))
+                snapped = np.asarray(x, dtype=float).copy()
+                for i in binaries:
+                    snapped[i] = round(snapped[i])
+                try_incumbent(snapped)
                 continue
 
-            branch_var = self._select_branch_variable(
-                x, fractional, model, options.branching
-            )
+            # Most fractional: closest to 0.5.
+            branch_var = min(fractional, key=lambda i: abs(x[i] - 0.5))
             frac_value = x[branch_var]
-            children = sorted(
-                (0, 1), key=lambda v: abs(frac_value - v)
-            )  # explore the closer value first in DFS
-            for value in children:
+            # The closer value gets the earlier sequence number, so it wins
+            # ties on the (shared) parent bound.
+            for value in sorted((0, 1), key=lambda v: abs(frac_value - v)):
                 fixings = dict(node.fixings)
                 fixings[branch_var] = value
-                child = _Node(
-                    node_bound,
-                    next(counter),
-                    fixings,
-                    node.depth + 1,
-                    basis=lp_solution.basis,
-                )
-                if options.search == "best_first":
-                    heapq.heappush(heap, child)
-                else:
-                    stack.append(child)
+                heapq.heappush(heap, _Node(node_bound, next(counter), fixings))
 
         # Tighten the reported bound using the open nodes.
-        open_nodes = heap if options.search == "best_first" else stack
-        if open_nodes:
-            open_bound = min(n.priority for n in open_nodes)
+        if heap:
+            open_bound = min(n.priority for n in heap)
             if np.isfinite(open_bound):
                 best_bound = max(best_bound, open_bound) if root_bound_known else open_bound
         else:
             best_bound = incumbent_obj if incumbent_x is not None else best_bound
+        unresolved = unresolved_bound < float("inf")
+        best_bound = min(best_bound, unresolved_bound)
 
         if incumbent_x is None:
             status = (
                 MILPStatus.INFEASIBLE
-                if nodes_processed < options.node_limit and not time_exceeded() and not open_nodes
+                if nodes_processed < options.node_limit
+                and not time_exceeded()
+                and not heap
+                and not unresolved
                 else MILPStatus.NO_SOLUTION
             )
             return MILPSolution(
@@ -362,13 +269,12 @@ class BranchAndBoundSolver:
                 best_bound,
                 nodes_processed,
                 lp_iterations=total_lp_iterations,
-                warm_started_nodes=warm_started_nodes,
-                root_basis=root_basis_out,
             )
 
-        exhausted = not open_nodes
         gap = abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
-        proved = exhausted or incumbent_obj - best_bound <= options.gap_tolerance
+        proved = not unresolved and (
+            not heap or incumbent_obj - best_bound <= options.gap_tolerance
+        )
         status = MILPStatus.OPTIMAL if proved else MILPStatus.FEASIBLE
         return MILPSolution(
             status,
@@ -378,31 +284,4 @@ class BranchAndBoundSolver:
             nodes_processed,
             gap,
             lp_iterations=total_lp_iterations,
-            warm_started_nodes=warm_started_nodes,
-            root_basis=root_basis_out,
         )
-
-    # -- helpers -----------------------------------------------------------------
-
-    @staticmethod
-    def _fractional_binaries(
-        x: np.ndarray, binaries: list[int], tol: float
-    ) -> list[int]:
-        return [i for i in binaries if abs(x[i] - round(x[i])) > tol]
-
-    @staticmethod
-    def _snap(x: np.ndarray, binaries: list[int]) -> np.ndarray:
-        snapped = np.asarray(x, dtype=float).copy()
-        for i in binaries:
-            snapped[i] = round(snapped[i])
-        return snapped
-
-    @staticmethod
-    def _select_branch_variable(
-        x: np.ndarray, fractional: list[int], model: MILPModel, rule: str
-    ) -> int:
-        if rule == "pseudo_objective":
-            objective = model.objective_vector()
-            return max(fractional, key=lambda i: (abs(objective[i]), -abs(x[i] - 0.5)))
-        # Most fractional: closest to 0.5.
-        return min(fractional, key=lambda i: abs(x[i] - 0.5))

@@ -1,4 +1,4 @@
-"""General linear-program model with pluggable backends.
+"""General linear-program model solved by SciPy's HiGHS.
 
 :class:`LinearProgram` accepts the usual general form::
 
@@ -7,12 +7,10 @@
                 A_eq @ x == b_eq
                 lb <= x <= ub        (entries may be -inf / +inf)
 
-and can be solved either with the built-in two-phase simplex
-(:mod:`repro.solvers.simplex`) after reduction to standard form, or with
-SciPy's HiGHS implementation (``scipy.optimize.linprog``).  The SciPy backend
-is the default because the RankHow pipelines solve thousands of small LPs and
-HiGHS is substantially faster; the built-in simplex keeps the substrate fully
-self-contained and is cross-checked against HiGHS in the test suite.
+and solves it with ``scipy.optimize.linprog(method="highs")``.  The RankHow
+pipelines solve thousands of small LPs (one per branch-and-bound node, one
+per TREE region), so the model caches its stacked constraint matrices
+between solves that change only the bounds.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.solvers.simplex import SimplexStatus, solve_standard_form
-
-__all__ = ["LPStatus", "LPSolution", "LinearProgram", "PreparedStandardForm"]
+__all__ = ["LPStatus", "LPSolution", "LinearProgram"]
 
 _INF = float("inf")
 
@@ -46,21 +42,13 @@ class LPSolution:
         status: Termination status.
         x: Primal solution vector (empty when not optimal).
         objective: Optimal objective value (``nan`` when not optimal).
-        iterations: Backend iteration count when available.
-        backend: Name of the backend that produced the solution.
-        basis: Optimal standard-form basis when the built-in simplex solved
-            the program; reusable as a warm start for a related solve.
-        warm_started: Whether the backend actually resumed from a supplied
-            warm-start basis.
+        iterations: HiGHS iteration count.
     """
 
     status: LPStatus
     x: np.ndarray
     objective: float
     iterations: int = 0
-    backend: str = ""
-    basis: np.ndarray | None = None
-    warm_started: bool = False
 
     @property
     def is_optimal(self) -> bool:
@@ -164,7 +152,7 @@ class LinearProgram:
         return len(self.constraints) - 1
 
     def copy(self) -> "LinearProgram":
-        """Deep-copy the model (used by branch-and-bound node expansion)."""
+        """Deep-copy the model."""
         clone = LinearProgram(self.num_vars)
         clone.objective = self.objective.copy()
         clone.lower_bounds = self.lower_bounds.copy()
@@ -218,31 +206,8 @@ class LinearProgram:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(
-        self, method: str = "scipy", warm_start_basis: np.ndarray | None = None
-    ) -> LPSolution:
-        """Solve the LP.
-
-        Args:
-            method: ``"scipy"`` (HiGHS), ``"simplex"`` (built-in), or
-                ``"auto"`` which tries SciPy and falls back to the built-in
-                simplex when SciPy reports a numerical error.
-            warm_start_basis: Optional standard-form basis from a related
-                solve (only the built-in simplex consumes it; the SciPy
-                backend ignores it).
-        """
-        if method == "auto":
-            solution = self._solve_scipy()
-            if solution.status is LPStatus.ERROR:
-                return self._solve_simplex(warm_start_basis)
-            return solution
-        if method == "scipy":
-            return self._solve_scipy()
-        if method == "simplex":
-            return self._solve_simplex(warm_start_basis)
-        raise ValueError(f"unknown LP method: {method!r}")
-
-    def _solve_scipy(self) -> LPSolution:
+    def solve(self) -> LPSolution:
+        """Solve the LP with HiGHS."""
         from scipy.optimize import linprog
 
         a_ub, b_ub = self.inequality_matrix()
@@ -269,281 +234,8 @@ class LinearProgram:
                 np.asarray(result.x, dtype=float),
                 float(result.fun),
                 iterations=int(getattr(result, "nit", 0) or 0),
-                backend="scipy-highs",
             )
-        if result.status == 2:
-            return LPSolution(
-                LPStatus.INFEASIBLE, np.zeros(0), float("nan"), backend="scipy-highs"
-            )
-        if result.status == 3:
-            return LPSolution(
-                LPStatus.UNBOUNDED, np.zeros(0), float("nan"), backend="scipy-highs"
-            )
-        return LPSolution(
-            LPStatus.ERROR, np.zeros(0), float("nan"), backend="scipy-highs"
+        status = {2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}.get(
+            result.status, LPStatus.ERROR
         )
-
-    def _solve_simplex(
-        self, warm_start_basis: np.ndarray | None = None
-    ) -> LPSolution:
-        c_std, a_std, b_std, recover = self._to_standard_form()
-        result = solve_standard_form(
-            c_std, a_std, b_std, initial_basis=warm_start_basis
-        )
-        if result.status is SimplexStatus.OPTIMAL:
-            x = recover(result.x)
-            return LPSolution(
-                LPStatus.OPTIMAL,
-                x,
-                float(self.objective @ x),
-                iterations=result.iterations,
-                backend="simplex",
-                basis=result.basis,
-                warm_started=result.warm_started,
-            )
-        mapping = {
-            SimplexStatus.INFEASIBLE: LPStatus.INFEASIBLE,
-            SimplexStatus.UNBOUNDED: LPStatus.UNBOUNDED,
-            SimplexStatus.ITERATION_LIMIT: LPStatus.ERROR,
-        }
-        return LPSolution(
-            mapping[result.status],
-            np.zeros(0),
-            float("nan"),
-            iterations=result.iterations,
-            backend="simplex",
-            warm_started=result.warm_started,
-        )
-
-    def _to_standard_form(self):
-        """Reduce the general model to ``min c x : A x = b, x >= 0``.
-
-        Returns the standard-form data plus a function mapping a standard-form
-        solution back to the original variable space.
-        """
-        num = self.num_vars
-        lower = self.lower_bounds
-        upper = self.upper_bounds
-
-        # Column bookkeeping: every original variable becomes either a single
-        # shifted column (finite lower bound) or a pair of columns (free).
-        col_of_var: list[tuple[str, int]] = []
-        num_cols = 0
-        shifts = np.zeros(num)
-        for i in range(num):
-            if lower[i] > -_INF:
-                shifts[i] = lower[i]
-                col_of_var.append(("shifted", num_cols))
-                num_cols += 1
-            elif upper[i] < _INF:
-                # Only an upper bound: substitute x = upper - y with y >= 0.
-                shifts[i] = upper[i]
-                col_of_var.append(("flipped", num_cols))
-                num_cols += 1
-            else:
-                col_of_var.append(("free", num_cols))
-                num_cols += 2
-
-        def expand_row(row: np.ndarray) -> tuple[np.ndarray, float]:
-            """Rewrite a row over original vars as a row over standard cols."""
-            out = np.zeros(num_cols)
-            offset = 0.0
-            for i in range(num):
-                kind, col = col_of_var[i]
-                coeff = row[i]
-                if coeff == 0.0:
-                    continue
-                if kind == "shifted":
-                    out[col] += coeff
-                    offset += coeff * shifts[i]
-                elif kind == "flipped":
-                    out[col] -= coeff
-                    offset += coeff * shifts[i]
-                else:
-                    out[col] += coeff
-                    out[col + 1] -= coeff
-            return out, offset
-
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        slack_senses: list[str] = []
-        for con in self.constraints:
-            expanded, offset = expand_row(con.coefficients)
-            rows.append(expanded)
-            rhs.append(con.rhs - offset)
-            slack_senses.append(con.sense)
-        # Upper bounds of shifted variables become explicit rows.
-        for i in range(num):
-            kind, col = col_of_var[i]
-            if kind == "shifted" and upper[i] < _INF:
-                row = np.zeros(num_cols)
-                row[col] = 1.0
-                rows.append(row)
-                rhs.append(upper[i] - lower[i])
-                slack_senses.append("<=")
-            elif kind == "flipped" and lower[i] > -_INF:  # pragma: no cover
-                row = np.zeros(num_cols)
-                row[col] = 1.0
-                rows.append(row)
-                rhs.append(upper[i] - lower[i])
-                slack_senses.append("<=")
-
-        n_rows = len(rows)
-        n_slacks = sum(1 for s in slack_senses if s in ("<=", ">="))
-        total_cols = num_cols + n_slacks
-        a_std = np.zeros((n_rows, total_cols))
-        b_std = np.asarray(rhs, dtype=float)
-        slack_idx = num_cols
-        for r, (row, sense) in enumerate(zip(rows, slack_senses)):
-            a_std[r, :num_cols] = row
-            if sense == "<=":
-                a_std[r, slack_idx] = 1.0
-                slack_idx += 1
-            elif sense == ">=":
-                a_std[r, slack_idx] = -1.0
-                slack_idx += 1
-
-        c_row, _ = expand_row(self.objective)
-        c_std = np.zeros(total_cols)
-        c_std[:num_cols] = c_row
-
-        def recover(x_std: np.ndarray) -> np.ndarray:
-            x = np.zeros(num)
-            for i in range(num):
-                kind, col = col_of_var[i]
-                if kind == "shifted":
-                    x[i] = x_std[col] + shifts[i]
-                elif kind == "flipped":
-                    x[i] = shifts[i] - x_std[col]
-                else:
-                    x[i] = x_std[col] - x_std[col + 1]
-            return x
-
-        return c_std, a_std, b_std, recover
-
-
-class PreparedStandardForm:
-    """Reusable standard-form image of a :class:`LinearProgram`.
-
-    Branch-and-bound re-solves the same LP hundreds of times with nothing but
-    per-node *bound* changes.  For programs where every variable has a finite
-    lower bound (true of every MILP relaxation this package builds: weights,
-    errors and binaries are all boxed), the standard-form constraint matrix
-    and objective do not depend on the bound values at all -- only the
-    right-hand side does.  This class builds the matrix once and recomputes
-    just the right-hand side per solve, and it accepts a warm-start basis
-    from a previous solve so child nodes can skip simplex phase 1 entirely.
-
-    The column layout matches :meth:`LinearProgram._to_standard_form` for the
-    all-finite-lower-bound case: one shifted column per variable, followed by
-    one slack column per inequality row (constraints first, then the
-    upper-bound rows in variable order).
-    """
-
-    def __init__(self, lp: LinearProgram) -> None:
-        if np.any(lp.lower_bounds == -_INF):
-            raise ValueError(
-                "PreparedStandardForm requires a finite lower bound on every variable"
-            )
-        self.num_vars = lp.num_vars
-        self.objective = lp.objective.copy()
-        self._finite_upper = np.isfinite(lp.upper_bounds)
-        self._ub_vars = np.where(self._finite_upper)[0]
-        if lp.constraints:
-            self._rows = np.vstack([c.coefficients for c in lp.constraints])
-            self._rhs = np.asarray([c.rhs for c in lp.constraints], dtype=float)
-        else:
-            self._rows = np.zeros((0, self.num_vars))
-            self._rhs = np.zeros(0)
-        senses = [c.sense for c in lp.constraints]
-
-        n_con = len(senses)
-        n_ub = self._ub_vars.shape[0]
-        n_rows = n_con + n_ub
-        n_slacks = sum(1 for s in senses if s in ("<=", ">=")) + n_ub
-        total_cols = self.num_vars + n_slacks
-        a_std = np.zeros((n_rows, total_cols))
-        a_std[:n_con, : self.num_vars] = self._rows
-        slack = self.num_vars
-        for r, sense in enumerate(senses):
-            if sense == "<=":
-                a_std[r, slack] = 1.0
-                slack += 1
-            elif sense == ">=":
-                a_std[r, slack] = -1.0
-                slack += 1
-        for offset, var in enumerate(self._ub_vars):
-            r = n_con + offset
-            a_std[r, int(var)] = 1.0
-            a_std[r, slack] = 1.0
-            slack += 1
-        self._a_std = a_std
-        c_std = np.zeros(total_cols)
-        c_std[: self.num_vars] = self.objective
-        self._c_std = c_std
-
-    @property
-    def standard_shape(self) -> tuple[int, int]:
-        """``(rows, columns)`` of the prepared standard form.
-
-        A warm-start basis from a *different* solve is only meaningful when
-        both standard forms share this shape; callers check it before
-        feeding a cross-solve basis in.
-        """
-        return tuple(self._a_std.shape)
-
-    def matches(self, lower: np.ndarray, upper: np.ndarray) -> bool:
-        """Whether the bound finiteness pattern still fits this structure."""
-        return bool(
-            np.all(lower > -_INF)
-            and np.array_equal(np.isfinite(upper), self._finite_upper)
-        )
-
-    def solve(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        initial_basis: np.ndarray | None = None,
-        tol: float = 1e-9,
-        max_iterations: int = 20000,
-    ) -> LPSolution:
-        """Solve under new bounds, optionally warm-starting from a basis."""
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if not self.matches(lower, upper):
-            raise ValueError("bound pattern no longer matches the prepared structure")
-        b_con = self._rhs - self._rows @ lower
-        b_ub = upper[self._ub_vars] - lower[self._ub_vars]
-        b_std = np.concatenate([b_con, b_ub])
-        result = solve_standard_form(
-            self._c_std,
-            self._a_std,
-            b_std,
-            tol=tol,
-            max_iterations=max_iterations,
-            initial_basis=initial_basis,
-        )
-        if result.status is SimplexStatus.OPTIMAL:
-            x = result.x[: self.num_vars] + lower
-            return LPSolution(
-                LPStatus.OPTIMAL,
-                x,
-                float(self.objective @ x),
-                iterations=result.iterations,
-                backend="simplex-prepared",
-                basis=result.basis,
-                warm_started=result.warm_started,
-            )
-        mapping = {
-            SimplexStatus.INFEASIBLE: LPStatus.INFEASIBLE,
-            SimplexStatus.UNBOUNDED: LPStatus.UNBOUNDED,
-            SimplexStatus.ITERATION_LIMIT: LPStatus.ERROR,
-        }
-        return LPSolution(
-            mapping[result.status],
-            np.zeros(0),
-            float("nan"),
-            iterations=result.iterations,
-            backend="simplex-prepared",
-            warm_started=result.warm_started,
-        )
+        return LPSolution(status, np.zeros(0), float("nan"))

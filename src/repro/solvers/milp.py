@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.solvers.lp import LinearProgram, LPStatus
+from repro.solvers.lp import LinearProgram
 
 __all__ = ["MILPStatus", "MILPSolution", "IndicatorConstraint", "MILPModel"]
 
@@ -47,15 +47,7 @@ class MILPSolution:
         best_bound: Best proven lower bound on the optimum.
         nodes: Number of branch-and-bound nodes processed.
         gap: Relative optimality gap ``(objective - best_bound) / max(1, |objective|)``.
-        lp_iterations: Total LP backend iterations (simplex pivots / HiGHS
-            iterations) summed over every node solve.
-        warm_started_nodes: Node LPs that actually resumed from the parent
-            basis (built-in simplex backend only).
-        root_basis: Optimal standard-form basis of the root relaxation
-            (built-in simplex backend only, ``None`` otherwise).  A caller
-            re-solving a nearby problem -- the incremental-synthesis session
-            path -- feeds it back as ``SolverOptions.initial_basis`` so the
-            next root LP can skip phase 1.
+        lp_iterations: Total HiGHS iterations summed over every node solve.
     """
 
     status: MILPStatus
@@ -65,8 +57,6 @@ class MILPSolution:
     nodes: int = 0
     gap: float = float("inf")
     lp_iterations: int = 0
-    warm_started_nodes: int = 0
-    root_basis: np.ndarray | None = None
 
     @property
     def has_solution(self) -> bool:
@@ -352,11 +342,3 @@ class MILPModel:
 
         return BranchAndBoundSolver(options).solve(self)
 
-
-def lp_status_to_milp(status: LPStatus) -> MILPStatus:
-    """Map an LP status onto the MILP status space (root-node outcomes)."""
-    if status is LPStatus.INFEASIBLE:
-        return MILPStatus.INFEASIBLE
-    if status is LPStatus.UNBOUNDED:
-        return MILPStatus.UNBOUNDED
-    return MILPStatus.NO_SOLUTION

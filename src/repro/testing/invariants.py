@@ -627,10 +627,7 @@ def check_cache_parity(
 
 #: Budgets for the incremental-parity chains -- service-scale, like the
 #: oracle's fast options: parity must hold for truncated solves exactly as
-#: for exhaustive ones.  The default (exact-parity) incremental mode injects
-#: nothing into the solver, so the LP backend stays the fast default;
-#: aggressive-mode reuse is benchmarked (not parity-asserted) in
-#: ``benchmarks/test_bench_incremental.py``.
+#: for exhaustive ones.
 PARITY_METHOD_OPTIONS: dict = {
     "rankhow": {
         "node_limit": 80,
@@ -663,7 +660,7 @@ def check_incremental_parity(
 
     * **incrementally** -- through a :class:`~repro.api.session.SynthesisSession`
       on a fresh engine, so each solve reuses the previous solve's
-      artifacts (delta-composed fingerprints, root-basis warm starts);
+      artifacts (delta-composed fingerprints, the batched cell evaluator);
     * **cold** -- each edited problem rebuilt content-addressed and solved
       directly through the method adapter, exactly as a stateless caller
       would.

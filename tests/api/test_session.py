@@ -103,7 +103,9 @@ def test_session_serialization_resume_dedupes(problem):
         session.edit(tighten_delta(problem), RescaleDelta(factor=2.0))
         original = session.solve()
 
-        resumed = client.resume_session(session.to_dict())
+        # A key an older export carried (and this version does not read)
+        # must not stop the resume.
+        resumed = client.resume_session({**session.to_dict(), "retired_flag": True})
         assert resumed.problem.fingerprint() == session.problem.fingerprint()
         replay = resumed.solve()
         assert replay.served == "exact"
@@ -191,28 +193,24 @@ def test_plain_request_wire_format_unchanged(problem):
 
 
 def test_rankhow_extra_survives_roundtrip_and_fingerprint():
-    options = RankHowOptions(
-        node_limit=50, verify=False, extra={"warm_start_lp": False, "node_presolve": False}
-    )
+    options = RankHowOptions(node_limit=50, verify=False, extra={"prune": True})
     rebuilt = RankHowOptions.from_dict(options.to_dict())
-    assert rebuilt.extra == {"warm_start_lp": False, "node_presolve": False}
+    assert rebuilt.extra == {"prune": True}
 
 
 def test_rankhow_extra_is_covered_by_the_request_fingerprint(problem):
     base = {"node_limit": 50, "verify": False}
     plain = SynthesisRequest(problem, "rankhow", dict(base))
-    no_warm = SynthesisRequest(
-        problem, "rankhow", {**base, "extra": {"warm_start_lp": False}}
+    pruned = SynthesisRequest(problem, "rankhow", {**base, "extra": {"prune": True}})
+    unpruned = SynthesisRequest(
+        problem, "rankhow", {**base, "extra": {"prune": False}}
     )
-    no_presolve = SynthesisRequest(
-        problem, "rankhow", {**base, "extra": {"node_presolve": False}}
-    )
-    fingerprints = {plain.fingerprint, no_warm.fingerprint, no_presolve.fingerprint}
+    fingerprints = {plain.fingerprint, pruned.fingerprint, unpruned.fingerprint}
     assert len(fingerprints) == 3
     # The extra mapping survives the request wire format.
-    rebuilt = SynthesisRequest.from_dict(no_warm.to_dict())
-    assert rebuilt.fingerprint == no_warm.fingerprint
-    assert rebuilt.effective["extra"] == {"warm_start_lp": False}
+    rebuilt = SynthesisRequest.from_dict(pruned.to_dict())
+    assert rebuilt.fingerprint == pruned.fingerprint
+    assert rebuilt.effective["extra"] == {"prune": True}
 
 
 def test_symgd_nested_extra_is_covered_by_the_request_fingerprint(problem):
@@ -220,7 +218,7 @@ def test_symgd_nested_extra_is_covered_by_the_request_fingerprint(problem):
         **SYMGD_OPTS,
         "solver_options": {
             **SYMGD_OPTS["solver_options"],
-            "extra": {"warm_start_lp": False},
+            "extra": {"prune": True},
         },
     }
     plain = SynthesisRequest(problem, "symgd", dict(SYMGD_OPTS))
@@ -237,9 +235,7 @@ def test_extra_configurations_do_not_share_cache_entries(problem):
     base = {"node_limit": 40, "verify": False, "warm_start_strategy": "ordinal_regression"}
     with SolveEngine() as engine:
         first = engine.solve(problem, "rankhow", dict(base))
-        second = engine.solve(
-            problem, "rankhow", {**base, "extra": {"node_presolve": False}}
-        )
+        second = engine.solve(problem, "rankhow", {**base, "extra": {"prune": True}})
         assert first.fingerprint != second.fingerprint
         assert not second.cache_hit
 

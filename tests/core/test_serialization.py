@@ -128,7 +128,6 @@ def test_options_round_trips():
         time_limit=3.5,
         node_limit=123,
         error_weights={0: 2.0, 4: 0.5},
-        search="depth_first",
     )
     rebuilt = RankHowOptions.from_dict(round_trip(rankhow.to_dict()))
     assert rebuilt == rankhow

@@ -149,7 +149,6 @@ def test_symgd_reports_lp_iteration_totals(nonlinear_problem):
         max_iterations=3,
         solver_options=RankHowOptions(
             node_limit=40,
-            lp_method="simplex",
             verify=False,
             warm_start_strategy="none",
         ),
@@ -163,8 +162,8 @@ def test_time_limited_descent_preserves_solver_extras(nonlinear_problem, monkeyp
     """The per-step time-budgeted options clone must keep extra/error_weights.
 
     Regression test: the clone used to copy a hand-picked subset of fields,
-    silently re-enabling the warm_start_lp/node_presolve escape hatches (and
-    dropping weighted objectives) whenever a time limit was set.
+    silently dropping the extra switches (and weighted objectives) whenever
+    a time limit was set.
     """
     from repro.core import symgd as symgd_module
 
@@ -185,12 +184,12 @@ def test_time_limited_descent_preserves_solver_extras(nonlinear_problem, monkeyp
             node_limit=40,
             verify=False,
             warm_start_strategy="none",
-            extra={"warm_start_lp": False, "node_presolve": False},
+            extra={"prune": True},
         ),
     )
     SymGD(options).solve(nonlinear_problem)
     stepped = [opts for opts in seen if opts["time_limit"] is not None]
     assert stepped, "the time-limited path never built a budgeted solver"
     for opts in stepped:
-        assert opts["extra"] == {"warm_start_lp": False, "node_presolve": False}
+        assert opts["extra"] == {"prune": True}
         assert opts["node_limit"] == 40

@@ -106,46 +106,6 @@ def test_artifact_store_is_lru_bounded(problem):
         assert engine.artifacts_for("fp3") is None
 
 
-def test_rankhow_artifacts_capture_root_basis(problem):
-    options = {
-        "node_limit": 60,
-        "verify": False,
-        "lp_method": "simplex",
-        "warm_start_strategy": "uniform",
-    }
-    with SolveEngine() as engine:
-        request = SolveRequest(problem, "rankhow", options)
-        engine.solve_incremental(request)
-        artifacts = engine.artifacts_for(request.fingerprint)
-        assert artifacts is not None
-        assert artifacts.weights is not None
-        assert artifacts.root_basis is not None
-        assert artifacts.root_basis.dtype.kind == "i"
-
-
-def test_aggressive_reuse_stays_lawful(problem):
-    """Aggressive mode may pick a different representative, never break laws."""
-    options = {
-        "node_limit": 60,
-        "verify": False,
-        "lp_method": "simplex",
-        "warm_start_strategy": "uniform",
-    }
-    child = problem.apply_delta(tighten(problem))
-    with SolveEngine() as engine:
-        request = SolveRequest(problem, "rankhow", options)
-        engine.solve_incremental(request)
-        warm = engine.solve_incremental(
-            SolveRequest(child, "rankhow", options),
-            parent_fingerprint=request.fingerprint,
-            aggressive=True,
-        )
-    assert warm.served == "warm"
-    result = warm.result
-    assert result.error >= 0
-    assert int(result.error) == int(child.error_of(result.weights))
-
-
 # -- cell evaluator reuse / incremental row update ----------------------------------
 
 

@@ -1,11 +1,9 @@
-"""Tests for the general LP model and its two backends."""
+"""Tests for the general LP model (HiGHS backend)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.solvers.lp import LinearProgram, LPStatus
 
@@ -19,71 +17,64 @@ def _basic_lp() -> LinearProgram:
     return lp
 
 
-@pytest.mark.parametrize("method", ["scipy", "simplex", "auto"])
-def test_basic_minimization(method):
-    solution = _basic_lp().solve(method=method)
+def test_basic_minimization():
+    solution = _basic_lp().solve()
     assert solution.is_optimal
     assert solution.objective == pytest.approx(1.0)
     assert solution.x[0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("method", ["scipy", "simplex"])
-def test_infeasible(method):
+def test_infeasible():
     lp = LinearProgram(1)
     lp.add_constraint([1.0], ">=", 2.0)
     lp.set_bounds(0, lower=0.0, upper=1.0)
-    assert lp.solve(method=method).status is LPStatus.INFEASIBLE
+    assert lp.solve().status is LPStatus.INFEASIBLE
 
 
-@pytest.mark.parametrize("method", ["scipy", "simplex"])
-def test_unbounded(method):
+def test_unbounded():
     lp = LinearProgram(1)
     lp.set_objective([-1.0])
     lp.set_bounds(0, lower=0.0, upper=float("inf"))
-    assert lp.solve(method=method).status is LPStatus.UNBOUNDED
+    assert lp.solve().status is LPStatus.UNBOUNDED
 
 
-@pytest.mark.parametrize("method", ["scipy", "simplex"])
-def test_equality_constraint(method):
+def test_equality_constraint():
     lp = LinearProgram(3)
     lp.set_objective([1.0, 2.0, 3.0])
     lp.add_constraint([1.0, 1.0, 1.0], "==", 1.0)
-    solution = lp.solve(method=method)
+    solution = lp.solve()
     assert solution.is_optimal
     assert solution.objective == pytest.approx(1.0)
     assert solution.x[0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("method", ["scipy", "simplex"])
-def test_free_variable(method):
+def test_free_variable():
     # min x with x free and x >= -3 via a constraint -> optimum -3.
     lp = LinearProgram(1)
     lp.set_objective([1.0])
     lp.set_bounds(0, lower=-float("inf"), upper=float("inf"))
     lp.add_constraint([1.0], ">=", -3.0)
-    solution = lp.solve(method=method)
+    solution = lp.solve()
     assert solution.is_optimal
     assert solution.objective == pytest.approx(-3.0)
 
 
-@pytest.mark.parametrize("method", ["scipy", "simplex"])
-def test_negative_lower_bound(method):
+def test_negative_lower_bound():
     lp = LinearProgram(2)
     lp.set_objective([1.0, 1.0])
     lp.set_all_bounds(np.array([-2.0, -1.0]), np.array([5.0, 5.0]))
     lp.add_constraint([1.0, 1.0], ">=", -2.5)
-    solution = lp.solve(method=method)
+    solution = lp.solve()
     assert solution.is_optimal
     assert solution.objective == pytest.approx(-2.5)
 
 
-@pytest.mark.parametrize("method", ["scipy", "simplex"])
-def test_upper_bound_only_variable(method):
+def test_upper_bound_only_variable():
     # Variable with bounds (-inf, 2]: minimize -x -> optimum at x = 2.
     lp = LinearProgram(1)
     lp.set_objective([-1.0])
     lp.set_bounds(0, lower=-float("inf"), upper=2.0)
-    solution = lp.solve(method=method)
+    solution = lp.solve()
     assert solution.is_optimal
     assert solution.x[0] == pytest.approx(2.0)
 
@@ -100,8 +91,6 @@ def test_invalid_inputs():
         lp.add_constraint([1.0, 2.0], "<<", 0.0)
     with pytest.raises(IndexError):
         lp.set_bounds(5, lower=0.0)
-    with pytest.raises(ValueError):
-        lp.solve(method="gurobi")
 
 
 def test_matrix_views():
@@ -135,27 +124,8 @@ def test_simplex_weight_vector_problem():
     lp.set_all_bounds(np.zeros(3), np.ones(3))
     lp.add_constraint([1.0, 1.0, 1.0], "==", 1.0)
     lp.add_constraint([1.0, -1.0, 0.0], ">=", 0.2)
-    for method in ("scipy", "simplex"):
-        solution = lp.solve(method=method)
-        assert solution.is_optimal
-        assert solution.x[2] == pytest.approx(0.0, abs=1e-8)
-        assert solution.x.sum() == pytest.approx(1.0)
-        assert solution.x[0] - solution.x[1] >= 0.2 - 1e-8
-
-
-@settings(deadline=None, max_examples=30)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_backends_agree_on_random_bounded_problems(seed):
-    rng = np.random.default_rng(seed)
-    num_vars = int(rng.integers(2, 6))
-    lp = LinearProgram(num_vars)
-    lp.set_objective(rng.uniform(-1.0, 1.0, size=num_vars))
-    lp.set_all_bounds(np.zeros(num_vars), np.ones(num_vars))
-    for _ in range(int(rng.integers(1, 4))):
-        row = rng.uniform(-1.0, 1.0, size=num_vars)
-        # Right-hand side chosen so that the all-0.5 point stays feasible.
-        lp.add_constraint(row, "<=", float(row @ (np.full(num_vars, 0.5)) + 0.1))
-    ours = lp.solve(method="simplex")
-    reference = lp.solve(method="scipy")
-    assert ours.is_optimal and reference.is_optimal
-    assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
+    solution = lp.solve()
+    assert solution.is_optimal
+    assert solution.x[2] == pytest.approx(0.0, abs=1e-8)
+    assert solution.x.sum() == pytest.approx(1.0)
+    assert solution.x[0] - solution.x[1] >= 0.2 - 1e-8

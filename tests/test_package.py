@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import importlib
 import pathlib
+import re
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
@@ -16,6 +18,18 @@ def test_version_and_public_api():
     assert repro.__version__ == "1.0.0"
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.{name} missing"
+
+
+def test_pyproject_declares_version_and_dependencies():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "repro"
+    assert project["version"] == repro.__version__
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", dependency).group(0)
+        for dependency in project["dependencies"]
+    }
+    assert {"numpy", "scipy"} <= declared
 
 
 def test_list_methods_smoke():
