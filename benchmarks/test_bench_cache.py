@@ -3,9 +3,8 @@
 Replays one deterministic skewed request stream -- a small hot set re-hit
 every round plus a flood of one-shot "scan" problems sized to exceed the
 cache capacity -- through two otherwise-identical ``QueryServer``s and
-rewrites ``BENCH_cache.json`` at the repository root (CI uploads it as an
-artifact; the committed copy is the baseline snapshot from the container
-the numbers were first taken on):
+writes the numbers to ``.bench/BENCH_cache.json`` (see
+``conftest.write_baseline``):
 
 * ``lru`` -- the default eviction: every scan round flushes the hot set,
   so hot requests miss on every revisit;
@@ -30,9 +29,10 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from pathlib import Path
 
 import numpy as np
+
+from conftest import write_baseline
 
 from repro.bench.reporting import ExperimentRecord, ascii_table
 from repro.core.problem import RankingProblem
@@ -40,8 +40,6 @@ from repro.core.ranking import Ranking
 from repro.data.relation import Relation
 from repro.loadgen.report import answer_digest
 from repro.service import QueryServer, QueryServerOptions
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_cache.json"
 
 PARAMS = {
     "cell_size": 0.25,
@@ -142,15 +140,6 @@ def _record(leg: dict, operations: int) -> ExperimentRecord:
     )
 
 
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "cache",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_cache_policy_bench(benchmark):
     stream = _build_stream()
 
@@ -170,7 +159,7 @@ def test_cache_policy_bench(benchmark):
             f"capacity {CACHE_CAPACITY}",
         )
     )
-    _write_baseline(records)
+    path = write_baseline("cache", records)
 
     # -- answers are policy-independent, bitwise --------------------------
     assert set(lru["digests"]) == set(cost["digests"])
@@ -192,6 +181,6 @@ def test_cache_policy_bench(benchmark):
     assert cost["cache"]["misses"] < lru["cache"]["misses"]
 
     # -- the baseline file round-trips ------------------------------------
-    payload = json.loads(BASELINE_PATH.read_text())
+    payload = json.loads(path.read_text())
     assert payload["schema"] == 1
     assert len(payload["records"]) == 2

@@ -2,8 +2,8 @@
 
 Guards the data-plane rework (columnar/memmap relations, bounded-memory
 chunked evaluation, rank-dominance tuple pruning) end-to-end and writes the
-measured numbers to ``BENCH_dataplane.json`` at the repository root, which CI
-uploads as an artifact; the committed copy is the baseline snapshot.
+measured numbers to ``.bench/BENCH_dataplane.json`` (see
+``conftest.write_baseline``).
 
 Assertions are correctness- and memory-first, loose on wall-clock:
 
@@ -25,13 +25,10 @@ Assertions are correctness- and memory-first, loose on wall-clock:
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from conftest import write_baseline
 
 from repro.bench.experiments import experiment_dataplane
 from repro.bench.reporting import ascii_table
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_dataplane.json"
 
 #: Stated resident-transient budget for the million-row legs.  The default
 #: data-plane chunking budget is 64 MB; the remaining headroom covers the
@@ -44,16 +41,6 @@ def _by_experiment(records, name):
     return [record for record in records if record.experiment == name]
 
 
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "dataplane",
-        "rss_budget_bytes": RSS_BUDGET_BYTES,
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_dataplane(benchmark):
     records = benchmark.pedantic(
         lambda: experiment_dataplane(),
@@ -62,7 +49,7 @@ def test_dataplane(benchmark):
     )
     print()
     print(ascii_table(records, title="Data plane: million-row build / prune / sweep"))
-    _write_baseline(records)
+    write_baseline("dataplane", records, rss_budget_bytes=RSS_BUDGET_BYTES)
 
     # -- million rows, bounded resident transients ---------------------------
     massive = {r.method: r for r in _by_experiment(records, "dataplane_massive")}

@@ -1,9 +1,8 @@
 """Fault-tolerance benchmark: crash recovery under load, warm vs cold.
 
 Runs one seeded workload plan (two query lanes plus a session edit chain)
-through three two-shard cluster legs and rewrites ``BENCH_faults.json`` at
-the repository root (CI uploads it as an artifact; the committed copy is
-the baseline snapshot from the container the numbers were first taken on):
+through three two-shard cluster legs and writes the numbers to
+``.bench/BENCH_faults.json`` (see ``conftest.write_baseline``):
 
 * ``warmup`` -- fault-free, with a shared disk cache tier and per-shard
   hot-set persistence; stops cleanly, leaving the tier populated and the
@@ -28,7 +27,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from pathlib import Path
+
+from conftest import write_baseline
 
 from repro.bench.reporting import ExperimentRecord, ascii_table
 from repro.chaos import FaultPlan, FaultSpec
@@ -42,8 +42,6 @@ from repro.loadgen import (
     run_closed_loop,
 )
 from repro.service import QueryServerOptions, RetryPolicy
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -158,15 +156,6 @@ def _record(leg: str, report, stats, victim: int) -> ExperimentRecord:
     )
 
 
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "faults",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_fault_recovery_bench(benchmark, tmp_path):
     victim = _victim()
     chaos_plan = FaultPlan(
@@ -212,7 +201,7 @@ def test_fault_recovery_bench(benchmark, tmp_path):
             f"{KILL_AT_OP} of {n_operations} (warm vs cold restart)",
         )
     )
-    _write_baseline(records)
+    path = write_baseline("faults", records)
 
     # -- zero lost operations, every leg ---------------------------------------
     for report in (warmup, warm, cold):
@@ -237,6 +226,6 @@ def test_fault_recovery_bench(benchmark, tmp_path):
     )
 
     # -- the baseline file round-trips -----------------------------------------
-    payload = json.loads(BASELINE_PATH.read_text())
+    payload = json.loads(path.read_text())
     assert payload["schema"] == 1
     assert len(payload["records"]) == 3

@@ -1,10 +1,8 @@
-"""Incremental synthesis benchmark: cold vs. delta-aware session re-solves.
+"""Incremental synthesis benchmark: cold vs. session re-solves.
 
-Guards the delta-aware incremental path introduced with the session layer
-(``RankHowClient.session()`` -> ``SolveEngine.solve_incremental``).  Every
-run rewrites ``BENCH_incremental.json`` at the repository root with the
-measured numbers; CI uploads the file as an artifact, and the committed copy
-is the baseline snapshot from the container the numbers were first taken on.
+Guards the incremental path of the session layer (``RankHowClient.session()``
+-> ``SolveEngine.solve_incremental``).  Every run writes the measured numbers
+to ``.bench/BENCH_incremental.json`` (see ``conftest.write_baseline``).
 
 The workload is an interactive edit chain with a mid-chain undo
 (``session.rewind``), solved two ways -- stateless cold and through an
@@ -17,31 +15,16 @@ incremental session.  Assertions:
   strictly fewer total HiGHS iterations than the cold chain: composed delta
   fingerprints turn the revisited state into an exact cache hit that runs
   zero iterations, where the cold path pays the full solve again;
-* **parent-hits recorded** -- the engine's incremental counters show both
-  parent-artifact hits and the exact hit, so the fallback chain
-  (exact -> parent -> cold) demonstrably engaged.
+* **every visit accounted** -- the engine's incremental counters show the
+  exact hit, and every visit is either an exact hit or a cold solve.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from conftest import bench_scale
+from conftest import bench_scale, write_baseline
 
 from repro.bench.experiments import experiment_incremental
 from repro.bench.reporting import ascii_table
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
-
-
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "incremental",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_incremental_chain(benchmark):
@@ -52,7 +35,7 @@ def test_incremental_chain(benchmark):
     )
     print()
     print(ascii_table(records, title="Incremental synthesis: cold vs. session"))
-    _write_baseline(records)
+    write_baseline("incremental", records)
 
     visits = [r for r in records if r.experiment == "incremental_chain"]
     by_mode = {
@@ -90,7 +73,6 @@ def test_incremental_chain(benchmark):
     # -- fallback-chain counters ----------------------------------------------
     stats = next(r.extra for r in records if r.experiment == "incremental_stats")
     assert stats["exact_hits"] >= 1, stats
-    assert stats["parent_hits"] >= 1, stats
     # One session = one chain: every visit is accounted one tier or another.
-    assert stats["exact_hits"] + stats["parent_hits"] + stats["cold_solves"] == n_visits
+    assert stats["exact_hits"] + stats["cold_solves"] == n_visits
 

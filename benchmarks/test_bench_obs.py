@@ -4,10 +4,8 @@ Guards the contract of the ``repro.obs`` subsystem: instrumentation is
 threaded through the service, the engine dispatch loop, and every solver,
 but when no tracer is attached each probe collapses to a single ``None``
 check (engine) or the shared ``NOOP_SPAN`` singleton (solvers), so the hot
-path must not regress.  Every run rewrites ``BENCH_obs.json`` at the
-repository root with the measured numbers; CI uploads the file as an
-artifact, and the committed copy is the baseline snapshot from the container
-the numbers were first taken on.
+path must not regress.  Every run writes the measured numbers to
+``.bench/BENCH_obs.json`` (see ``conftest.write_baseline``).
 
 The workload is the engine hot path at its fastest -- repeated
 ``solve_batch`` passes over an already-warm cache, where every request is a
@@ -34,11 +32,11 @@ Assertions are correctness-first and deliberately tolerant on wall-clock
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
+
+from conftest import write_baseline
 
 from repro.bench.reporting import ExperimentRecord, ascii_table
 from repro.core.problem import RankingProblem
@@ -47,8 +45,6 @@ from repro.data.synthetic import generate_uniform
 from repro.engine.engine import SolveEngine, SolveRequest
 from repro.obs import Observability, MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, span
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 FAST_PARAMS = {
     "cell_size": 0.25,
@@ -138,15 +134,6 @@ def _time_noop_span(calls: int = 50_000) -> float:
     return (time.perf_counter() - start) / calls * 1e9
 
 
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "obs",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_observability_overhead(benchmark):
     problems = _problems()
 
@@ -188,7 +175,7 @@ def test_observability_overhead(benchmark):
     )
     print()
     print(ascii_table(records, title="Observability overhead: off vs metrics vs tracing"))
-    _write_baseline(records)
+    write_baseline("obs", records)
 
     off, metrics, tracing = (legs[m] for m in ("off", "metrics", "tracing"))
 

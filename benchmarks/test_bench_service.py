@@ -2,9 +2,8 @@
 
 Drives one seeded workload plan -- stochastic query lanes over scenario
 families plus a session edit chain, built by :mod:`repro.loadgen` -- through
-three serving legs and rewrites ``BENCH_service.json`` at the repository
-root (CI uploads it as an artifact; the committed copy is the baseline
-snapshot from the container the numbers were first taken on):
+three serving legs and writes the numbers to ``.bench/BENCH_service.json``
+(see ``conftest.write_baseline``):
 
 * ``single/closed`` -- one ``QueryServer``, closed loop: the correctness
   baseline every other leg is compared against;
@@ -27,7 +26,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from pathlib import Path
+
+from conftest import write_baseline
 
 from repro.bench.reporting import ExperimentRecord, ascii_table
 from repro.cluster import ClusterOptions, ClusterRouter
@@ -40,8 +40,6 @@ from repro.loadgen import (
     run_open_loop,
 )
 from repro.service import QueryServer, QueryServerOptions
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -140,7 +138,6 @@ def _record(leg: str, report, stats=None) -> ExperimentRecord:
     }
     if stats is not None:
         extra["peak_queue_depth"] = max(stats.peak_queue_depth)
-        extra["gossip_prefetches"] = stats.gossip_prefetches
     return ExperimentRecord(
         experiment="service_load",
         dataset="scenario_mix",
@@ -153,15 +150,6 @@ def _record(leg: str, report, stats=None) -> ExperimentRecord:
         time_seconds=report.wall_time,
         extra=extra,
     )
-
-
-def _write_baseline(records) -> None:
-    payload = {
-        "schema": 1,
-        "experiment": "service",
-        "records": [record.as_row() for record in records],
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_service_load_bench(benchmark):
@@ -191,7 +179,7 @@ def test_service_load_bench(benchmark):
             f"server ({n_operations} ops)",
         )
     )
-    _write_baseline(records)
+    path = write_baseline("service", records)
 
     # -- every closed leg answered the whole plan -----------------------------
     for report in (single, clustered):
@@ -228,6 +216,6 @@ def test_service_load_bench(benchmark):
     assert all(key in overload.digests for key in session_ops)
 
     # -- the baseline file round-trips ----------------------------------------
-    payload = json.loads(BASELINE_PATH.read_text())
+    payload = json.loads(path.read_text())
     assert payload["schema"] == 1
     assert len(payload["records"]) == 3

@@ -94,7 +94,7 @@ def main() -> None:
         stats = client.stats()["incremental"]
         print(
             f"\nincremental counters: cold={stats['cold_solves']} "
-            f"warm={stats['parent_hits']} exact={stats['exact_hits']}"
+            f"exact={stats['exact_hits']}"
         )
 
 

@@ -66,7 +66,6 @@ from repro.core import (
     max_weight,
     min_weight,
     position_error,
-    solve_exact,
     verify_weights,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "max_weight",
     "min_weight",
     "position_error",
-    "solve_exact",
     "verify_weights",
     "SolveEngine",
     "ResultCache",

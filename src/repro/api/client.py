@@ -167,10 +167,9 @@ class RankHowClient:
         """Open an edit-solve-edit loop over ``problem``.
 
         Returns a :class:`~repro.api.session.SynthesisSession` bound to this
-        client's engine: consecutive solves of the session reuse the
-        previous solve's artifacts (delta-aware cache fallback, the batched
-        cell evaluator) instead of starting cold.  Many sessions can share
-        one client; closing the client ends them all.
+        client's engine: a head the session solved before is answered from
+        the engine's cache.  Many sessions can share one client; closing the
+        client ends them all.
         """
         from repro.api.session import SynthesisSession
 

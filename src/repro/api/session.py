@@ -3,10 +3,10 @@
 A session is the client-side unit of interactive synthesis: it pins a base
 :class:`~repro.core.problem.RankingProblem`, accumulates
 :class:`~repro.core.delta.ProblemDelta` edits, and solves the current head
-through the engine's delta-aware incremental path
-(:meth:`~repro.engine.engine.SolveEngine.solve_incremental`), so consecutive
-solves reuse the previous solve's artifacts (cached results, cell
-evaluators) instead of starting cold.
+through the engine's incremental path
+(:meth:`~repro.engine.engine.SolveEngine.solve_incremental`): a head the
+chain visited before (after an undo, or on a resumed session) is answered
+from the cache, and any other head is solved cold.
 
 Quick start::
 
@@ -17,7 +17,7 @@ Quick start::
                                  options={"node_limit": 500})
         first = session.solve()
         session.tighten_tolerance()          # an edit ...
-        second = session.solve()             # ... solved incrementally
+        second = session.solve()             # ... solved cold
         print(second.served, second.result.describe())
 
 A session is **exact-parity safe**: every solve returns exactly what a
@@ -91,12 +91,6 @@ class SynthesisSession:
         self._problem = problem
         self._deltas: list[ProblemDelta] = []
         self._pending_edits = 0
-        self._last_fingerprint: str | None = None
-        # Where cell_error_bounds() stashes its evaluator when no solve has
-        # happened yet.  Kept separate from _last_fingerprint on purpose: a
-        # pseudo-key must never become a solve's parent fingerprint, or the
-        # chain's first real solve would be miscounted as a warm parent hit.
-        self._evaluator_key: str | None = None
         self.history: list[SessionStep] = []
         # Fail fast on an unknown method/options pair, before the first edit.
         SynthesisRequest(problem, method, dict(self.options))
@@ -220,11 +214,10 @@ class SynthesisSession:
     # -- solving --------------------------------------------------------------
 
     def solve(self, method: str | None = None, options: dict | None = None):
-        """Solve the current head incrementally; returns a ``SolveOutcome``.
+        """Solve the current head; returns a ``SolveOutcome``.
 
-        The previous solve's request fingerprint addresses the engine's
-        artifact side-table, so this solve falls back exact-hit ->
-        parent-artifacts -> cold (see
+        Served as an exact cache hit when the head's composed fingerprint was
+        solved before, cold otherwise (see
         :meth:`~repro.engine.engine.SolveEngine.solve_incremental`).
         """
         request = SynthesisRequest(
@@ -232,10 +225,7 @@ class SynthesisSession:
             method or self.method,
             dict(options if options is not None else self.options),
         )
-        outcome = self.engine.solve_incremental(
-            request, parent_fingerprint=self._last_fingerprint
-        )
-        self._last_fingerprint = request.fingerprint
+        outcome = self.engine.solve_incremental(request)
         self.history.append(
             SessionStep(
                 step=len(self.history),
@@ -250,34 +240,9 @@ class SynthesisSession:
         return outcome
 
     def cell_error_bounds(self, cells):
-        """Batched cell bounds on the head, reusing the session's evaluator.
-
-        The evaluator from the previous call (or solve) is reused verbatim
-        when the head did not change, row-updated incrementally for
-        unranked-tuple adds/drops, and rebuilt otherwise -- all bit-identical
-        to a fresh build.
-        """
-        from repro.engine.context import SolveContext
-
-        warm = None
-        if self._last_fingerprint is not None:
-            warm = self.engine.artifacts_for(self._last_fingerprint)
-        if (warm is None or warm.cell_evaluator is None) and self._evaluator_key:
-            warm = self.engine.artifacts_for(self._evaluator_key) or warm
-        context = SolveContext(warm=warm)
-        bounds = self.engine.cell_error_bounds(
-            self._problem, cells, context=context
-        )
-        # Stash the (possibly updated) evaluator against the head so the
-        # next call -- or the next solve's artifacts -- can pick it up.
-        captured = context.captured
-        captured.request_fingerprint = self._last_fingerprint or (
-            "evaluator:" + self._problem.fingerprint()
-        )
-        captured.problem_fingerprint = self._problem.fingerprint()
-        self.engine.store_artifacts(captured)
-        self._evaluator_key = captured.request_fingerprint
-        return bounds
+        """Batched cell-error bounds on the head (see
+        :meth:`~repro.engine.engine.SolveEngine.cell_error_bounds`)."""
+        return self.engine.cell_error_bounds(self._problem, cells)
 
     # -- serialization --------------------------------------------------------
 

@@ -10,17 +10,12 @@
 * :class:`~repro.baselines.sampling.SamplingBaseline` -- random weight
   vectors under the problem constraints within a time or sample budget.
 
-Every baseline exposes ``solve(problem) -> SynthesisResult``.
-
-.. deprecated:: 1.1
-    Constructing the baseline classes directly through this package is
-    deprecated: the registry (:func:`repro.get_method`, canonical names
-    ``sampling`` / ``ordinal_regression`` / ``linear_regression`` /
-    ``adarank``) and the :class:`repro.RankHowClient` facade are the
-    supported entry points -- they add option validation, fingerprinting,
-    caching, and executor fan-out.  Accessing a baseline class here still
-    works but emits a :class:`DeprecationWarning`.  The options dataclasses
-    remain first-class (they are the wire format).
+Every baseline exposes ``solve(problem) -> SynthesisResult``.  Callers reach
+them through the method registry (:func:`repro.get_method`, canonical names
+``sampling`` / ``ordinal_regression`` / ``linear_regression`` / ``adarank``)
+or the :class:`repro.RankHowClient` facade, which add option validation,
+fingerprinting, caching and executor fan-out.  This package exports only the
+options dataclasses, which are the wire format.
 """
 
 from repro.baselines.adarank import AdaRankOptions
@@ -28,38 +23,7 @@ from repro.baselines.ordinal_regression import OrdinalRegressionOptions
 from repro.baselines.sampling import SamplingOptions
 
 __all__ = [
-    "AdaRankBaseline",
     "AdaRankOptions",
-    "LinearRegressionBaseline",
-    "OrdinalRegressionBaseline",
     "OrdinalRegressionOptions",
-    "SamplingBaseline",
     "SamplingOptions",
 ]
-
-#: Deprecated solver classes -> defining module.  Resolved lazily so the
-#: warning fires exactly when a caller reaches for the class; internal code
-#: (the registry adapters) imports from the defining modules directly and
-#: stays silent.
-_DEPRECATED_CLASSES = {
-    "AdaRankBaseline": "repro.baselines.adarank",
-    "LinearRegressionBaseline": "repro.baselines.linear_regression",
-    "OrdinalRegressionBaseline": "repro.baselines.ordinal_regression",
-    "SamplingBaseline": "repro.baselines.sampling",
-}
-
-
-def __getattr__(name: str):
-    module_name = _DEPRECATED_CLASSES.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"repro.baselines.{name} is deprecated; dispatch through the method "
-        "registry instead (repro.get_method / repro.RankHowClient)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), name)

@@ -765,38 +765,24 @@ def experiment_hotpaths(
     scale: BenchmarkScale | None = None,
     cells_tuples: int = 800,
     cells_max: int = 256,
-    seeds_tuples: int = 120,
-    num_seeds: int = 4,
 ) -> list[ExperimentRecord]:
-    """Micro-benchmarks of two solver hot paths.
+    """Micro-benchmark of the per-cell error-bound classification hot path.
 
-    * ``hotpaths_cells`` -- the per-cell error-bound classification of a
-      simplex-covering grid, scalar reference loop vs. the batched
-      matrix-program classifier (``extra["cells_per_second"]``).
-    * ``hotpaths_seeds`` -- multi-seed SYM-GD, historical per-seed descent
-      loop vs. the lockstep matrix driver (``extra["seeds_per_second"]``).
-
-    Every leg rebuilds its problems and solver objects from scratch so no
-    state (LP matrices, fingerprint memos, solver caches) leaks between the
-    timed variants.
+    ``hotpaths_cells`` classifies a simplex-covering grid twice: with the
+    scalar reference loop of :mod:`repro.testing` and with the batched
+    matrix-program classifier (``extra["cells_per_second"]``).
     """
-    from repro.core.cells import (
-        cell_error_bounds_many,
-        cell_error_bounds_reference,
-        grid_cells,
-    )
-    from repro.core.symgd import SymGD, default_seed_points
+    from repro.core.cells import cell_error_bounds_many, grid_cells
+    from repro.testing import cell_error_bounds_reference
 
     records: list[ExperimentRecord] = []
-
-    # -- batched cell-bound classification -----------------------------------
     problem = synthetic_problem("uniform", num_tuples=cells_tuples, k=10, seed=0)
     cells = grid_cells(problem.num_attributes, 0.2, max_cells=cells_max)
     start = time.perf_counter()
     reference = [cell_error_bounds_reference(problem, cell) for cell in cells]
     reference_wall = time.perf_counter() - start
     start = time.perf_counter()
-    batched = cell_error_bounds_many(problem, cells, vectorized=True)
+    batched = cell_error_bounds_many(problem, cells)
     batched_wall = time.perf_counter() - start
     for label, wall, bounds in (
         ("cell_bounds[reference]", reference_wall, reference),
@@ -813,44 +799,6 @@ def experiment_hotpaths(
                 extra={
                     "cells_per_second": len(cells) / max(wall, 1e-9),
                     "matches_reference": bounds == reference,
-                },
-            )
-        )
-
-    # -- matrix multi-seed SYM-GD --------------------------------------------
-    symgd_options = SymGDOptions(
-        cell_size=0.2,
-        max_iterations=4,
-        seed_strategy="uniform",
-        solver_options=RankHowOptions(
-            node_limit=50, verify=False, warm_start_strategy="none"
-        ),
-    )
-    for vectorized in (False, True):
-        problem = synthetic_problem(
-            "uniform", num_tuples=seeds_tuples, k=6, exponent=3.0, seed=0
-        )
-        seeds = default_seed_points(problem, num_seeds)
-        start = time.perf_counter()
-        result = SymGD(symgd_options).solve_multi_seed(
-            problem, seeds=seeds, vectorized=vectorized
-        )
-        wall = time.perf_counter() - start
-        records.append(
-            ExperimentRecord(
-                experiment="hotpaths_seeds",
-                dataset="uniform",
-                method="multiseed[matrix]" if vectorized else "multiseed[reference]",
-                params={"n": seeds_tuples, "seeds": num_seeds},
-                error=float(result.error),
-                per_tuple_error=float(result.error) / max(problem.k, 1),
-                time_seconds=wall,
-                extra={
-                    "seeds_per_second": num_seeds / max(wall, 1e-9),
-                    "per_seed_errors": list(
-                        result.diagnostics["per_seed_errors"]
-                    ),
-                    "iterations": result.iterations,
                 },
             )
         )

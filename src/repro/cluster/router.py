@@ -20,10 +20,7 @@ The router adds the cluster-level behaviors a single server cannot provide:
   and the bound exists to protect shards from anonymous query floods.
 * **Shared cache tier** -- all shards point at the same content-addressed
   disk cache directory (when configured), so a result computed on one shard
-  is a disk hit on any other; the router's **hot-key gossip** additionally
-  prefetches a fingerprint into the non-owning shards' memory LRU once it
-  has been routed ``gossip_threshold`` times (pinned sessions are the one
-  path that sends a fingerprint to a shard that does not own it).
+  is a disk hit on any other.
 * **Graceful drain** -- :meth:`drain` waits until every admitted request on
   every shard has been answered and profile sinks are flushed;
   :meth:`stop` drains, then tears the shards down.
@@ -47,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
 from repro.chaos import ChaosInjector, FaultPlan
@@ -134,16 +130,6 @@ class ClusterOptions:
             (admission control); pinned-session traffic is exempt.
         retry_after: Seconds a shed caller is told to back off
             (:attr:`ShardBusyError.retry_after`).
-        gossip_threshold: Route count after which a hot fingerprint is
-            prefetched into every non-owning shard's memory cache
-            (``0`` disables gossip).  Effective cross-shard only with a
-            shared ``cache_dir``.
-        hot_count_limit: Max distinct fingerprints the gossip hot-counter
-            tracks; the least recently routed entry is dropped beyond this.
-            The bound turns what was a slow per-fingerprint memory leak in
-            a long-lived router into an LRU working set (an evicted
-            fingerprint that turns hot again simply recounts from zero --
-            re-gossiping a hot key is idempotent).
         cache_dir: Shared content-addressed disk cache directory handed to
             every shard (cross-shard hit tier).  ``None`` keeps caches
             shard-private.
@@ -168,8 +154,6 @@ class ClusterOptions:
     transport: str = "inproc"
     queue_limit: int = 32
     retry_after: float = 0.05
-    gossip_threshold: int = 3
-    hot_count_limit: int = 4096
     cache_dir: str | None = None
     server: QueryServerOptions = field(default_factory=QueryServerOptions)
     mp_method: str = "spawn"
@@ -190,8 +174,6 @@ class ClusterOptions:
             )
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.hot_count_limit < 1:
-            raise ValueError("hot_count_limit must be >= 1")
         if self.health_interval <= 0:
             raise ValueError("health_interval must be > 0")
         if self.health_timeout <= 0:
@@ -238,8 +220,6 @@ class ClusterStats:
     queue_depth: list
     peak_queue_depth: list
     sessions_pinned: int
-    gossip_prefetches: int
-    hot_keys_tracked: int = 0
     restarts: list = field(default_factory=list)
     failovers: list = field(default_factory=list)
     dead: list = field(default_factory=list)
@@ -251,7 +231,6 @@ class ClusterStats:
         return (
             f"cluster[{self.shards}] {self.totals.describe()} | "
             f"balance={balance} pinned_sessions={self.sessions_pinned} "
-            f"gossip={self.gossip_prefetches} "
             f"restarts={sum(self.restarts)} failovers={sum(self.failovers)}"
         )
 
@@ -265,8 +244,6 @@ class ClusterStats:
             "queue_depth": list(self.queue_depth),
             "peak_queue_depth": list(self.peak_queue_depth),
             "sessions_pinned": self.sessions_pinned,
-            "gossip_prefetches": self.gossip_prefetches,
-            "hot_keys_tracked": self.hot_keys_tracked,
             "restarts": list(self.restarts),
             "failovers": list(self.failovers),
             "dead": list(self.dead),
@@ -341,12 +318,6 @@ class ClusterRouter:
         self._session_journal: dict[str, dict] = {}
         self._session_shard: dict[str, int] = {}
         self._session_counter = 0
-        # Bounded LRU of route counts feeding the gossip trigger (see
-        # ClusterOptions.hot_count_limit): high-cardinality fingerprint
-        # traffic recycles cold entries instead of growing without bound.
-        self._hot_counts: OrderedDict[str, int] = OrderedDict()
-        self._gossip_tasks: set[asyncio.Task] = set()
-        self._gossip_prefetches = 0
         self._request_counter = 0
         self._started_at: float | None = None
         self._finished_at: float | None = None
@@ -429,8 +400,6 @@ class ClusterRouter:
         back -- with its sessions replayed -- before drain returns); dead or
         terminal shards have nothing admitted to wait for.
         """
-        if self._gossip_tasks:
-            await asyncio.gather(*self._gossip_tasks, return_exceptions=True)
         while self._restart_tasks:
             await asyncio.gather(
                 *list(self._restart_tasks.values()), return_exceptions=True
@@ -461,8 +430,6 @@ class ClusterRouter:
             await asyncio.gather(
                 *list(self._restart_tasks.values()), return_exceptions=True
             )
-        if self._gossip_tasks:
-            await asyncio.gather(*self._gossip_tasks, return_exceptions=True)
         await asyncio.gather(
             *(
                 shard.abort() if (self._dead[i] or self._terminal[i]) else shard.stop()
@@ -682,37 +649,6 @@ class ClusterRouter:
     def _release(self, shard: int) -> None:
         self._pending[shard] -= 1
 
-    def _note_routed(self, shard: int, fingerprint: str) -> None:
-        self._routed[shard] += 1
-        self._maybe_gossip(shard, fingerprint)
-
-    def _maybe_gossip(self, owner: int, fingerprint: str) -> None:
-        threshold = self.options.gossip_threshold
-        if threshold < 1 or self.options.num_shards < 2:
-            return
-        count = self._hot_counts.get(fingerprint, 0) + 1
-        self._hot_counts[fingerprint] = count
-        self._hot_counts.move_to_end(fingerprint)
-        while len(self._hot_counts) > self.options.hot_count_limit:
-            self._hot_counts.popitem(last=False)
-        if count != threshold:
-            return  # fire exactly once per fingerprint, when it turns hot
-        for index, shard in enumerate(self.shards):
-            if index == owner:
-                continue
-            task = asyncio.get_running_loop().create_task(
-                self._gossip_prefetch(shard, fingerprint)
-            )
-            self._gossip_tasks.add(task)
-            task.add_done_callback(self._gossip_tasks.discard)
-
-    async def _gossip_prefetch(self, shard, fingerprint: str) -> None:
-        try:
-            if await shard.prefetch(fingerprint):
-                self._gossip_prefetches += 1
-        except Exception:  # gossip is best-effort; never fail a request path
-            pass
-
     def _stamp_request(self) -> float:
         now = time.perf_counter()
         if self._started_at is None:
@@ -794,7 +730,7 @@ class ClusterRouter:
         if target != owner:
             self._failovers[owner] += 1
         latency = self._observe(arrived)
-        self._note_routed(target, fingerprint)
+        self._routed[target] += 1
         return ClusterResponse(
             request_id=request_id,
             shard=target,
@@ -931,7 +867,7 @@ class ClusterRouter:
                 for delta in deltas
             )
         latency = self._observe(arrived)
-        self._note_routed(shard_index, payload["fingerprint"])
+        self._routed[shard_index] += 1
         return ClusterResponse(
             request_id=request_id,
             shard=shard_index,
@@ -1107,7 +1043,6 @@ class ClusterRouter:
             sessions_evicted=sum(
                 stats.sessions_evicted for stats in per_shard
             ),
-            prewarmed=sum(stats.prewarmed for stats in per_shard),
             deadline_exceeded=self._deadline_exceeded
             + sum(stats.deadline_exceeded for stats in per_shard),
             incremental=_sum_numeric(
@@ -1123,8 +1058,6 @@ class ClusterRouter:
             queue_depth=list(self._pending),
             peak_queue_depth=list(self._peak_pending),
             sessions_pinned=len(self._session_shard),
-            gossip_prefetches=self._gossip_prefetches,
-            hot_keys_tracked=len(self._hot_counts),
             restarts=list(self._restarts),
             failovers=list(self._failovers),
             dead=[not self._routable(i) for i in range(self.options.num_shards)],
@@ -1165,15 +1098,6 @@ class ClusterRouter:
             "repro_cluster_sessions_pinned": (
                 "gauge", "Sessions currently pinned to a shard",
                 len(self._session_shard),
-            ),
-            "repro_cluster_gossip_prefetch_total": (
-                "counter", "Hot fingerprints prefetched into non-owning shards",
-                self._gossip_prefetches,
-            ),
-            "repro_cluster_hot_keys_tracked": (
-                "gauge",
-                "Fingerprints currently tracked by the gossip hot-counter",
-                len(self._hot_counts),
             ),
             "repro_cluster_restarts_total": (
                 "counter", "Supervisor-driven shard restarts, by shard",

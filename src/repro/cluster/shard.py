@@ -208,10 +208,6 @@ class InprocShard:
         self._check_alive()
         return self.server.session_info(session_id)
 
-    async def prefetch(self, fingerprint: str) -> bool:
-        self._check_alive()
-        return self.server.prefetch(fingerprint)
-
     async def stats(self) -> ServiceStats:
         return self.server.stats()
 
@@ -302,8 +298,6 @@ async def _worker_handle(server: QueryServer, op: str, payload: dict) -> dict:
         return {}
     if op == "session_info":
         return server.session_info(payload["session_id"])
-    if op == "prefetch":
-        return {"hit": server.prefetch(payload["fingerprint"])}
     if op == "stats":
         return asdict(server.stats())
     if op == "metrics_prom":
@@ -601,10 +595,6 @@ class ProcessShard:
 
     async def session_info(self, session_id: str) -> dict:
         return await self._call("session_info", {"session_id": session_id})
-
-    async def prefetch(self, fingerprint: str) -> bool:
-        reply = await self._call("prefetch", {"fingerprint": fingerprint})
-        return reply["hit"]
 
     async def stats(self) -> ServiceStats:
         return ServiceStats(**await self._call("stats", {}))

@@ -31,7 +31,7 @@ from repro.core.precision import (
     find_tau,
     verify_weights,
 )
-from repro.core.rankhow import RankHow, RankHowOptions, solve_exact
+from repro.core.rankhow import RankHow, RankHowOptions
 from repro.core.tree import TreeOptions, TreeSolver
 from repro.core.cells import Cell, cell_around, cell_error_bounds, grid_cells
 from repro.core.seeds import (
@@ -76,7 +76,6 @@ __all__ = [
     "verify_weights",
     "RankHow",
     "RankHowOptions",
-    "solve_exact",
     "TreeOptions",
     "TreeSolver",
     "Cell",

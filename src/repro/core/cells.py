@@ -29,7 +29,6 @@ __all__ = [
     "cell_around",
     "grid_cells",
     "cell_error_bounds",
-    "cell_error_bounds_reference",
     "cell_error_bounds_many",
     "CellBoundEvaluator",
 ]
@@ -131,59 +130,6 @@ def grid_cells(
     return cells
 
 
-def cell_error_bounds_reference(
-    problem: RankingProblem, cell: Cell
-) -> tuple[int, int]:
-    """Scalar reference implementation of :func:`cell_error_bounds`.
-
-    One Python-level pass per ranked tuple, recomputing the pairwise
-    difference matrix per call.  Kept verbatim as the ground truth the
-    vectorized :class:`CellBoundEvaluator` is differentially tested against
-    (``repro.testing``'s vectorized-vs-reference invariant).
-    """
-    if cell.dimension != problem.num_attributes:
-        raise ValueError("cell dimension does not match the number of attributes")
-    matrix = problem.matrix
-    tolerances = problem.tolerances
-    positions = problem.ranking.positions
-    ranked = problem.top_k_indices()
-
-    lower_total = 0
-    upper_total = 0
-    lower_box, upper_box = cell.lower, cell.upper
-    for r in ranked:
-        diffs = matrix - matrix[r]
-        # Interval of w . diff over the box, intersected with the simplex bound.
-        positive = np.clip(diffs, 0.0, None)
-        negative = np.clip(diffs, None, 0.0)
-        box_low = positive @ lower_box + negative @ upper_box
-        box_high = positive @ upper_box + negative @ lower_box
-        simplex_low = diffs.min(axis=1)
-        simplex_high = diffs.max(axis=1)
-        low = np.maximum(box_low, simplex_low)
-        high = np.minimum(box_high, simplex_high)
-
-        certain_one = (low >= tolerances.eps1)
-        certain_zero = (high <= tolerances.eps2)
-        certain_one[r] = False
-        certain_zero[r] = True  # a tuple never beats itself
-        free = ~(certain_one | certain_zero)
-        free[r] = False
-
-        min_rank = 1 + int(np.sum(certain_one))
-        max_rank = min_rank + int(np.sum(free))
-        given = int(positions[r])
-        if given < min_rank:
-            lower_total += min_rank - given
-            upper_total += max_rank - given
-        elif given > max_rank:
-            lower_total += given - max_rank
-            upper_total += given - min_rank
-        else:
-            upper_total += max(abs(given - min_rank), abs(max_rank - given))
-    return lower_total, upper_total
-
-
 def cell_error_bounds(problem: RankingProblem, cell: Cell) -> tuple[int, int]:
     """Lower and upper bound of the position error over a cell.
 
@@ -195,11 +141,11 @@ def cell_error_bounds(problem: RankingProblem, cell: Cell) -> tuple[int, int]:
     1 + certain_ones + free]`` and its error contribution in the distance
     between that interval and the given position.
 
-    Delegates to the scalar reference implementation; use
-    :class:`CellBoundEvaluator` / :func:`cell_error_bounds_many` when
-    classifying many cells against the same problem.
+    Builds a :class:`CellBoundEvaluator` for the one cell; reuse an
+    evaluator (or :func:`cell_error_bounds_many`) when classifying many cells
+    against the same problem.
     """
-    return cell_error_bounds_reference(problem, cell)
+    return CellBoundEvaluator(problem).bounds(cell)
 
 
 class CellBoundEvaluator:
@@ -261,7 +207,7 @@ class CellBoundEvaluator:
         self._simplex_low = pairs.min(axis=1)
         self._simplex_high = pairs.max(axis=1)
         # Flat index of the (r, r) self-pair per ranked tuple: a tuple never
-        # beats itself, mirroring the reference implementation's overrides.
+        # beats itself.
         self._self_index = np.arange(self._num_ranked) * n + np.asarray(ranked)
 
     def bounds_many(self, cells: Sequence[Cell]) -> list[tuple[int, int]]:
@@ -290,142 +236,6 @@ class CellBoundEvaluator:
     def bounds(self, cell: Cell) -> tuple[int, int]:
         """Bounds for a single cell (batched kernel, batch size one)."""
         return self.bounds_many([cell])[0]
-
-    def updated_for(self, problem: RankingProblem) -> "CellBoundEvaluator | None":
-        """Derive an evaluator for an edited problem without a full rebuild.
-
-        Supports the edits a synthesis session makes around a fixed ranked
-        prefix: tolerance / constraint / metadata changes (same tuples, same
-        matrix -- the stacked pair matrices are shared outright), appending
-        unranked tuples (only the new ``(ranked, new tuple)`` pair rows are
-        computed), and dropping unranked tuples (pair rows are masked out).
-        The derived evaluator is bit-identical to a fresh
-        ``CellBoundEvaluator(problem)`` -- the reused rows are the same float
-        values, and the new rows run the same subtraction -- which the
-        incremental-parity invariant checks.  Returns ``None`` when the edit
-        is not one of these shapes (caller rebuilds).
-        """
-        if self.streaming:
-            return None  # nothing precomputed to derive from; rebuilds are cheap
-        old = self.problem
-        if (
-            problem.attributes != old.attributes
-            or problem.num_attributes != old.num_attributes
-        ):
-            return None
-        new_matrix, old_matrix = problem.matrix, old.matrix
-        new_positions = problem.ranking.positions
-        old_positions = old.ranking.positions
-        n_old, n_new = old.num_tuples, problem.num_tuples
-        k, m = self._num_ranked, old.num_attributes
-
-        if n_new == n_old:
-            if not (
-                np.array_equal(new_matrix, old_matrix)
-                and np.array_equal(new_positions, old_positions)
-            ):
-                return None
-            return self._clone(
-                problem,
-                self._positive,
-                self._negative,
-                self._simplex_low,
-                self._simplex_high,
-                n_new,
-            )
-
-        if n_new > n_old:
-            # Appended tuples: prefix must be untouched and the new tuples
-            # unranked (the "add candidate tuples" session edit).
-            if not (
-                np.array_equal(new_positions[:n_old], old_positions)
-                and np.all(new_positions[n_old:] == 0)
-                and np.array_equal(new_matrix[:n_old], old_matrix)
-            ):
-                return None
-            ranked = old.top_k_indices()
-            added = new_matrix[n_old:]
-            new_diffs = added[None, :, :] - new_matrix[ranked][:, None, :]
-            positive = np.concatenate(
-                [
-                    self._positive.reshape(k, n_old, m),
-                    np.clip(new_diffs, 0.0, None),
-                ],
-                axis=1,
-            ).reshape(k * n_new, m)
-            negative = np.concatenate(
-                [
-                    self._negative.reshape(k, n_old, m),
-                    np.clip(new_diffs, None, 0.0),
-                ],
-                axis=1,
-            ).reshape(k * n_new, m)
-            simplex_low = np.concatenate(
-                [self._simplex_low.reshape(k, n_old), new_diffs.min(axis=2)], axis=1
-            ).reshape(k * n_new)
-            simplex_high = np.concatenate(
-                [self._simplex_high.reshape(k, n_old), new_diffs.max(axis=2)], axis=1
-            ).reshape(k * n_new)
-            return self._clone(
-                problem, positive, negative, simplex_low, simplex_high, n_new
-            )
-
-        # Dropped tuples: the surviving rows must be an (order-preserving)
-        # subsequence of the old rows, every dropped tuple unranked, and the
-        # surviving positions untouched.
-        keep = np.full(n_new, -1, dtype=int)
-        cursor = 0
-        for j in range(n_new):
-            while cursor < n_old and not (
-                np.array_equal(new_matrix[j], old_matrix[cursor])
-                and new_positions[j] == old_positions[cursor]
-            ):
-                if old_positions[cursor] != 0:
-                    return None  # a ranked tuple would have to be dropped
-                cursor += 1
-            if cursor >= n_old:
-                return None
-            keep[j] = cursor
-            cursor += 1
-        if np.any(old_positions[cursor:] != 0):
-            return None
-        shape = (k, n_old)
-        return self._clone(
-            problem,
-            self._positive.reshape(k, n_old, m)[:, keep, :].reshape(k * n_new, m),
-            self._negative.reshape(k, n_old, m)[:, keep, :].reshape(k * n_new, m),
-            self._simplex_low.reshape(shape)[:, keep].reshape(k * n_new),
-            self._simplex_high.reshape(shape)[:, keep].reshape(k * n_new),
-            n_new,
-        )
-
-    def _clone(
-        self,
-        problem: RankingProblem,
-        positive: np.ndarray,
-        negative: np.ndarray,
-        simplex_low: np.ndarray,
-        simplex_high: np.ndarray,
-        num_tuples: int,
-    ) -> "CellBoundEvaluator":
-        """An evaluator over precomputed pair matrices (no re-derivation)."""
-        clone = object.__new__(CellBoundEvaluator)
-        clone.problem = problem
-        clone.streaming = False
-        clone._num_ranked = self._num_ranked
-        clone._num_tuples = num_tuples
-        clone._positive = positive
-        clone._negative = negative
-        clone._simplex_low = simplex_low
-        clone._simplex_high = simplex_high
-        ranked = problem.top_k_indices()
-        clone._self_index = np.arange(self._num_ranked) * num_tuples + np.asarray(
-            ranked
-        )
-        clone._eps1 = problem.tolerances.eps1
-        clone._eps2 = problem.tolerances.eps2
-        clone._given = problem.ranking.positions[ranked].astype(int)
-        return clone
 
     def _bounds_chunk(
         self, lowers: np.ndarray, uppers: np.ndarray
@@ -524,15 +334,12 @@ class CellBoundEvaluator:
 
 
 def _bounds_chunk_task(payload: tuple) -> list[tuple[int, int]]:
-    """Evaluate error bounds over one chunk of cells.
+    """Evaluate error bounds over one ``(problem, cells)`` chunk.
 
     Module-level so that process-pool executors can pickle it.  Each chunk
-    builds its own :class:`CellBoundEvaluator` (cheap relative to the chunk)
-    unless the scalar reference path was requested.
+    builds its own :class:`CellBoundEvaluator` (cheap relative to the chunk).
     """
-    problem, cells, vectorized = payload
-    if not vectorized:
-        return [cell_error_bounds_reference(problem, cell) for cell in cells]
+    problem, cells = payload
     return CellBoundEvaluator(problem).bounds_many(cells)
 
 
@@ -541,9 +348,11 @@ def cell_error_bounds_many(
     cells: Sequence[Cell],
     executor=None,
     chunk_size: int = 64,
-    vectorized: bool = True,
 ) -> list[tuple[int, int]]:
     """Error bounds for many cells, optionally fanned out over an executor.
+
+    Every chunk classifies its cells against all indicator hyperplanes as one
+    matrix program (:class:`CellBoundEvaluator`).
 
     Args:
         problem: The problem instance.
@@ -553,18 +362,12 @@ def cell_error_bounds_many(
         chunk_size: Cells per executor task; chunking keeps the per-task
             pickling overhead of the problem instance amortized over many
             cheap bound evaluations.
-        vectorized: Classify all cells against all indicator hyperplanes as
-            one matrix program (:class:`CellBoundEvaluator`).  ``False``
-            falls back to the scalar reference loop; the differential oracle
-            asserts the two agree on every scenario family.
     """
     cells = list(cells)
     if executor is None or len(cells) <= chunk_size:
-        if vectorized:
-            return CellBoundEvaluator(problem).bounds_many(cells)
-        return [cell_error_bounds_reference(problem, cell) for cell in cells]
+        return CellBoundEvaluator(problem).bounds_many(cells)
     payloads = [
-        (problem, cells[start : start + chunk_size], vectorized)
+        (problem, cells[start : start + chunk_size])
         for start in range(0, len(cells), chunk_size)
     ]
     chunked = executor.map_cells(_bounds_chunk_task, payloads)

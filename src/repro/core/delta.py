@@ -12,8 +12,8 @@ object that every layer of the stack understands:
   :class:`~repro.core.problem.RankingProblem` whose fingerprint is *composed*
   from the parent's digest and the delta's digest (no re-hash of the full
   attribute matrix, and equal edit chains dedupe byte-for-byte),
-* the **engine** uses the parent/child fingerprint relation for its
-  delta-aware cache fallback (exact hit -> parent artifacts -> cold),
+* the **engine** answers a revisited edit state from its cache, because the
+  composed fingerprint of an equal chain is equal (exact hit, else cold),
 * the **api/service layers** ship deltas over the wire
   (``base_fingerprint`` + ``deltas`` on a request, stateful server sessions).
 

@@ -288,28 +288,3 @@ class RankHow:
                 return None
         return seed
 
-
-def solve_exact(
-    problem: RankingProblem, options: RankHowOptions | None = None
-) -> SynthesisResult:
-    """Deprecated convenience wrapper around the registered ``rankhow`` method.
-
-    .. deprecated:: 1.1
-        Use ``repro.get_method("rankhow").synthesize(problem, options)`` or
-        :class:`repro.RankHowClient` (which adds caching and batching).
-    """
-    import warnings
-
-    warnings.warn(
-        "solve_exact() is deprecated; use repro.get_method('rankhow')"
-        ".synthesize(problem, options) or repro.RankHowClient instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Lazy import: the registry's adapters are built on top of this module.
-    from repro.api.registry import get_method
-
-    # Spelling the defaults out preserves this function's historical
-    # exhaustive-solve semantics over the registry's service-friendly ones.
-    effective = (options or RankHowOptions()).to_dict()
-    return get_method("rankhow").synthesize(problem, effective)

@@ -107,9 +107,8 @@ class _Descent:
     """One seed's SYM-GD descent, advanced one cell solve at a time.
 
     The descent logic of Algorithms 1 and 2 lives here as an explicit state
-    machine so that the serial :meth:`SymGD.solve` path and the lockstep
-    matrix multi-seed path run literally the same transitions -- parity
-    between the two is structural, not coincidental.
+    machine that :meth:`SymGD.solve` drives until it finishes, runs out of
+    iterations or runs out of time.
     """
 
     def __init__(
@@ -133,7 +132,6 @@ class _Descent:
         self.trajectory: list[tuple[float, int]] = [
             (self.cell_size, int(seed_error))
         ]
-        self.elapsed = 0.0
         self.finished = False
         self._final_solve_pending = False
 
@@ -152,39 +150,30 @@ class _Descent:
     def step(self, solver: RankHow, remaining: float | None) -> None:
         """One cell solve plus the resulting state transition."""
         options = self.options
-        if self._final_solve_pending:
-            # The cell covers (almost) the whole simplex; one final solve at
-            # this size is the global problem -- stop after it.
-            self.iterations += 1
-            cell = cell_around(self.current, self.cell_size)
-            result = solver.solve(
-                self.problem, cell_bounds=cell.bounds(), warm_start=self.current
-            )
-            self._absorb(result)
-            if result.error >= 0 and result.error < self.best_error:
-                self.best_error = int(result.error)
-                self.best_weights = result.weights.copy()
-            self.finished = True
-            return
-
-        self.iterations += 1
-        cell = cell_around(self.current, self.cell_size)
         if remaining is not None:
             # Clone the configured solver options wholesale (error_weights,
             # extra escape hatches included) and override only the budget.
-            local_solver = RankHow(
+            solver = RankHow(
                 replace(
                     options.solver_options,
                     time_limit=max(remaining, 0.01),
                     verify=False,
                 )
             )
-        else:
-            local_solver = solver
-        result = local_solver.solve(
+        self.iterations += 1
+        cell = cell_around(self.current, self.cell_size)
+        result = solver.solve(
             self.problem, cell_bounds=cell.bounds(), warm_start=self.current
         )
         self._absorb(result)
+        if self._final_solve_pending:
+            # The cell covers (almost) the whole simplex; one final solve at
+            # this size is the global problem -- stop after it.
+            if result.error >= 0 and result.error < self.best_error:
+                self.best_error = int(result.error)
+                self.best_weights = result.weights.copy()
+            self.finished = True
+            return
 
         stuck = False
         if result.error < 0 or not np.all(np.isfinite(result.weights)):
@@ -291,7 +280,6 @@ class SymGD:
         seeds: list[np.ndarray] | None = None,
         num_seeds: int = 4,
         executor=None,
-        vectorized: bool = True,
     ) -> SynthesisResult:
         """Run independent descents from several seed points; keep the best.
 
@@ -306,17 +294,10 @@ class SymGD:
                 :func:`default_seed_points` with ``num_seeds`` points.
             num_seeds: Number of generated seeds when ``seeds`` is ``None``.
             executor: Anything exposing ``map_cells(fn, items)`` (see
-                :mod:`repro.engine.executor`); ``None`` runs in-process.  The
-                merged result is identical for every backend because each
-                descent is deterministic and the merge prefers the earliest
-                seed on ties.
-            vectorized: When no executor is given, drive all descents in
-                lockstep as one ``(num_seeds, m)`` weight matrix -- seed
-                errors come from a single batched score/rank/error program
-                and finished rows drop out via per-row convergence masking.
-                ``False`` keeps the historical one-full-descent-per-seed
-                reference loop; the differential oracle asserts both paths
-                produce identical per-seed results.
+                :mod:`repro.engine.executor`); ``None`` runs the descents one
+                after another in-process.  The merged result is identical for
+                every backend because each descent is deterministic and the
+                merge prefers the earliest seed on ties.
         """
         start = time.perf_counter()
         problem, prune_diag = _maybe_prune(problem, self.options)
@@ -326,16 +307,13 @@ class SymGD:
             )
         if not seeds:
             raise ValueError("solve_multi_seed needs at least one seed point")
-        if executor is None and vectorized:
-            results = self._solve_seeds_lockstep(problem, seeds, start)
+        payloads = [
+            (self.options, problem, np.asarray(s, dtype=float)) for s in seeds
+        ]
+        if executor is None:
+            results = [_solve_from_seed(payload) for payload in payloads]
         else:
-            payloads = [
-                (self.options, problem, np.asarray(s, dtype=float)) for s in seeds
-            ]
-            if executor is None:
-                results = [_solve_from_seed(payload) for payload in payloads]
-            else:
-                results = list(executor.map_cells(_solve_from_seed, payloads))
+            results = list(executor.map_cells(_solve_from_seed, payloads))
         best = min(enumerate(results), key=lambda pair: (pair[1].error, pair[0]))[1]
         merged = replace(
             best,
@@ -354,58 +332,6 @@ class SymGD:
             "symgd-adaptive-multiseed" if self.options.adaptive else "symgd-multiseed"
         )
         return merged
-
-    def _solve_seeds_lockstep(
-        self,
-        problem: RankingProblem,
-        seeds: list[np.ndarray],
-        start: float,
-    ) -> list[SynthesisResult]:
-        """All seeds as one weight matrix, advanced round-robin.
-
-        Seed normalization and error evaluation happen for the whole
-        ``(num_seeds, m)`` matrix at once; each round then performs one cell
-        solve per still-active descent.  Rows whose descent finished are
-        masked out, so multi-seed overhead stops scaling with the seed count
-        in Python-level work.  The per-descent state machine is the same
-        :class:`_Descent` the serial path runs, so each seed performs the
-        identical sequence of cell solves it would in its own full descent
-        (time limits permitting -- the budget is measured from the shared
-        start, exactly like the serial loop measures from its own start).
-        """
-        options = self.options
-        matrix = np.vstack(
-            [
-                _normalize_seed_point(seed, problem.num_attributes)
-                for seed in seeds
-            ]
-        )
-        seed_errors = problem.errors_of_many(matrix)
-        descents = [
-            _Descent(options, problem, matrix[i], int(seed_errors[i]))
-            for i in range(matrix.shape[0])
-        ]
-        solver = RankHow(options.solver_options)
-
-        def time_left() -> float | None:
-            if options.time_limit is None:
-                return None
-            return options.time_limit - (time.perf_counter() - start)
-
-        while True:
-            remaining = time_left()
-            out_of_time = remaining is not None and remaining <= 0
-            active = [d for d in descents if d.active(out_of_time)]
-            if not active:
-                break
-            for descent in active:
-                remaining = time_left()
-                if remaining is not None and remaining <= 0:
-                    break
-                step_start = time.perf_counter()
-                descent.step(solver, remaining)
-                descent.elapsed += time.perf_counter() - step_start
-        return [descent.result(descent.elapsed) for descent in descents]
 
     def _seed(self, problem: RankingProblem) -> np.ndarray:
         options = self.options

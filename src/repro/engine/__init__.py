@@ -11,20 +11,18 @@ throughput.  It sits between :mod:`repro.core` (the algorithms) and
   cells, and solver options (content addressing);
 * :mod:`repro.engine.cache` -- LRU + optional on-disk JSON result cache;
 * :mod:`repro.engine.policy` -- pluggable cache policies (cost x frequency
-  scoring, hot-set persistence metadata, prewarm prediction);
+  scoring, hot-set persistence metadata);
 * :mod:`repro.engine.engine` -- :class:`SolveEngine`, the cached, batched,
   parallel request executor everything above builds on.
 """
 
 from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.context import SolveArtifacts, SolveContext
 from repro.engine.engine import IncrementalStats, SolveEngine, SolveOutcome, SolveRequest
 from repro.engine.policy import (
     POLICY_NAMES,
     CachePolicy,
     CostAwarePolicy,
     make_policy,
-    predict_next_deltas,
 )
 from repro.engine.executor import (
     BACKEND_NAMES,
@@ -64,8 +62,6 @@ __all__ = [
     "SOLVE_METHODS",
     "SerialExecutor",
     "IncrementalStats",
-    "SolveArtifacts",
-    "SolveContext",
     "SolveEngine",
     "SolveOutcome",
     "SolveRequest",
@@ -81,6 +77,5 @@ __all__ = [
     "fingerprint_problem",
     "get_executor",
     "make_policy",
-    "predict_next_deltas",
     "solve_request_task",
 ]

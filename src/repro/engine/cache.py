@@ -30,9 +30,8 @@ class CacheStats:
     """Hit/miss/eviction counters, exposed in service telemetry.
 
     ``promotions`` counts stats-neutral disk-to-memory promotions
-    (:meth:`ResultCache.promote`): plumbing traffic -- gossip prefetches,
-    hot-set reloads -- that must not pollute the hit/miss ratio an adaptive
-    policy learns from.
+    (:meth:`ResultCache.promote`): hot-set reloads are plumbing traffic that
+    must not pollute the hit/miss ratio an adaptive policy learns from.
 
     ``quarantined`` counts disk-tier entries set aside as unreadable --
     truncated/corrupt JSON, a payload that does not rebuild, or an envelope
@@ -164,12 +163,12 @@ class ResultCache:
     def promote(self, key: str) -> bool:
         """Stats-neutral disk-to-memory promotion; returns residency.
 
-        The cluster's hot-key gossip (and the hot-set reload on startup)
-        pull entries into the memory LRU *speculatively* -- that traffic is
-        plumbing, not workload, so it must not count as hits or misses: an
-        adaptive policy trained on gossip-inflated counters would learn the
-        cluster topology instead of the query stream.  Promotions get their
-        own counter (``stats.promotions``) instead.
+        The hot-set reload on startup (:meth:`load_hot_set`) pulls entries
+        into the memory LRU *speculatively* -- that traffic is plumbing, not
+        workload, so it must not count as hits or misses: an adaptive policy
+        trained on reload-inflated counters would learn the restart history
+        instead of the query stream.  Promotions get their own counter
+        (``stats.promotions``) instead.
         """
         with self._lock:
             if key in self._entries:

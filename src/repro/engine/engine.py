@@ -2,11 +2,13 @@
 
 :class:`SolveEngine` is what the query service (and any batch caller) talks
 to.  It owns an executor backend and a :class:`~repro.engine.cache.ResultCache`
-and exposes three operations:
+and exposes four operations:
 
 * ``solve`` / ``solve_batch`` -- answer how-to-rank requests, deduplicating
   identical requests inside a batch, serving repeats from the cache, and
   fanning the remaining distinct solves out over the executor;
+* ``solve_incremental`` -- the session path: an exact cache hit on the
+  request's composed fingerprint, else a cold in-process solve;
 * ``multi_seed_symgd`` -- the parallel multi-seed SYM-GD entry point used by
   the scaling benchmark;
 * ``map_cells`` -- raw access to the executor for custom sweeps.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from repro.core.problem import RankingProblem
 from repro.core.result import SynthesisResult
 from repro.core.symgd import SymGD, SymGDOptions
 from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.context import SolveArtifacts, SolveContext
 from repro.engine.executor import Executor, ExecutorStats, get_executor
 from repro.engine.tasks import solve_request_task
 from repro.obs.trace import adopt_results, pack_tasks, run_packed_task
@@ -46,10 +46,10 @@ SolveRequest = SynthesisRequest
 class SolveOutcome:
     """A solved request plus how it was served.
 
-    ``served`` is set by the delta-aware incremental path only: ``"exact"``
-    (cache hit on the child fingerprint), ``"warm"`` (solved with parent
-    artifacts), or ``"cold"`` (solved from scratch).  Batch-path outcomes
-    leave it ``None``, keeping their wire format unchanged.
+    ``served`` is set by the incremental path only: ``"exact"`` (cache hit
+    on the request fingerprint) or ``"cold"`` (solved from scratch).
+    Batch-path outcomes leave it ``None``, keeping their wire format
+    unchanged.
     """
 
     result: SynthesisResult
@@ -75,17 +75,15 @@ class IncrementalStats:
     """Counters for the delta-aware solve path (exposed in engine stats)."""
 
     exact_hits: int = 0
-    parent_hits: int = 0
     cold_solves: int = 0
 
     @property
     def solves(self) -> int:
-        return self.exact_hits + self.parent_hits + self.cold_solves
+        return self.exact_hits + self.cold_solves
 
     def as_dict(self) -> dict:
         return {
             "exact_hits": self.exact_hits,
-            "parent_hits": self.parent_hits,
             "cold_solves": self.cold_solves,
         }
 
@@ -133,20 +131,15 @@ class SolveEngine:
             )
         )
         self.solver_invocations = 0
-        self.prewarm_solves = 0
         self.pruned_tuples_total = 0
         self.incremental_stats = IncrementalStats()
+        # Counter increments take this lock: concurrent session solves run
+        # on executor threads, and an unsynchronized '+=' would silently
+        # drop telemetry.
+        self._stats_lock = threading.Lock()
         self.obs = None
         if obs is not None:
             self.attach_obs(obs)
-        # Side table of cross-solve artifacts (root LP bases, incumbent
-        # weights, cell evaluators) keyed by *request* fingerprint.  Kept out
-        # of the result cache on purpose: artifacts are process-local
-        # accelerators, not part of any result's wire format, so the cold
-        # path's bytes stay untouched.
-        self._artifact_capacity = 64
-        self._artifacts: OrderedDict[str, SolveArtifacts] = OrderedDict()
-        self._artifact_lock = threading.Lock()
 
     # -- observability --------------------------------------------------------
 
@@ -196,11 +189,6 @@ class SolveEngine:
                 "Corrupt disk-tier entries quarantined and served as misses",
                 float(cache.quarantined),
             ),
-            "repro_engine_prewarm_solves_total": (
-                "counter",
-                "Speculative solves spent on prewarm predictions",
-                float(self.prewarm_solves),
-            ),
             "repro_engine_executor_tasks_total": (
                 "counter", "Executor tasks fanned out", float(executor.tasks),
             ),
@@ -212,7 +200,6 @@ class SolveEngine:
                 "Incremental solves by fallback tier",
                 {
                     ("exact",): float(incremental.exact_hits),
-                    ("warm",): float(incremental.parent_hits),
                     ("cold",): float(incremental.cold_solves),
                 },
                 ("tier",),
@@ -244,7 +231,7 @@ class SolveEngine:
         """
         pruned = result.diagnostics.get("pruned_tuples", 0)
         if pruned:
-            with self._artifact_lock:
+            with self._stats_lock:
                 self.pruned_tuples_total += int(pruned)
 
     def _tracer(self):
@@ -261,9 +248,8 @@ class SolveEngine:
         cache and executor stats objects are replaced wholesale; note a
         *shared* cache's counters are reset for every engine sharing it.
         """
-        with self._artifact_lock:
+        with self._stats_lock:
             self.solver_invocations = 0
-            self.prewarm_solves = 0
             self.pruned_tuples_total = 0
             self.incremental_stats = IncrementalStats()
         self.executor.stats = ExecutorStats()
@@ -403,79 +389,42 @@ class SolveEngine:
 
     # -- delta-aware incremental solving --------------------------------------
 
-    def artifacts_for(self, request_fingerprint: str) -> SolveArtifacts | None:
-        """Stored cross-solve artifacts for a request fingerprint, if any."""
-        with self._artifact_lock:
-            artifacts = self._artifacts.get(request_fingerprint)
-            if artifacts is not None:
-                self._artifacts.move_to_end(request_fingerprint)
-            return artifacts
-
-    def store_artifacts(self, artifacts: SolveArtifacts) -> None:
-        """Stash cross-solve artifacts under their request fingerprint (LRU)."""
-        with self._artifact_lock:
-            self._artifacts[artifacts.request_fingerprint] = artifacts
-            self._artifacts.move_to_end(artifacts.request_fingerprint)
-            while len(self._artifacts) > self._artifact_capacity:
-                self._artifacts.popitem(last=False)
-
-    def solve_incremental(
-        self,
-        request: SolveRequest,
-        parent_fingerprint: str | None = None,
-    ) -> SolveOutcome:
-        """Solve one request with the delta-aware fallback chain.
+    def solve_incremental(self, request: SolveRequest) -> SolveOutcome:
+        """Solve one request of an edit chain: exact cache hit, else cold.
 
         When tracing is on, the solve runs inside an
         ``engine.solve_incremental`` span recording which tier served it
-        (``exact``/``warm``/``cold``); the solver's own spans nest under it
-        because incremental solves run in-process.
+        (``exact``/``cold``); the solver's own spans nest under it because
+        incremental solves run in-process.
 
-        Lookup falls through three tiers:
-
-        1. **Exact hit** -- the request fingerprint is already cached (an
-           edit chain revisited a state, e.g. a replayed/undone chain
-           prefix); no solver runs.
-        2. **Parent hit** -- artifacts captured from the parent solve of the
-           edit chain (addressed by ``parent_fingerprint``, the previous
-           request's fingerprint) exist; the solve runs cold and the
-           parent's batched cell evaluator is carried forward to this one.
-        3. **Cold** -- no reusable state; the solve runs exactly as
-           :meth:`solve` would.
-
-        Every tier returns byte-identical results to a cold solve of the
-        same request: tier 1 is the same request's cached result, and tier 2
-        carries only output-invariant artifacts (the differential oracle's
+        An edit chain's requests carry composed fingerprints (a pure
+        function of base problem and delta chain), so a revisited state --
+        a replayed or undone chain prefix -- is an **exact hit** and no
+        solver runs.  Anything else is solved **cold**, exactly as
+        :meth:`solve` would, so every outcome is byte-identical to a cold
+        solve of the same request (the differential oracle's
         ``incremental_parity`` invariant checks this per scenario family).
-        The solve runs in-process (not on the executor): artifacts must
-        survive the round trip, and an interactive session's latency is
-        dominated by the solver, not by dispatch.
+        The solve runs in-process (not on the executor): an interactive
+        session's latency is dominated by the solver, not by dispatch.
         """
         tracer = self._tracer()
         if tracer is None:
-            return self._solve_incremental(request, parent_fingerprint)
+            return self._solve_incremental(request)
         with tracer.span(
             "engine.solve_incremental",
             method=request.method,
             fingerprint=request.fingerprint,
         ) as span:
-            outcome = self._solve_incremental(request, parent_fingerprint)
+            outcome = self._solve_incremental(request)
             span.set_attributes(served=outcome.served, cache_hit=outcome.cache_hit)
             return outcome
 
-    def _solve_incremental(
-        self,
-        request: SolveRequest,
-        parent_fingerprint: str | None,
-    ) -> SolveOutcome:
+    def _solve_incremental(self, request: SolveRequest) -> SolveOutcome:
         start = time.perf_counter()
         key = request.fingerprint
         cached = self.cache.get(key)
         if cached is not None:
-            with self._artifact_lock:
-                # Counter increments share the artifact lock: concurrent
-                # session solves run on executor threads, and an
-                # unsynchronized '+=' would silently drop telemetry.
+            with self._stats_lock:
                 self.incremental_stats.exact_hits += 1
             return SolveOutcome(
                 result=cached,
@@ -485,71 +434,21 @@ class SolveEngine:
                 served="exact",
             )
 
-        warm = (
-            self.artifacts_for(parent_fingerprint)
-            if parent_fingerprint is not None and parent_fingerprint != key
-            else None
-        )
         method = get_method(request.method)
-        with self._artifact_lock:
+        with self._stats_lock:
             self.solver_invocations += 1
         result = method.synthesize_resolved(request.problem, request.effective)
         self._harvest_dataplane(result)
         self.cache.put(key, result, cost=time.perf_counter() - start)
-        captured = SolveArtifacts(
-            request_fingerprint=key,
-            problem_fingerprint=request.problem.fingerprint(),
-        )
-        if warm is not None and warm.cell_evaluator is not None:
-            # Carry the batched cell evaluator along the chain: reuse it
-            # verbatim for a same-content edit, row-update it for tuple /
-            # tolerance deltas, and drop it (rebuild on demand) for
-            # structural ones -- otherwise every solve would sever the
-            # evaluator chain a session's cell_error_bounds() calls rely on.
-            captured.cell_evaluator = warm.cell_evaluator.updated_for(
-                request.problem
-            )
-        self.store_artifacts(captured)
-        with self._artifact_lock:
-            if warm is not None:
-                self.incremental_stats.parent_hits += 1
-            else:
-                self.incremental_stats.cold_solves += 1
+        with self._stats_lock:
+            self.incremental_stats.cold_solves += 1
         return SolveOutcome(
             result=result,
             fingerprint=key,
             cache_hit=False,
             wall_time=time.perf_counter() - start,
-            served="warm" if warm is not None else "cold",
+            served="cold",
         )
-
-    def prewarm(self, request: SolveRequest) -> bool:
-        """Make a *predicted* request resident without touching hit/miss stats.
-
-        The service's background prewarmer calls this with the edit states
-        :func:`~repro.engine.policy.predict_next_deltas` expects the analyst
-        to visit next.  Cheapest win first: if the fingerprint is already in
-        memory or on disk it is promoted (stats-neutral, see
-        :meth:`ResultCache.promote`); otherwise the request is solved cold --
-        the exact ``synthesize_resolved`` path a real miss would take, so a
-        later session edit that lands on this fingerprint gets a
-        byte-identical result as an exact hit.  Returns ``True`` once the
-        entry is resident.  Speculative work is never free: the counter
-        ``prewarm_solves`` (and ``solver_invocations``) records every solve
-        spent on a prediction so operators can judge the gamble.
-        """
-        key = request.fingerprint
-        if self.cache.promote(key):
-            return True
-        start = time.perf_counter()
-        method = get_method(request.method)
-        with self._artifact_lock:
-            self.solver_invocations += 1
-            self.prewarm_solves += 1
-        result = method.synthesize_resolved(request.problem, request.effective)
-        self._harvest_dataplane(result)
-        self.cache.put(key, result, cost=time.perf_counter() - start)
-        return True
 
     def solve_delta(
         self,
@@ -560,22 +459,12 @@ class SolveEngine:
     ) -> SolveOutcome:
         """Apply a delta chain to ``base`` and solve the edited problem.
 
-        Convenience wrapper for one-shot callers: the parent request is
-        ``(base, method, params)``, so if ``base`` was solved through this
-        engine before, its cell evaluator carries over to the edited solve.
-        Session loops (:meth:`repro.api.client.RankHowClient.session`) track
-        the parent fingerprint across many edits instead.
+        Convenience wrapper for one-shot callers; session loops
+        (:meth:`repro.api.client.RankHowClient.session`) keep the chain
+        themselves.
         """
-        params = dict(params or {})
         child = base.apply_delta(deltas)
-        if child is base:
-            parent_fingerprint = None
-        else:
-            parent_fingerprint = SolveRequest(base, method, dict(params)).fingerprint
-        return self.solve_incremental(
-            SolveRequest(child, method, params),
-            parent_fingerprint=parent_fingerprint,
-        )
+        return self.solve_incremental(SolveRequest(child, method, dict(params or {})))
 
     # -- parallel primitives --------------------------------------------------
 
@@ -585,22 +474,13 @@ class SolveEngine:
         options: SymGDOptions | None = None,
         num_seeds: int = 4,
         seeds=None,
-        vectorized: bool = False,
     ) -> SynthesisResult:
         """Parallel multi-seed SYM-GD on this engine's executor.
 
-        ``vectorized=True`` bypasses the executor and drives all seeds
-        in-process as one lockstep weight matrix (see
-        :meth:`SymGD.solve_multi_seed`) -- the right choice on single-core
-        hosts where a pool only adds overhead; the merged result is
-        identical either way.
+        The descents fan out one per seed; the merged result is identical
+        for every backend (see :meth:`SymGD.solve_multi_seed`).
         """
-        solver = SymGD(options)
-        if vectorized:
-            return solver.solve_multi_seed(
-                problem, seeds=seeds, num_seeds=num_seeds, vectorized=True
-            )
-        return solver.solve_multi_seed(
+        return SymGD(options).solve_multi_seed(
             problem, seeds=seeds, num_seeds=num_seeds, executor=self.executor
         )
 
@@ -608,30 +488,16 @@ class SolveEngine:
         """Raw ordered map on the executor (for custom per-cell sweeps)."""
         return self.executor.map_cells(fn, items)
 
-    def cell_error_bounds(
-        self,
-        problem: RankingProblem,
-        cells,
-        vectorized: bool = True,
-        context: SolveContext | None = None,
-    ):
+    def cell_error_bounds(self, problem: RankingProblem, cells):
         """Batched cell-error bounds fanned out over this engine's executor.
 
         Thin wrapper over :func:`repro.core.cells.cell_error_bounds_many` so
         service-side sweeps (grid seeding, cell heat maps) get the batched
-        classification and the executor fan-out in one call.  With a
-        ``context`` (the incremental session path) the batched evaluator is
-        reused -- or incrementally row-updated for tuple deltas -- instead of
-        being rebuilt per call, and the fan-out is skipped (the evaluator
-        already classifies all cells as one matrix program in-process).
+        classification and the executor fan-out in one call.
         """
         from repro.core.cells import cell_error_bounds_many
 
-        if context is not None and vectorized:
-            return context.evaluator_for(problem).bounds_many(list(cells))
-        return cell_error_bounds_many(
-            problem, cells, executor=self.executor, vectorized=vectorized
-        )
+        return cell_error_bounds_many(problem, cells, executor=self.executor)
 
     # -- lifecycle / telemetry ------------------------------------------------
 
@@ -641,7 +507,6 @@ class SolveEngine:
             "backend": self.executor.name,
             "max_workers": self.executor.max_workers,
             "solver_invocations": self.solver_invocations,
-            "prewarm_solves": self.prewarm_solves,
             "cache_policy": self.cache.policy_name,
             "executor": self.executor.stats.as_dict(),
             "cache": self.cache.stats.as_dict(),

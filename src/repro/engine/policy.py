@@ -1,4 +1,4 @@
-"""Pluggable cache policies: what the result cache keeps, and what it warms.
+"""Pluggable cache policies: what the result cache keeps.
 
 The default :class:`~repro.engine.cache.ResultCache` is a plain recency LRU:
 correct, but blind to two signals the serving stack already records -- how
@@ -14,12 +14,6 @@ and how *expensive* it is to recompute (the solve wall time threaded through
   key: inserting it and immediately evicting the global minimum *is* the
   admission filter -- scan traffic washes through without displacing the
   hot set.
-* :func:`predict_next_deltas` -- the prewarmer's model: given the edit-kind
-  frequencies observed in the live workload (the profile recorder's
-  ``delta_kinds`` stream), emit the concrete :class:`ProblemDelta` chains an
-  analyst is most likely to apply next -- the tolerance-tighten and
-  drop-tuple edits of ``scenarios.mutation_delta()``, built with identical
-  parameters so a prewarmed solve lands as an *exact* fingerprint hit.
 * Hot-set serialization -- :meth:`CachePolicy.export_entries` /
   :meth:`CachePolicy.seed` round-trip the per-key score state through the
   JSON hot-set file (:meth:`ResultCache.save_hot_set`), so a restarted
@@ -32,15 +26,11 @@ requests hit, never what any request answers.
 
 from __future__ import annotations
 
-from repro.core.delta import DropTuplesDelta, ToleranceDelta
-
 __all__ = [
     "CachePolicy",
     "CostAwarePolicy",
     "POLICY_NAMES",
     "make_policy",
-    "PREDICTABLE_DELTA_KINDS",
-    "predict_next_deltas",
 ]
 
 
@@ -205,62 +195,3 @@ def make_policy(policy, **options) -> CachePolicy | None:
         f"unknown cache policy {policy!r}; expected one of {POLICY_NAMES}"
     )
 
-
-#: Delta kinds whose next state is predictable from the current head alone.
-#: ``tolerance`` mirrors ``mutation_delta(kind="tighten_tolerance")`` exactly
-#: (halving is deterministic); ``drop_tuples`` mirrors
-#: ``mutation_delta(kind="drop_unranked")`` up to *which* unranked tuple the
-#: analyst drops, so the prewarmer emits one candidate per unranked index
-#: (bounded by its limit).
-PREDICTABLE_DELTA_KINDS: tuple[str, ...] = ("tolerance", "drop_tuples")
-
-
-def predict_next_deltas(problem, kind_counts: dict, limit: int = 2) -> list:
-    """Likely next edit chains for ``problem``, most probable first.
-
-    ``kind_counts`` maps observed delta kinds to occurrence counts (the
-    serving layer accumulates them from the session edit stream / workload
-    profile); kinds the workload has actually used rank first, with the
-    declaration order of :data:`PREDICTABLE_DELTA_KINDS` as the cold-start
-    tiebreak.  Returns ``[(deltas, kind), ...]`` with at most ``limit``
-    candidates; each ``deltas`` list applies to ``problem`` to produce the
-    predicted child state.  The constructions intentionally match
-    ``scenarios.mutation_delta()`` parameter-for-parameter, so a prewarmed
-    child's composed fingerprint equals the session edit's -- the whole
-    point of prewarming is turning the analyst's next edit into an exact
-    cache hit.
-    """
-    if limit < 1:
-        return []
-    ranked = sorted(
-        PREDICTABLE_DELTA_KINDS,
-        key=lambda kind: (
-            -int(kind_counts.get(kind, 0)),
-            PREDICTABLE_DELTA_KINDS.index(kind),
-        ),
-    )
-    candidates: list = []
-    for kind in ranked:
-        if len(candidates) >= limit:
-            break
-        if kind == "tolerance":
-            old = problem.tolerances
-            candidates.append(
-                (
-                    [
-                        ToleranceDelta(
-                            tie_eps=old.tie_eps / 2.0,
-                            eps1=old.eps1 / 2.0,
-                            eps2=old.eps2 / 2.0,
-                        )
-                    ],
-                    "tolerance",
-                )
-            )
-        elif kind == "drop_tuples":
-            unranked = problem.ranking.unranked_indices()
-            for index in unranked[: limit - len(candidates)]:
-                candidates.append(
-                    ([DropTuplesDelta(indices=(int(index),))], "drop_tuples")
-                )
-    return candidates[:limit]

@@ -27,7 +27,6 @@ __all__ = [
     "effective_params",
     "build_solver",
     "solve_request_task",
-    "cell_bounds_task",
 ]
 
 #: Methods the engine (and therefore the query service) can dispatch.
@@ -91,15 +90,3 @@ def solve_request_task(payload: tuple) -> SynthesisResult:
         method = get_method(method)
     return method.synthesize_resolved(problem, effective)
 
-
-def cell_bounds_task(payload: tuple) -> list[tuple[int, int]]:
-    """Evaluate cell-error bounds for one ``(problem, cells, vectorized)`` chunk.
-
-    Picklable alias of the chunk task behind
-    :func:`repro.core.cells.cell_error_bounds_many`; exposed here so custom
-    ``map_cells`` sweeps can fan the batched classifier out over a process
-    pool without reaching into a private name.
-    """
-    from repro.core.cells import _bounds_chunk_task
-
-    return _bounds_chunk_task(payload)

@@ -363,7 +363,7 @@ class MetricsRegistry:
             {"repro_engine_cache_hits_total": ("counter", "Cache hits", 42),
              "repro_incremental_served_total": (
                  "counter", "Served by tier",
-                 {("exact",): 3, ("warm",): 2, ("cold",): 1}, ("tier",))}
+                 {("exact",): 3, ("cold",): 1}, ("tier",))}
         """
         self._collectors.append(collector)
 

@@ -6,7 +6,7 @@ inter-arrival gap, what it cost to (re)compute, and how it was served
 (hit/miss/coalesced/tier).  The stream is the direct input of the
 workload-adaptive cache and the load harness planned on the roadmap: an
 observe-then-precompute loop needs to know *what* arrives, *how often*, and
-*what a miss costs* before it can decide what to keep or prewarm.
+*what a miss costs* before it can decide what to keep.
 
 Records write as JSON Lines (one object per line) so a long-running service
 appends cheaply and a consumer can tail the file; :meth:`WorkloadProfile.load`
@@ -53,8 +53,8 @@ class ProfileRecord:
             policy weighs against hit probability.
         cache_hit: Served from the result cache.
         coalesced: Attached to an in-flight identical request.
-        served: Incremental tier (``"exact"``/``"warm"``/``"cold"``) or
-            ``None`` on the stateless path.
+        served: Incremental tier (``"exact"``/``"cold"``) or ``None`` on
+            the stateless path.
     """
 
     timestamp: float
@@ -230,7 +230,7 @@ class WorkloadProfile:
         return [record.reused for record in self.records]
 
     def summary(self) -> dict:
-        """Aggregates an admission/prewarm policy would start from."""
+        """Aggregates an admission policy would start from."""
         records = self.records
         if not records:
             return {

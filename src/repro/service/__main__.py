@@ -9,7 +9,7 @@ With ``--session`` the demo runs the *stateful* path instead: it opens one
 edit session, drives a chain of ``scenarios.mutate()`` edits through
 :meth:`~repro.service.server.QueryServer.submit_session` (tolerance
 tightening, attribute jitter, an undo via session export/resume), and prints
-how each step was served -- ``cold`` / ``warm`` / ``exact`` -- plus the
+how each step was served -- ``cold`` / ``exact`` -- plus the
 engine's incremental counters.
 
 Observability flags: ``--trace`` turns on end-to-end span tracing,
@@ -132,7 +132,6 @@ def server_options(args: argparse.Namespace) -> QueryServerOptions:
         cache_dir=args.cache_dir,
         allowed_methods=args.allowed_methods,
         cache_policy=args.cache_policy,
-        prewarm=args.prewarm,
         hot_set_path=args.hot_set,
         memory_budget_mb=args.memory_budget_mb,
     )
@@ -215,7 +214,6 @@ async def run_session_demo(args: argparse.Namespace) -> tuple[QueryServer, list]
         cache_dir=args.cache_dir,
         allowed_methods=args.allowed_methods,
         cache_policy=args.cache_policy,
-        prewarm=args.prewarm,
         hot_set_path=args.hot_set,
         memory_budget_mb=args.memory_budget_mb,
     )
@@ -323,9 +321,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("lru", "cost"),
                         help="result-cache eviction policy: plain recency "
                         "LRU, or cost x frequency scoring (default: lru)")
-    parser.add_argument("--prewarm", action="store_true",
-                        help="speculatively solve predicted next session "
-                        "edits at idle priority (session path)")
     parser.add_argument("--memory-budget-mb", type=float, default=None,
                         help="data-plane transient-memory budget in MB for "
                         "chunked evaluation (default: library default)")

@@ -21,8 +21,8 @@ into efficient work for a :class:`~repro.engine.engine.SolveEngine`:
 * **Stateful sessions** -- the incremental-synthesis path: a session pins a
   base problem server-side, clients ship only :class:`ProblemDelta` edits
   (:meth:`QueryServer.submit_session`), solves run through the engine's
-  delta-aware fallback chain, and sessions LRU-evict beyond
-  ``max_sessions`` / export+resume via their serialized delta chain.
+  incremental path (exact cache hit, else cold), and sessions LRU-evict
+  beyond ``max_sessions`` / export+resume via their serialized delta chain.
 
 The server is an in-process asyncio component rather than a network daemon:
 the network layer of a production deployment (HTTP, gRPC, ...) would sit in
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from repro.core.delta import deltas_from_dicts
 from repro.core.problem import RankingProblem
 from repro.engine.engine import SolveEngine, SolveOutcome, SolveRequest
-from repro.engine.policy import predict_next_deltas
 from repro.obs import Observability
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, run_in_context
@@ -86,22 +85,11 @@ class QueryServerOptions:
         cache_policy: Eviction policy of the owned engine's cache: ``"lru"``
             (the default recency LRU) or ``"cost"`` (recompute-cost x
             hit-frequency scoring).  Answer-neutral either way.
-        prewarm: Enable the background prewarmer: after each session solve,
-            predict the analyst's likely next edits from the observed
-            delta-kind frequencies and solve them at idle priority, so the
-            real edit lands as an exact cache hit.
-        prewarm_candidates: Predicted next states solved per session solve.
         hot_set_path: JSON file for hot-set persistence: the resident cache
             set (plus policy scores) is saved on :meth:`drain`/:meth:`stop`
             and promoted back from the disk tier on :meth:`start`, so a
             restart recovers its hit rate without cold traffic.  Requires
             ``cache_dir`` to be useful (promotion reads the disk tier).
-        deadline_budget_rate: Optional deadline-to-iteration-budget mapping:
-            a request arriving with deadline ``d`` and an explicit
-            ``max_iterations`` option gets the option capped at
-            ``max(1, int(d * rate))``.  The cap depends only on the deadline
-            *value* (never on elapsed time), so the mapped request stays
-            deterministic: same deadline, same fingerprint, same answer.
         memory_budget_mb: Data-plane transient-memory budget applied on
             :meth:`start` (see :mod:`repro.core.chunking`); ``None`` keeps
             the process default.  Serialized with the options, so cluster
@@ -118,10 +106,7 @@ class QueryServerOptions:
     allowed_methods: tuple[str, ...] | None = None
     max_sessions: int = 32
     cache_policy: str = "lru"
-    prewarm: bool = False
-    prewarm_candidates: int = 2
     hot_set_path: str | None = None
-    deadline_budget_rate: float | None = None
     memory_budget_mb: float | None = None
 
 
@@ -186,7 +171,6 @@ class ServerSession:
     method: str
     params: dict
     deltas: list = field(default_factory=list)
-    last_fingerprint: str | None = None
     edits: int = 0
     solves: int = 0
 
@@ -247,7 +231,6 @@ class ServiceStats:
     sessions_open: int = 0
     sessions_opened: int = 0
     sessions_evicted: int = 0
-    prewarmed: int = 0
     incremental: dict = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -336,13 +319,7 @@ class QueryServer:
         self._sessions_opened = 0
         self._sessions_evicted = 0
         self._session_tasks: set[asyncio.Task] = set()
-        self._prewarm_tasks: set[asyncio.Task] = set()
-        self._prewarmed = 0
         self._hot_set_loaded = 0
-        # Edit-kind frequencies across every session on this server: the
-        # prewarmer's (tiny) workload model, fed by the same delta stream
-        # the profile recorder sees.
-        self._delta_kind_counts: dict[str, int] = {}
         self._records: deque[RequestRecord] = deque(
             maxlen=max(self.options.history_limit, 1)
         )
@@ -401,11 +378,6 @@ class QueryServer:
             "repro_service_sessions_evicted_total": (
                 "counter", "Sessions LRU-evicted", self._sessions_evicted,
             ),
-            "repro_service_prewarmed_total": (
-                "counter",
-                "Predicted next states made cache-resident by the prewarmer",
-                self._prewarmed,
-            ),
             "repro_service_hot_set_loaded": (
                 "gauge",
                 "Hot-set entries promoted from disk at startup",
@@ -461,11 +433,7 @@ class QueryServer:
         emitting post-run reports.
         """
         while True:
-            waiters = (
-                list(self._inflight.values())
-                + list(self._session_tasks)
-                + list(self._prewarm_tasks)
-            )
+            waiters = list(self._inflight.values()) + list(self._session_tasks)
             queue_busy = self._queue is not None and not self._queue.empty()
             if not waiters and not queue_busy:
                 break
@@ -518,11 +486,6 @@ class QueryServer:
             # queue); anything already submitted is still answered.
             await asyncio.gather(*self._session_tasks, return_exceptions=True)
             self._session_tasks.clear()
-        if self._prewarm_tasks:
-            # Speculative work already dispatched finishes (its results
-            # still land in the shared cache tier for the next process).
-            await asyncio.gather(*self._prewarm_tasks, return_exceptions=True)
-            self._prewarm_tasks.clear()
         # Nothing should be pending at this point; if the loop died early,
         # waiters get a loud error instead of hanging forever.
         self._fail_inflight(RuntimeError("QueryServer stopped"))
@@ -551,29 +514,6 @@ class QueryServer:
                 f"deadline expired before solve started ({deadline:.4f}s left)",
                 remaining=deadline,
             )
-
-    def _apply_deadline_budget(
-        self, request: SolveRequest, deadline: float | None
-    ) -> SolveRequest:
-        """Map a deadline onto the solver's iteration budget, deterministically.
-
-        Only requests that *explicitly* budget ``max_iterations`` are capped
-        (never method defaults), and the cap is a pure function of the
-        deadline value -- elapsed time never feeds in, so repeated runs with
-        the same deadlines compose the same fingerprints and answers.
-        """
-        rate = self.options.deadline_budget_rate
-        if rate is None or deadline is None:
-            return request
-        current = request.options.get("max_iterations")
-        if not isinstance(current, int):
-            return request
-        budget = max(1, int(deadline * rate))
-        if budget >= current:
-            return request
-        options = dict(request.options)
-        options["max_iterations"] = budget
-        return SolveRequest(request.problem, request.method, options)
 
     async def submit(
         self,
@@ -607,9 +547,7 @@ class QueryServer:
         self._request_counter += 1
         if request_id is None:
             request_id = f"q{self._request_counter}"
-        request = self._apply_deadline_budget(
-            SolveRequest(problem, method, dict(params or {})), deadline
-        )
+        request = SolveRequest(problem, method, dict(params or {}))
         key = request.fingerprint
 
         arrived = time.perf_counter()
@@ -793,9 +731,8 @@ class QueryServer:
         concurrent edits to one session serialize in arrival order; solves
         whose edited problem matches one already in flight coalesce onto it
         (the same in-flight table the query path uses).  The solve itself
-        goes through the engine's delta-aware fallback chain -- exact cache
-        hit, parent-artifact warm start, cold -- with the session tracking
-        the parent fingerprint across calls.
+        goes through the engine's incremental path: an exact cache hit on
+        the head's composed fingerprint, else a cold solve.
 
         Failure semantics: invalid input (malformed delta, unknown method or
         option) fails *before* anything is committed -- retrying the same
@@ -821,21 +758,16 @@ class QueryServer:
         # edits: a bad method/options pair must fail without advancing the
         # session, or a client retrying the "failed" call would double-apply
         # its deltas.
-        request = self._apply_deadline_budget(
-            SolveRequest(
-                head,
-                solve_method,
-                dict(params if params is not None else session.params),
-            ),
-            deadline,
+        request = SolveRequest(
+            head,
+            solve_method,
+            dict(params if params is not None else session.params),
         )
         if parsed:
             session.problem = head
             session.deltas.extend(delta.to_dict() for delta in parsed)
             session.edits += len(parsed)
         key = request.fingerprint
-        parent = session.last_fingerprint
-        session.last_fingerprint = key
         session.solves += 1
 
         self._request_counter += 1
@@ -846,8 +778,6 @@ class QueryServer:
             self._started_at = arrived
 
         delta_kinds = tuple(delta.kind for delta in parsed)
-        for kind in delta_kinds:
-            self._delta_kind_counts[kind] = self._delta_kind_counts.get(kind, 0) + 1
         with self._request_span(
             "service.request",
             request_id=request_id,
@@ -865,7 +795,7 @@ class QueryServer:
                 ctx = span.context
                 self._inflight_ctx[key] = ctx
                 task = loop.create_task(
-                    self._run_session_solve(key, request, parent, ctx)
+                    self._run_session_solve(key, request, ctx)
                 )
                 self._session_tasks.add(task)
                 task.add_done_callback(self._session_tasks.discard)
@@ -898,82 +828,10 @@ class QueryServer:
                     served=outcome.served,
                     latency=response.latency,
                 )
-            # Schedule AFTER the live solve resolved: the prewarmer only
-            # ever spends cycles the request path is done with.
-            self._maybe_schedule_prewarm(session)
             return response
 
-    # -- background prewarming ------------------------------------------------
-
-    def _maybe_schedule_prewarm(self, session: ServerSession) -> None:
-        """Queue speculative solves for the session's likely next edits."""
-        if not self.options.prewarm or self._closing:
-            return
-        candidates = predict_next_deltas(
-            session.problem,
-            self._delta_kind_counts,
-            limit=max(self.options.prewarm_candidates, 0),
-        )
-        if not candidates:
-            return
-        task = asyncio.get_running_loop().create_task(
-            self._prewarm_worker(
-                session.problem,
-                session.method,
-                dict(session.params),
-                candidates,
-            )
-        )
-        self._prewarm_tasks.add(task)
-        task.add_done_callback(self._prewarm_tasks.discard)
-
-    async def _prewarm_worker(self, head, method, params, candidates) -> None:
-        """Solve predicted next states at idle priority.
-
-        Idle priority means: yield to the event loop between candidates,
-        defer while live queries are queued, and skip any state already in
-        flight (a real request beat the prediction to it).  Prewarmed
-        results go through :meth:`SolveEngine.prewarm` -- the same cold
-        solve path a real miss would take, inserted stats-neutrally -- so a
-        later session edit that lands on a prewarmed fingerprint is a
-        byte-identical exact hit.
-        """
-        loop = asyncio.get_running_loop()
-        for deltas, _kind in candidates:
-            if self._closing:
-                return
-            # Defer to foreground traffic: drain the query queue first.
-            while (
-                self._queue is not None
-                and not self._queue.empty()
-                and not self._closing
-            ):
-                await asyncio.sleep(0.001)
-            await asyncio.sleep(0)
-            try:
-                child = head.apply_delta(list(deltas))
-                request = SolveRequest(child, method, dict(params))
-            except Exception:
-                # Predictions are best-effort; an edit the head cannot take
-                # (e.g. no unranked tuples left) is simply skipped.
-                continue
-            if request.fingerprint in self._inflight:
-                continue
-            try:
-                resident = await loop.run_in_executor(
-                    None, self.engine.prewarm, request
-                )
-            except Exception:  # pragma: no cover - defensive
-                continue
-            if resident:
-                self._prewarmed += 1
-
     async def _run_session_solve(
-        self,
-        key: str,
-        request: SolveRequest,
-        parent: str | None,
-        ctx=None,
+        self, key: str, request: SolveRequest, ctx=None
     ) -> None:
         loop = asyncio.get_running_loop()
         tracer = self._tracer()
@@ -984,7 +842,7 @@ class QueryServer:
             outcome = await loop.run_in_executor(
                 None,
                 lambda: run_in_context(tracer, ctx)(
-                    self.engine.solve_incremental, request, parent
+                    self.engine.solve_incremental, request
                 ),
             )
         except Exception as error:  # pragma: no cover - defensive
@@ -1157,25 +1015,6 @@ class QueryServer:
             if future is not None and not future.done():
                 future.set_result((outcome, len(batch)))
 
-    # -- cache tier plumbing --------------------------------------------------
-
-    def prefetch(self, fingerprint: str) -> bool:
-        """Pull a fingerprint into the in-memory result cache, if possible.
-
-        Promotes an entry from the shared disk tier (when one is
-        configured) into this server's LRU so a near-future request for the
-        same fingerprint is a memory hit.  The cluster router's hot-key
-        gossip calls this on the non-owning shards of a hot fingerprint.
-
-        The promotion is **stats-neutral** (``promotions`` counter, never
-        hits/misses): gossip volume scales with the cluster topology, not
-        with the query stream, so routing it through ``cache.get`` would
-        inflate the hit-rate signal the adaptive policy (and any operator
-        reading the dashboards) depends on.  Returns whether the entry is
-        now resident.
-        """
-        return self.engine.cache.promote(fingerprint)
-
     # -- telemetry ------------------------------------------------------------
 
     @property
@@ -1200,7 +1039,6 @@ class QueryServer:
                 sessions_open=len(self._sessions),
                 sessions_opened=self._sessions_opened,
                 sessions_evicted=self._sessions_evicted,
-                prewarmed=self._prewarmed,
                 incremental=self.engine.incremental_stats.as_dict(),
             )
         hist = self._latency_hist
@@ -1228,6 +1066,5 @@ class QueryServer:
             sessions_open=len(self._sessions),
             sessions_opened=self._sessions_opened,
             sessions_evicted=self._sessions_evicted,
-            prewarmed=self._prewarmed,
             incremental=self.engine.incremental_stats.as_dict(),
         )

@@ -3,8 +3,10 @@
 * :mod:`repro.testing.invariants` -- the individual lawfulness checks
   (result contract, exact dominance, cell-bound consistency, serialization
   round-trips, permutation / rescaling metamorphics, executor and cache
-  parity), each returning :class:`~repro.testing.invariants.CheckResult`
-  objects so callers can aggregate instead of stopping at the first raise.
+  parity, the batched cell bounds against their scalar reference
+  :func:`~repro.testing.invariants.cell_error_bounds_reference`), each
+  returning :class:`~repro.testing.invariants.CheckResult` objects so
+  callers can aggregate instead of stopping at the first raise.
 * :mod:`repro.testing.oracle` -- :class:`~repro.testing.oracle.DifferentialOracle`,
   which runs every registered method on a generated scenario and applies
   the full invariant battery, producing one assertable
@@ -28,6 +30,7 @@ from repro.testing.invariants import (
     check_serialization_roundtrip,
     check_streaming_parity,
     check_zero_error_witness,
+    cell_error_bounds_reference,
     results_equal,
 )
 from repro.testing.oracle import (
@@ -50,6 +53,7 @@ __all__ = [
     "check_serialization_roundtrip",
     "check_streaming_parity",
     "check_zero_error_witness",
+    "cell_error_bounds_reference",
     "results_equal",
     "FAST_METHOD_OPTIONS",
     "DifferentialOracle",

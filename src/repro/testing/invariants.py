@@ -22,9 +22,9 @@ violation at once).  The invariants:
   of two never changes any weight vector's error (metamorphic).
 * **executor / cache parity** -- serial, thread, and process backends (and
   cache hit vs. fresh solve) produce identical fingerprints and results.
-* **vectorized parity** -- the batched cell-bound classifier and the matrix
-  (lockstep) SYM-GD multi-seed path must match their scalar reference
-  implementations exactly.
+* **vectorized parity** -- the batched cell-bound classifier must match
+  :func:`cell_error_bounds_reference`, the scalar loop kept here as its
+  oracle, exactly.
 * **streaming parity** -- every bounded-memory chunked evaluation path
   (blocked ``errors_of_many``, blocked ``induced_ranks_many``, the streaming
   :class:`~repro.core.cells.CellBoundEvaluator`) must be bitwise-equal to
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cells import cell_around, cell_error_bounds
+from repro.core.cells import Cell, cell_around, cell_error_bounds
 from repro.core.problem import RankingProblem
 from repro.core.result import SynthesisResult
 from repro.data.rng import as_generator
@@ -58,8 +58,8 @@ __all__ = [
     "check_zero_error_witness",
     "check_vectorized_cell_bounds",
     "check_streaming_parity",
-    "check_matrix_symgd_parity",
     "check_incremental_parity",
+    "cell_error_bounds_reference",
     "PARITY_METHOD_OPTIONS",
     "results_equal",
 ]
@@ -346,6 +346,59 @@ def check_rescaling_invariance(
 # -- vectorized-vs-reference invariants ---------------------------------------------
 
 
+def cell_error_bounds_reference(
+    problem: RankingProblem, cell: Cell
+) -> tuple[int, int]:
+    """Scalar reference implementation of :func:`cell_error_bounds`.
+
+    One Python-level pass per ranked tuple, recomputing the pairwise
+    difference matrix per call.  Kept as the ground truth the batched
+    :class:`~repro.core.cells.CellBoundEvaluator` is differentially tested
+    against (:func:`check_vectorized_cell_bounds`).
+    """
+    if cell.dimension != problem.num_attributes:
+        raise ValueError("cell dimension does not match the number of attributes")
+    matrix = problem.matrix
+    tolerances = problem.tolerances
+    positions = problem.ranking.positions
+    ranked = problem.top_k_indices()
+
+    lower_total = 0
+    upper_total = 0
+    lower_box, upper_box = cell.lower, cell.upper
+    for r in ranked:
+        diffs = matrix - matrix[r]
+        # Interval of w . diff over the box, intersected with the simplex bound.
+        positive = np.clip(diffs, 0.0, None)
+        negative = np.clip(diffs, None, 0.0)
+        box_low = positive @ lower_box + negative @ upper_box
+        box_high = positive @ upper_box + negative @ lower_box
+        simplex_low = diffs.min(axis=1)
+        simplex_high = diffs.max(axis=1)
+        low = np.maximum(box_low, simplex_low)
+        high = np.minimum(box_high, simplex_high)
+
+        certain_one = (low >= tolerances.eps1)
+        certain_zero = (high <= tolerances.eps2)
+        certain_one[r] = False
+        certain_zero[r] = True  # a tuple never beats itself
+        free = ~(certain_one | certain_zero)
+        free[r] = False
+
+        min_rank = 1 + int(np.sum(certain_one))
+        max_rank = min_rank + int(np.sum(free))
+        given = int(positions[r])
+        if given < min_rank:
+            lower_total += min_rank - given
+            upper_total += max_rank - given
+        elif given > max_rank:
+            lower_total += given - max_rank
+            upper_total += given - min_rank
+        else:
+            upper_total += max(abs(given - min_rank), abs(max_rank - given))
+    return lower_total, upper_total
+
+
 def check_vectorized_cell_bounds(
     problem: RankingProblem,
     results: dict[str, SynthesisResult] | None = None,
@@ -360,11 +413,7 @@ def check_vectorized_cell_bounds(
     :class:`~repro.core.cells.CellBoundEvaluator` matrix program to
     reproduce the reference loop's integer bounds exactly.
     """
-    from repro.core.cells import (
-        cell_error_bounds_many,
-        cell_error_bounds_reference,
-        grid_cells,
-    )
+    from repro.core.cells import cell_error_bounds_many, grid_cells
 
     invariant = "vectorized_parity"
     grid_step = 0.5 if problem.num_attributes <= 6 else 0.95
@@ -376,7 +425,7 @@ def check_vectorized_cell_bounds(
         if _on_simplex(weights):
             cells.append(cell_around(weights, cell_size))
     reference = [cell_error_bounds_reference(problem, cell) for cell in cells]
-    batched = cell_error_bounds_many(problem, cells, vectorized=True)
+    batched = cell_error_bounds_many(problem, cells)
     if reference != batched:
         mismatches = [
             f"cell {index}: reference {ref} != batched {vec}"
@@ -484,65 +533,6 @@ def check_streaming_parity(
         "data_plane",
         f"{matrix.shape[0]} candidates, {len(cells)} cells",
     )
-
-
-def check_matrix_symgd_parity(
-    problem: RankingProblem,
-    num_seeds: int = 3,
-    options: dict | None = None,
-) -> CheckResult:
-    """Lockstep matrix SYM-GD reproduces the per-seed reference descents.
-
-    Runs multi-seed SYM-GD twice from the same seed set -- once through the
-    historical one-full-descent-per-seed loop (``vectorized=False``), once
-    through the lockstep matrix driver -- and requires identical merged
-    weights, identical per-seed errors, and identical iteration counts.
-    Budgets are deterministic (no wall-clock limit), so any divergence is a
-    real defect in the lockstep state machine or the batched seed
-    evaluation, never scheduling noise.
-    """
-    from repro.core.symgd import SymGD, SymGDOptions, default_seed_points
-
-    invariant = "vectorized_parity"
-    symgd_options = SymGDOptions.from_dict(
-        options
-        or {
-            "cell_size": 0.25,
-            "max_iterations": 4,
-            "solver_options": {
-                "node_limit": 40,
-                "verify": False,
-                "warm_start_strategy": "none",
-            },
-        }
-    )
-    solver = SymGD(symgd_options)
-    seeds = default_seed_points(problem, num_seeds)
-    reference = solver.solve_multi_seed(problem, seeds=seeds, vectorized=False)
-    lockstep = solver.solve_multi_seed(problem, seeds=seeds, vectorized=True)
-    if not results_equal(reference, lockstep):
-        return _fail(
-            invariant,
-            "matrix_symgd",
-            f"merged results diverge (errors {reference.error} vs "
-            f"{lockstep.error})",
-        )
-    ref_errors = reference.diagnostics["per_seed_errors"]
-    vec_errors = lockstep.diagnostics["per_seed_errors"]
-    if ref_errors != vec_errors:
-        return _fail(
-            invariant,
-            "matrix_symgd",
-            f"per-seed errors diverge: {ref_errors} vs {vec_errors}",
-        )
-    if reference.iterations != lockstep.iterations:
-        return _fail(
-            invariant,
-            "matrix_symgd",
-            f"iteration counts diverge: {reference.iterations} vs "
-            f"{lockstep.iterations}",
-        )
-    return _ok(invariant, "matrix_symgd", f"{len(seeds)} seeds")
 
 
 # -- execution-substrate invariants -------------------------------------------------
@@ -659,8 +649,7 @@ def check_incremental_parity(
     Drives a chain of ``mutate()``-style edits two ways in lockstep:
 
     * **incrementally** -- through a :class:`~repro.api.session.SynthesisSession`
-      on a fresh engine, so each solve reuses the previous solve's
-      artifacts (delta-composed fingerprints, the batched cell evaluator);
+      on a fresh engine, addressed by delta-composed fingerprints;
     * **cold** -- each edited problem rebuilt content-addressed and solved
       directly through the method adapter, exactly as a stateless caller
       would.

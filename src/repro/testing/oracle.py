@@ -27,7 +27,6 @@ from repro.testing.invariants import (
     check_cell_bound_consistency,
     check_exact_dominance,
     check_incremental_parity,
-    check_matrix_symgd_parity,
     check_permutation_invariance,
     check_problem_roundtrip,
     check_rescaling_invariance,
@@ -165,11 +164,9 @@ class DifferentialOracle:
 
         checks.extend(check_exact_dominance(problem, results))
 
-        # Vectorized hot paths against their scalar references: the batched
-        # cell-bound classifier and the lockstep matrix SYM-GD driver must be
-        # bit-compatible with the loops they replaced, on every family.
+        # The batched cell-bound classifier against its scalar reference:
+        # bit-compatible with the loop it replaced, on every family.
         checks.append(check_vectorized_cell_bounds(problem, results))
-        checks.append(check_matrix_symgd_parity(problem))
 
         # Bounded-memory data plane against the single-shot references: the
         # chunked errors/ranks paths and the streaming cell-bound evaluator

@@ -46,7 +46,7 @@ def test_session_edit_solve_loop(problem):
 
         session.tighten_tolerance()
         second = session.solve()
-        assert second.served == "warm"
+        assert second.served == "cold"
         assert len(session) == 1
 
         # Re-solving the unchanged head is an exact cache hit.
@@ -54,8 +54,8 @@ def test_session_edit_solve_loop(problem):
         assert third.served == "exact" and third.cache_hit
         assert third.result.error == second.result.error
 
-        assert [step.served for step in session.history] == ["cold", "warm", "exact"]
-        assert client.stats()["incremental"]["parent_hits"] == 1
+        assert [step.served for step in session.history] == ["cold", "cold", "exact"]
+        assert client.stats()["incremental"] == {"exact_hits": 1, "cold_solves": 2}
 
 
 def test_session_convenience_edits_cover_every_kind(problem):
@@ -240,7 +240,7 @@ def test_extra_configurations_do_not_share_cache_entries(problem):
         assert not second.cache_hit
 
 
-def test_cell_bounds_before_first_solve_does_not_fake_a_warm_parent(problem):
+def test_session_cell_error_bounds_follow_the_head(problem):
     from repro.core.cells import CellBoundEvaluator, grid_cells
 
     cells = grid_cells(3, 0.5)
@@ -248,11 +248,6 @@ def test_cell_bounds_before_first_solve_does_not_fake_a_warm_parent(problem):
         session = client.session(problem, method="symgd", options=SYMGD_OPTS)
         bounds = session.cell_error_bounds(cells)
         assert bounds == CellBoundEvaluator(problem).bounds_many(cells)
-        outcome = session.solve()
-        # The evaluator pseudo-key must not masquerade as a solve parent.
-        assert outcome.served == "cold"
-        stats = client.stats()["incremental"]
-        assert stats["cold_solves"] == 1 and stats["parent_hits"] == 0
-        # The evaluator chain itself still carries across calls.
-        second = session.cell_error_bounds(cells)
-        assert second == bounds
+        session.add_tuples({"A1": [0.9], "A2": [0.8], "A3": [0.7]})
+        edited = session.cell_error_bounds(cells)
+        assert edited == CellBoundEvaluator(session.problem).bounds_many(cells)

@@ -97,8 +97,6 @@ def test_cluster_export_equals_sum_of_shard_counters():
         async with ClusterRouter(options) as cluster:
             for problem in stream:
                 await cluster.submit(problem, "symgd", FAST_PARAMS)
-            # Settle async gossip prefetches so the per-shard snapshots and
-            # the merged export observe identical counter values.
             await cluster.drain()
             shard_texts = [
                 await shard.export_metrics_prometheus()

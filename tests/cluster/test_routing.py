@@ -178,62 +178,3 @@ def test_session_lifecycle_export_resume_and_close():
     info, response = asyncio.run(scenario())
     assert info["solves"] == 1
     assert response.cache_hit  # the resumed head was solved before
-
-
-def test_gossip_prefetches_hot_keys_into_peer_shards(tmp_path):
-    problem = build_problem()
-
-    async def scenario():
-        options = make_options(
-            gossip_threshold=2, cache_dir=str(tmp_path / "tier")
-        )
-        async with ClusterRouter(options) as cluster:
-            owner = cluster.shard_for(
-                SolveRequest(problem, "symgd", dict(FAST_PARAMS)).fingerprint
-            )
-            for _ in range(3):
-                await cluster.submit(problem, "symgd", FAST_PARAMS)
-            await cluster.drain()  # gossip tasks settle
-            stats = await cluster.stats()
-            peer = cluster.shards[1 - owner].server
-            fingerprint = SolveRequest(
-                problem, "symgd", dict(FAST_PARAMS)
-            ).fingerprint
-            resident = peer.engine.cache.get(fingerprint) is not None
-            return stats, resident
-
-    stats, resident = asyncio.run(scenario())
-    # The hot fingerprint crossed shards via the shared disk tier.
-    assert stats.gossip_prefetches == 1
-    assert resident
-
-
-def test_gossip_hot_counts_are_bounded():
-    # Threshold is high enough that no prefetch task fires: this exercises
-    # only the counter table, which must stay bounded under an unbounded
-    # stream of distinct fingerprints.
-    router = ClusterRouter(make_options(gossip_threshold=100, hot_count_limit=8))
-    for index in range(50):
-        router._maybe_gossip(0, f"fp{index:03d}")
-    assert len(router._hot_counts) == 8
-    # LRU semantics: the newest fingerprints survive, the oldest are gone.
-    assert "fp049" in router._hot_counts
-    assert "fp000" not in router._hot_counts
-
-
-def test_cluster_stats_report_tracked_hot_keys(tmp_path):
-    problem = build_problem()
-
-    async def scenario():
-        options = make_options(
-            gossip_threshold=2, cache_dir=str(tmp_path / "tier")
-        )
-        async with ClusterRouter(options) as cluster:
-            for _ in range(3):
-                await cluster.submit(problem, "symgd", FAST_PARAMS)
-            await cluster.drain()
-            return await cluster.stats()
-
-    stats = asyncio.run(scenario())
-    assert stats.hot_keys_tracked == 1
-    assert stats.to_dict()["hot_keys_tracked"] == 1

@@ -137,11 +137,8 @@ def test_cell_error_lower_bound_is_sound(seed):
 
 
 def test_batched_cell_bounds_match_reference(nonlinear_problem):
-    from repro.core.cells import (
-        CellBoundEvaluator,
-        cell_error_bounds_many,
-        cell_error_bounds_reference,
-    )
+    from repro.core.cells import CellBoundEvaluator, cell_error_bounds_many
+    from repro.testing import cell_error_bounds_reference
 
     cells = grid_cells(nonlinear_problem.num_attributes, 0.5)
     rng = np.random.default_rng(11)
@@ -149,8 +146,7 @@ def test_batched_cell_bounds_match_reference(nonlinear_problem):
         center = rng.dirichlet(np.ones(nonlinear_problem.num_attributes))
         cells.append(cell_around(center, 0.3))
     reference = [cell_error_bounds_reference(nonlinear_problem, c) for c in cells]
-    assert cell_error_bounds_many(nonlinear_problem, cells, vectorized=True) == reference
-    assert cell_error_bounds_many(nonlinear_problem, cells, vectorized=False) == reference
+    assert cell_error_bounds_many(nonlinear_problem, cells) == reference
     evaluator = CellBoundEvaluator(nonlinear_problem)
     assert evaluator.bounds(cells[0]) == reference[0]
     assert evaluator.bounds_many([]) == []

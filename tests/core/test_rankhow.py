@@ -10,7 +10,7 @@ import pytest
 from repro.core.constraints import ConstraintSet, min_weight
 from repro.core.problem import RankingProblem, ToleranceSettings
 from repro.core.ranking import Ranking
-from repro.core.rankhow import RankHow, RankHowOptions, solve_exact
+from repro.core.rankhow import RankHow, RankHowOptions
 from repro.data.rankings import ranking_from_scores
 from repro.data.relation import Relation
 from repro.data.synthetic import generate_uniform
@@ -140,12 +140,6 @@ def test_warm_start_is_used_as_incumbent(nonlinear_problem):
     options = RankHowOptions(node_limit=0, warm_start_strategy="none", verify=False)
     result = RankHow(options).solve(nonlinear_problem, warm_start=warm)
     assert result.error <= nonlinear_problem.error_of(warm)
-
-
-def test_solve_exact_convenience(linear_problem):
-    with pytest.warns(DeprecationWarning, match="solve_exact"):
-        result = solve_exact(linear_problem, _FAST)
-    assert result.error == 0
 
 
 def test_diagnostics_contents(linear_problem):

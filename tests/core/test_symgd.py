@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.problem import RankingProblem
-from repro.core.rankhow import RankHowOptions
+from repro.core.rankhow import RankHow, RankHowOptions
 from repro.core.symgd import SymGD, SymGDOptions
 from repro.data.rankings import ranking_from_scores
+from repro.data.relation import Relation
 from repro.data.synthetic import generate_uniform
 
 _FAST_SOLVER = RankHowOptions(node_limit=200, verify=False, warm_start_strategy="none")
@@ -94,53 +95,34 @@ def test_symgd_larger_cells_do_not_hurt_final_error():
     assert large.error <= small.error + 1  # larger neighbourhoods see more of the space
 
 
-def test_multi_seed_lockstep_matches_reference(nonlinear_problem):
-    from repro.core.symgd import default_seed_points
-
-    options = SymGDOptions(
-        cell_size=0.25,
-        max_iterations=4,
-        solver_options=RankHowOptions(
-            node_limit=40, verify=False, warm_start_strategy="none"
-        ),
+def test_adaptive_final_solve_respects_the_time_budget(monkeypatch):
+    # A sum-of-squares ranking no linear scorer reproduces: the descent gets
+    # stuck at every cell size and doubles its way up to max_cell_size.
+    rng = np.random.default_rng(0)
+    matrix = rng.uniform(size=(30, 3))
+    problem = RankingProblem(
+        Relation.from_matrix(matrix),
+        ranking_from_scores(np.sum(matrix**2, axis=1), k=6),
     )
-    solver = SymGD(options)
-    seeds = default_seed_points(nonlinear_problem, 3)
-    reference = solver.solve_multi_seed(nonlinear_problem, seeds=seeds, vectorized=False)
-    lockstep = solver.solve_multi_seed(nonlinear_problem, seeds=seeds, vectorized=True)
-    assert lockstep.error == reference.error
-    assert np.array_equal(lockstep.weights, reference.weights)
-    assert (
-        lockstep.diagnostics["per_seed_errors"]
-        == reference.diagnostics["per_seed_errors"]
-    )
-    assert lockstep.iterations == reference.iterations
-    assert lockstep.nodes == reference.nodes
-    assert lockstep.method == reference.method
+    limits = []
+    solve = RankHow.solve
 
+    def recording_solve(self, *args, **kwargs):
+        limits.append(self.options.time_limit)
+        return solve(self, *args, **kwargs)
 
-def test_multi_seed_adaptive_lockstep_matches_reference(nonlinear_problem):
-    from repro.core.symgd import default_seed_points
-
+    monkeypatch.setattr(RankHow, "solve", recording_solve)
     options = SymGDOptions(
-        cell_size=0.2,
+        cell_size=0.05,
         adaptive=True,
-        max_iterations=6,
-        max_cell_size=0.9,
-        solver_options=RankHowOptions(
-            node_limit=40, verify=False, warm_start_strategy="none"
-        ),
+        max_cell_size=0.2,
+        time_limit=30.0,
+        solver_options=RankHowOptions(warm_start_strategy="none"),
     )
-    solver = SymGD(options)
-    seeds = default_seed_points(nonlinear_problem, 3)
-    reference = solver.solve_multi_seed(nonlinear_problem, seeds=seeds, vectorized=False)
-    lockstep = solver.solve_multi_seed(nonlinear_problem, seeds=seeds, vectorized=True)
-    assert lockstep.error == reference.error
-    assert (
-        lockstep.diagnostics["per_seed_errors"]
-        == reference.diagnostics["per_seed_errors"]
-    )
-    assert lockstep.method == "symgd-adaptive-multiseed"
+    result = SymGD(options).solve(problem)
+    assert result.diagnostics["final_cell_size"] == options.max_cell_size
+    assert limits
+    assert all(limit is not None and limit <= 30.0 for limit in limits), limits
 
 
 def test_symgd_reports_lp_iteration_totals(nonlinear_problem):

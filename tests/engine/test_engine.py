@@ -186,8 +186,8 @@ def test_build_solver_honors_rankhow_warm_start():
     assert 0 <= result.error <= problem.error_of(np.asarray(warm))
 
 
-def test_engine_vectorized_multi_seed_matches_executor_path():
-    from repro.core.symgd import SymGDOptions, default_seed_points
+def test_engine_multi_seed_matches_in_process_loop():
+    from repro.core.symgd import SymGD, SymGDOptions, default_seed_points
     from repro.core.rankhow import RankHowOptions
 
     problem = build_problem(k=4, seed=5)
@@ -201,19 +201,18 @@ def test_engine_vectorized_multi_seed_matches_executor_path():
     seeds = default_seed_points(problem, 3)
     with SolveEngine(backend="serial") as engine:
         pooled = engine.multi_seed_symgd(problem, options=options, seeds=seeds)
-        lockstep = engine.multi_seed_symgd(
-            problem, options=options, seeds=seeds, vectorized=True
-        )
-    assert lockstep.error == pooled.error
-    assert np.array_equal(lockstep.weights, pooled.weights)
+    in_process = SymGD(options).solve_multi_seed(problem, seeds=seeds)
+    assert in_process.error == pooled.error
+    assert np.array_equal(in_process.weights, pooled.weights)
     assert (
-        lockstep.diagnostics["per_seed_errors"]
+        in_process.diagnostics["per_seed_errors"]
         == pooled.diagnostics["per_seed_errors"]
     )
 
 
 def test_engine_cell_error_bounds_helper():
-    from repro.core.cells import cell_error_bounds_reference, grid_cells
+    from repro.core.cells import grid_cells
+    from repro.testing import cell_error_bounds_reference
 
     problem = build_problem(k=3, seed=2)
     cells = grid_cells(problem.num_attributes, 0.5)

@@ -55,10 +55,13 @@ def test_executor_rejects_bad_worker_count():
         ThreadExecutor(max_workers=0)
 
 
-def test_multi_seed_symgd_parity_across_backends(nonlinear_problem):
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_multi_seed_symgd_parity_across_backends(nonlinear_problem, adaptive):
     options = SymGDOptions(
         cell_size=0.2,
+        adaptive=adaptive,
         max_iterations=4,
+        max_cell_size=0.9,
         solver_options=RankHowOptions(
             node_limit=60, verify=False, warm_start_strategy="none"
         ),
@@ -66,7 +69,9 @@ def test_multi_seed_symgd_parity_across_backends(nonlinear_problem):
     solver = SymGD(options)
     seeds = default_seed_points(nonlinear_problem, 3)
     reference = solver.solve_multi_seed(nonlinear_problem, seeds=seeds)
-    assert reference.method == "symgd-multiseed"
+    assert reference.method == (
+        "symgd-adaptive-multiseed" if adaptive else "symgd-multiseed"
+    )
     assert len(reference.diagnostics["per_seed_errors"]) == 3
     for backend in BACKENDS:
         with get_executor(backend, max_workers=2) as executor:

@@ -1,5 +1,5 @@
 """Cache policy layer: scoring, scan resistance, hot-set persistence,
-prediction determinism, simulation dominance, and bitwise answer parity."""
+simulation dominance, and bitwise answer parity."""
 
 from __future__ import annotations
 
@@ -12,14 +12,9 @@ from repro.data.rankings import ranking_from_scores
 from repro.data.synthetic import generate_uniform
 from repro.engine.cache import ResultCache
 from repro.engine.engine import SolveEngine, SolveRequest
-from repro.engine.policy import (
-    CostAwarePolicy,
-    make_policy,
-    predict_next_deltas,
-)
+from repro.engine.policy import CostAwarePolicy, make_policy
 from repro.loadgen.report import answer_digest
 from repro.obs.profile import ProfileRecord, WorkloadProfile, simulate_lru, simulate_policy
-from repro.scenarios import mutation_delta, scenario_problem
 
 FAST_PARAMS = {
     "cell_size": 0.25,
@@ -162,37 +157,6 @@ def test_hot_set_missing_or_corrupt_file_loads_nothing(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     assert cache.load_hot_set(bad) == 0
     assert len(cache) == 0
-
-
-# -- prewarm prediction --------------------------------------------------------
-
-
-def test_tolerance_prediction_matches_mutation_delta_exactly():
-    problem = scenario_problem("tied_scores", 0, seed=3)
-    expected_deltas, applied = mutation_delta(problem, "tighten_tolerance", seed=9)
-    assert applied == "tighten_tolerance"
-    predicted = predict_next_deltas(problem, {"tolerance": 5}, limit=1)
-    assert len(predicted) == 1
-    deltas, kind = predicted[0]
-    assert kind == "tolerance"
-    # Parameter-for-parameter identical construction => identical child
-    # problem fingerprints => a prewarmed solve is an *exact* hit for the
-    # analyst's real edit.
-    expected_child = problem.apply_delta(list(expected_deltas))
-    predicted_child = problem.apply_delta(list(deltas))
-    assert predicted_child.fingerprint() == expected_child.fingerprint()
-
-
-def test_prediction_ranks_observed_kinds_first_and_respects_limit():
-    problem = scenario_problem("tied_scores", 0, seed=3)
-    # drop_tuples dominates the observed stream: it must rank first.
-    ranked = predict_next_deltas(problem, {"drop_tuples": 10, "tolerance": 1}, limit=2)
-    assert ranked and ranked[0][1] == "drop_tuples"
-    assert len(ranked) <= 2
-    assert predict_next_deltas(problem, {}, limit=0) == []
-    # Cold start (no observations): declaration order, tolerance first.
-    cold = predict_next_deltas(problem, {}, limit=2)
-    assert cold[0][1] == "tolerance"
 
 
 # -- simulation dominance ------------------------------------------------------

@@ -25,7 +25,6 @@ TOP_LEVEL = {
     "backend": str,
     "max_workers": int,
     "solver_invocations": int,
-    "prewarm_solves": int,
     "cache_policy": str,
     "executor": dict,
     "cache": dict,
@@ -42,7 +41,7 @@ CACHE_KEYS = {
     "promotions",
     "hit_rate",
 }
-INCREMENTAL_KEYS = {"exact_hits", "parent_hits", "cold_solves"}
+INCREMENTAL_KEYS = {"exact_hits", "cold_solves"}
 DATAPLANE_KEYS = {
     "pruned_tuples_total",
     "chunked_evals_total",

@@ -97,58 +97,6 @@ def test_deadline_expires_while_queued_in_the_batch_window():
     assert stats.deadline_exceeded == 1
 
 
-def test_deadline_budget_rate_caps_explicit_iterations_only():
-    server = QueryServer(
-        options=QueryServerOptions(deadline_budget_rate=100.0)
-    )
-    from repro.engine.engine import SolveRequest
-
-    capped = server._apply_deadline_budget(
-        SolveRequest(build_problem(), "symgd", dict(FAST_PARAMS)), 0.02
-    )
-    # 0.02s at 100 iterations/s -> budget 2, under the explicit 4.
-    assert capped.options["max_iterations"] == 2
-
-    roomy = server._apply_deadline_budget(
-        SolveRequest(build_problem(), "symgd", dict(FAST_PARAMS)), 10.0
-    )
-    assert roomy.options["max_iterations"] == 4  # budget above ask: untouched
-
-    defaults = server._apply_deadline_budget(
-        SolveRequest(build_problem(), "symgd", {}), 0.02
-    )
-    # No explicit max_iterations: never cap method defaults (that would
-    # change the fingerprint of every deadline-carrying request).
-    assert "max_iterations" not in defaults.options
-
-    no_rate = QueryServer()._apply_deadline_budget(
-        SolveRequest(build_problem(), "symgd", dict(FAST_PARAMS)), 0.02
-    )
-    assert no_rate.options["max_iterations"] == 4
-
-
-def test_budget_capped_request_changes_fingerprint_not_correctness():
-    problem = build_problem()
-
-    async def scenario():
-        options = QueryServerOptions(
-            batch_window=0.0, deadline_budget_rate=100.0
-        )
-        async with QueryServer(options=options) as server:
-            capped = await server.submit(
-                problem, "symgd", FAST_PARAMS, deadline=0.02
-            )
-            free = await server.submit(problem, "symgd", FAST_PARAMS)
-            return capped, free
-
-    capped, free = asyncio.run(scenario())
-    # The capped solve is a *different request* (fewer iterations), solved
-    # and cached under its own fingerprint -- not a corrupted entry of the
-    # uncapped one.
-    assert capped.outcome.fingerprint != free.outcome.fingerprint
-    assert not free.cache_hit
-
-
 def test_session_deadline_sheds_before_committing_deltas():
     problem = build_problem()
 

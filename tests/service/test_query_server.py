@@ -11,6 +11,7 @@ from repro.core.problem import RankingProblem
 from repro.data.rankings import ranking_from_scores
 from repro.data.synthetic import generate_uniform
 from repro.engine import SolveEngine
+from repro.loadgen.report import answer_digest
 from repro.service import QueryServer, QueryServerOptions
 
 FAST_PARAMS = {
@@ -220,3 +221,39 @@ def test_allowed_methods_restricts_the_endpoint():
 def test_allowed_methods_typo_fails_at_construction():
     with pytest.raises(ValueError, match="registered methods"):
         QueryServer(options=QueryServerOptions(allowed_methods=("symgdd",)))
+
+
+def test_hot_set_survives_a_restart(tmp_path):
+    hot_path = tmp_path / "hot.json"
+    options = QueryServerOptions(
+        cache_policy="cost",
+        cache_dir=str(tmp_path / "cache"),
+        hot_set_path=str(hot_path),
+    )
+
+    async def first_run():
+        async with QueryServer(options=options) as server:
+            session_id = await server.open_session(
+                build_problem(), "symgd", FAST_PARAMS
+            )
+            response = await server.submit_session(session_id)
+            assert response.outcome.served == "cold"
+            return answer_digest(response.result)
+
+    async def second_run():
+        async with QueryServer(options=options) as server:
+            # stop() on the first server saved the scored hot set; startup
+            # promoted it back into memory without touching hit/miss stats.
+            assert server._hot_set_loaded >= 1
+            assert server.engine.cache.stats.promotions >= 1
+            assert server.engine.cache.stats.hits == 0
+            session_id = await server.open_session(
+                build_problem(), "symgd", FAST_PARAMS
+            )
+            response = await server.submit_session(session_id)
+            assert response.outcome.cache_hit
+            return answer_digest(response.result)
+
+    digest_cold = asyncio.run(first_run())
+    assert hot_path.exists()
+    assert asyncio.run(second_run()) == digest_cold

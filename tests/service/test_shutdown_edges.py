@@ -1,4 +1,4 @@
-"""Shutdown edges: drain vs in-flight prewarm, double-stop idempotence."""
+"""Shutdown edges: double-stop idempotence."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.cluster import ClusterOptions, ClusterRouter
 from repro.cluster.shard import ProcessShard
-from repro.core.delta import ToleranceDelta
 from repro.core.problem import RankingProblem
 from repro.core.ranking import Ranking
 from repro.data.relation import Relation
@@ -31,46 +30,6 @@ def make_problem(seed: int = 3, n: int = 12) -> RankingProblem:
     scores = relation.matrix() @ np.array([0.5, 0.3, 0.2])
     order = np.argsort(-scores)[:4]
     return RankingProblem(relation, Ranking.from_ordered_indices(order, n))
-
-
-def tighten(problem: RankingProblem) -> dict:
-    t = problem.tolerances
-    return ToleranceDelta(
-        tie_eps=t.tie_eps / 2, eps1=t.eps1 / 2, eps2=t.eps2 / 2
-    ).to_dict()
-
-
-def test_drain_racing_inflight_prewarm_settles_cleanly():
-    """drain() called the instant a session solve returns -- while its
-    prewarm tasks are still being scheduled -- must wait the prewarms out,
-    and a second drain right after must find nothing left to do."""
-
-    async def scenario():
-        problem = make_problem()
-        options = QueryServerOptions(prewarm=True, prewarm_candidates=2)
-        async with QueryServer(options=options) as server:
-            session_id = await server.open_session(problem, "symgd", FAST)
-            # Seed the workload model so the NEXT solve schedules prewarms.
-            await server.submit_session(session_id, deltas=[tighten(problem)])
-            solve = await server.submit_session(
-                session_id, deltas=[tighten(problem.apply_delta(
-                    [ToleranceDelta(
-                        tie_eps=problem.tolerances.tie_eps / 2,
-                        eps1=problem.tolerances.eps1 / 2,
-                        eps2=problem.tolerances.eps2 / 2,
-                    )]
-                ))]
-            )
-            assert solve.result is not None
-            # No sleep: drain races whatever prewarm work the solve spawned.
-            await asyncio.gather(server.drain(), server.drain())
-            assert not server._prewarm_tasks
-            stats = server.stats()
-            await server.drain()  # idempotent once settled
-            return stats
-
-    stats = asyncio.run(scenario())
-    assert stats.prewarmed >= 1
 
 
 def test_query_server_double_stop_is_idempotent():
