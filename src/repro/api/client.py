@@ -43,7 +43,7 @@ class RankHowClient:
         backend: Executor backend of the owned engine (``serial`` /
             ``thread`` / ``process`` / ``auto``).
         max_workers: Worker cap for pooled backends.
-        cache_capacity: In-memory LRU size of the owned engine's cache.
+        cache_capacity: In-memory entry capacity of the owned engine's cache.
         cache_dir: Optional on-disk cache directory of the owned engine.
     """
 

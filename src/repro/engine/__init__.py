@@ -9,21 +9,15 @@ throughput.  It sits between :mod:`repro.core` (the algorithms) and
   backends behind one ``map_cells`` interface;
 * :mod:`repro.engine.fingerprint` -- canonical SHA-256 digests of problems,
   cells, and solver options (content addressing);
-* :mod:`repro.engine.cache` -- LRU + optional on-disk JSON result cache;
-* :mod:`repro.engine.policy` -- pluggable cache policies (cost x frequency
-  scoring, hot-set persistence metadata);
+* :mod:`repro.engine.cache` -- the result cache: a memory tier that evicts
+  by cost x frequency score, an optional on-disk JSON tier, and hot-set
+  persistence;
 * :mod:`repro.engine.engine` -- :class:`SolveEngine`, the cached, batched,
   parallel request executor everything above builds on.
 """
 
 from repro.engine.cache import CacheStats, ResultCache
 from repro.engine.engine import IncrementalStats, SolveEngine, SolveOutcome, SolveRequest
-from repro.engine.policy import (
-    POLICY_NAMES,
-    CachePolicy,
-    CostAwarePolicy,
-    make_policy,
-)
 from repro.engine.executor import (
     BACKEND_NAMES,
     Executor,
@@ -51,12 +45,9 @@ from repro.engine.tasks import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "CachePolicy",
     "CacheStats",
-    "CostAwarePolicy",
     "Executor",
     "ExecutorStats",
-    "POLICY_NAMES",
     "ProcessExecutor",
     "ResultCache",
     "SOLVE_METHODS",
@@ -76,6 +67,5 @@ __all__ = [
     "fingerprint_options",
     "fingerprint_problem",
     "get_executor",
-    "make_policy",
     "solve_request_task",
 ]

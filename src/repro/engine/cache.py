@@ -1,11 +1,19 @@
-"""Content-addressed result cache: in-memory LRU plus optional on-disk JSON.
+"""Content-addressed result cache: a scored in-memory tier plus on-disk JSON.
 
 Keys are the hex digests produced by :mod:`repro.engine.fingerprint`; values
-are :class:`~repro.core.result.SynthesisResult` objects.  The in-memory layer
-is an ordered-dict LRU guarded by a lock (the service's batching loop and the
-thread backend both touch it concurrently); the optional disk layer writes one
-``<digest>.json`` file per entry, so caches survive process restarts and can
-be shared between a CLI run and a service instance.
+are :class:`~repro.core.result.SynthesisResult` objects.  The in-memory tier
+is guarded by a lock (the service's batching loop and the thread backend both
+touch it concurrently) and evicts by one rule: every resident entry scores
+``decayed access count x recompute cost`` and the lowest score goes.  A
+brand-new entry starts with one access worth of frequency, so a one-off scan
+key scores below a repeatedly hit, expensive key: inserting it and evicting
+the global minimum *is* the admission filter that keeps scan traffic from
+displacing the hot set.  The score never touches a result, so eviction
+decides which requests hit, never what any request answers.
+
+The optional disk layer writes one ``<digest>.json`` file per entry, so
+caches survive process restarts and can be shared between a CLI run and a
+service instance.
 """
 
 from __future__ import annotations
@@ -15,12 +23,10 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.result import SynthesisResult
-from repro.engine.policy import make_policy
 
 __all__ = ["CacheStats", "ResultCache"]
 
@@ -31,7 +37,7 @@ class CacheStats:
 
     ``promotions`` counts stats-neutral disk-to-memory promotions
     (:meth:`ResultCache.promote`): hot-set reloads are plumbing traffic that
-    must not pollute the hit/miss ratio an adaptive policy learns from.
+    must not pollute the workload's hit/miss ratio.
 
     ``quarantined`` counts disk-tier entries set aside as unreadable --
     truncated/corrupt JSON, a payload that does not rebuild, or an envelope
@@ -69,46 +75,59 @@ class CacheStats:
         }
 
 
+#: Cache accesses (hits, stores, promotions) over which an entry's access
+#: count halves.
+_HALFLIFE = 32.0
+#: Floor for recorded recompute costs, so entries whose solve was too fast
+#: to measure still rank by frequency instead of collapsing to score zero.
+_COST_FLOOR = 1e-6
+
+
+@dataclass(slots=True)
+class _Entry:
+    """A resident result plus the state of its eviction score."""
+
+    result: SynthesisResult
+    freq: float  # decayed access count as of ``tick``
+    cost: float  # largest recompute cost recorded for the key
+    tick: int  # cache clock at the last access
+
+    def frequency(self, clock: int) -> float:
+        return self.freq * 0.5 ** ((clock - self.tick) / _HALFLIFE)
+
+    def score(self, clock: int) -> float:
+        return self.frequency(clock) * max(self.cost, _COST_FLOOR)
+
+
 class ResultCache:
-    """LRU of fingerprint -> :class:`SynthesisResult` with optional disk tier.
+    """Fingerprint -> :class:`SynthesisResult`, scored memory tier + disk tier.
 
     Args:
-        capacity: Maximum in-memory entries; the least recently used entry is
-            evicted first.  Evicted entries remain on disk (when a disk path
-            is configured), so a later lookup can still be served without a
+        capacity: Maximum in-memory entries.  Beyond it the entry with the
+            lowest ``decayed access count x recompute cost`` is evicted
+            (ties go oldest first); the count halves every 32 cache
+            accesses.  Evicted entries remain on disk (when a disk path is
+            configured), so a later lookup can still be served without a
             solve.
         disk_path: Directory for the JSON tier; created on demand.  ``None``
             keeps the cache purely in memory.
-        policy: Eviction policy -- a registered name (``"lru"`` / ``"cost"``),
-            a :class:`~repro.engine.policy.CachePolicy` instance, or ``None``.
-            ``"lru"``/``None`` keep the plain recency LRU (the historical
-            behaviour); ``"cost"`` evicts by recompute-cost x EWMA
-            hit-frequency score instead of recency.  Policies never change
-            what a hit returns -- only which keys stay resident.
     """
 
-    def __init__(
-        self,
-        capacity: int = 512,
-        disk_path: str | Path | None = None,
-        policy=None,
-    ):
+    def __init__(self, capacity: int = 512, disk_path: str | Path | None = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.disk_path = Path(disk_path) if disk_path is not None else None
-        self.policy = make_policy(policy)
         self.stats = CacheStats()
-        self._entries: OrderedDict[str, SynthesisResult] = OrderedDict()
+        # Kept in access order (least recent first): score ties evict the
+        # oldest entry, which keeps eviction deterministic.
+        self._entries: OrderedDict[str, _Entry] = OrderedDict()
+        self._clock = 0
         self._lock = threading.Lock()
         #: Chaos hook: called as ``fault_hook(key, path)`` right before each
         #: disk-tier read (see :meth:`repro.chaos.ChaosInjector.cache_read_hook`).
         #: ``None`` (the default) costs one attribute check per disk probe.
         self.fault_hook = None
-
-    @property
-    def policy_name(self) -> str:
-        return self.policy.name if self.policy is not None else "lru"
 
     # -- lookup / store -------------------------------------------------------
 
@@ -119,23 +138,22 @@ class ResultCache:
         diagnostics cannot corrupt the entry served to the next hit.
         """
         with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
-                self._note_access(key)
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._touch(key, entry)
                 self.stats.hits += 1
-                return result.copy()
+                return entry.result.copy()
         disk_result = self._load_from_disk(key)
         with self._lock:
             # Re-check memory before declaring a miss: a concurrent put()
             # may have landed while the lock was released for the disk
             # probe, and recording its entry as a miss would both return a
-            # stale None and corrupt the hit-rate signal adaptive policies
-            # learn from.
-            resident = self._entries.get(key)
-            if resident is not None:
-                self._note_access(key)
+            # stale None and corrupt the hit-rate signal.
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._touch(key, entry)
                 self.stats.hits += 1
-                return resident.copy()
+                return entry.result.copy()
             if disk_result is not None:
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
@@ -148,8 +166,8 @@ class ResultCache:
         """Store a result under a fingerprint (memory and, if set, disk).
 
         ``cost`` is the recompute wall time behind the result (the engine
-        threads its measured solve time through); it feeds the cost-aware
-        policy's keep-score and defaults to the result's own recorded
+        threads its measured solve time through); it feeds the entry's
+        eviction score and defaults to the result's own recorded
         ``solve_time``.
         """
         if cost is None:
@@ -164,16 +182,21 @@ class ResultCache:
         """Stats-neutral disk-to-memory promotion; returns residency.
 
         The hot-set reload on startup (:meth:`load_hot_set`) pulls entries
-        into the memory LRU *speculatively* -- that traffic is plumbing, not
-        workload, so it must not count as hits or misses: an adaptive policy
-        trained on reload-inflated counters would learn the restart history
-        instead of the query stream.  Promotions get their own counter
-        (``stats.promotions``) instead.
+        into memory *speculatively* -- that traffic is plumbing, not
+        workload, so it must not count as hits or misses: counters inflated
+        by reloads would describe the restart history instead of the query
+        stream.  Promotions get their own counter (``stats.promotions``)
+        instead.
         """
+        return self._promote(key)
+
+    def _promote(self, key: str, freq: float = 1.0, cost: float | None = None) -> bool:
+        """:meth:`promote`, inserting with ``freq`` and ``cost`` (default:
+        one access and the result's ``solve_time``)."""
         with self._lock:
             if key in self._entries:
-                # Already resident: refresh nothing but recency-neutrally
-                # report residency (no hit recorded, no reordering).
+                # Already resident: report residency without counting or
+                # reordering anything.
                 return True
         result = self._load_from_disk(key)
         if result is None:
@@ -181,42 +204,39 @@ class ResultCache:
         with self._lock:
             if key not in self._entries:
                 self.stats.promotions += 1
-                self._insert(key, result, cost=result.solve_time)
+                cost = result.solve_time if cost is None else cost
+                self._insert(key, result, cost=cost, freq=freq)
         return True
 
-    def get_or_compute(
-        self, key: str, compute: Callable[[], SynthesisResult]
-    ) -> tuple[SynthesisResult, bool]:
-        """Return ``(result, cache_hit)``, invoking ``compute`` only on a miss."""
-        result = self.get(key)
-        if result is not None:
-            return result, True
-        result = compute()
-        self.put(key, result)
-        return result, False
-
-    def _note_access(self, key: str) -> None:
-        """Record a memory hit with the active policy (lock held)."""
+    def _touch(self, key: str, entry: _Entry) -> None:
+        """Record one access to a resident entry (lock held)."""
+        self._clock += 1
+        entry.freq = entry.frequency(self._clock) + 1.0
+        entry.tick = self._clock
         self._entries.move_to_end(key)
-        if self.policy is not None:
-            self.policy.on_access(key)
 
-    def _insert(self, key: str, result: SynthesisResult, cost: float = 0.0) -> None:
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        if self.policy is not None:
-            self.policy.on_store(key, max(float(cost), 0.0))
+    def _insert(
+        self, key: str, result: SynthesisResult, cost: float, freq: float = 1.0
+    ) -> None:
+        """Store ``result`` and evict down to capacity (lock held)."""
+        cost = max(float(cost), 0.0)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._touch(key, entry)
+            entry.result = result
+            entry.cost = max(entry.cost, cost)
+        else:
+            self._clock += 1
+            self._entries[key] = _Entry(result, freq, cost, self._clock)
+        clock = self._clock
         while len(self._entries) > self.capacity:
-            if self.policy is not None:
-                # Lowest keep-score goes -- which may be the entry just
-                # inserted: evicting the newcomer is exactly the admission
-                # filter that keeps scan traffic from displacing the hot
-                # set (the entry still reaches the disk tier via put()).
-                victim = self.policy.victim(self._entries)
-                self._entries.pop(victim)
-                self.policy.forget(victim)
-            else:
-                self._entries.popitem(last=False)
+            # Lowest score goes -- which may be the entry just inserted:
+            # evicting the newcomer is exactly the admission filter that
+            # keeps scan traffic from displacing the hot set (the entry
+            # still reaches the disk tier via put()).  min() keeps the first
+            # minimum, so ties evict oldest first.
+            victim = min(self._entries, key=lambda k: self._entries[k].score(clock))
+            del self._entries[victim]
             self.stats.evictions += 1
 
     # -- disk tier ------------------------------------------------------------
@@ -313,23 +333,28 @@ class ResultCache:
     # -- hot-set persistence --------------------------------------------------
 
     def save_hot_set(self, path: str | Path) -> int:
-        """Serialize the resident set (keys + policy scores) to JSON.
+        """Serialize the resident set and its eviction scores to JSON.
 
         The file records fingerprints in cache order (least recently used
-        first) plus, under a scoring policy, each key's score/frequency/cost
-        metadata -- enough for :meth:`load_hot_set` to rebuild both the
-        resident set and the priorities that earned it.  Returns the number
-        of entries written; write failures are swallowed (a full disk must
-        not fail a drain), leaving any previous file intact.
+        first), each with its score, decayed frequency and cost -- enough
+        for :meth:`load_hot_set` to rebuild both the resident set and the
+        priorities that earned it.  Returns the number of entries written;
+        write failures are swallowed (a full disk must not fail a drain),
+        leaving any previous file intact.
         """
         path = Path(path)
         with self._lock:
-            keys = list(self._entries)
-            if self.policy is not None:
-                entries = self.policy.export_entries(keys)
-            else:
-                entries = [{"fingerprint": key} for key in keys]
-        payload = {"version": 1, "policy": self.policy_name, "entries": entries}
+            clock = self._clock
+            entries = [
+                {
+                    "fingerprint": key,
+                    "score": entry.score(clock),
+                    "freq": entry.frequency(clock),
+                    "cost": entry.cost,
+                }
+                for key, entry in self._entries.items()
+            ]
+        payload = {"version": 1, "entries": entries}
         tmp_name = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -351,10 +376,12 @@ class ResultCache:
 
         Each recorded fingerprint is promoted from the disk tier
         (stats-neutral: ``promotions``, never hits/misses) in saved order,
-        so the LRU order and -- when the active policy matches the saved
-        one -- the keep-scores survive a restart.  Entries whose disk file
-        is gone are skipped; a missing or corrupt hot-set file loads
-        nothing.  Returns the number of entries promoted.
+        inserted with its saved frequency (at least one access) and cost, so
+        a restart keeps the scores and, into a smaller cache, the
+        best-scored entries.  An entry saved without scores starts fresh,
+        like any promotion.  Entries whose disk file is gone are skipped; a
+        missing or corrupt hot-set file loads nothing.  Returns how many of
+        the file's entries are resident after the load.
         """
         try:
             with Path(path).open("r", encoding="utf-8") as handle:
@@ -362,21 +389,16 @@ class ResultCache:
             entries = list(payload["entries"])
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             return 0
-        seed_scores = (
-            self.policy is not None and payload.get("policy") == self.policy_name
-        )
-        loaded = 0
+        promoted = set()
         for entry in entries:
             if not isinstance(entry, dict) or "fingerprint" not in entry:
                 continue
             key = str(entry["fingerprint"])
-            if not self.promote(key):
-                continue
-            loaded += 1
-            if seed_scores:
-                with self._lock:
-                    self.policy.seed(dict(entry, fingerprint=key))
-        return loaded
+            freq = max(float(entry.get("freq", 1.0)), 1.0)
+            if self._promote(key, freq=freq, cost=entry.get("cost")):
+                promoted.add(key)
+        with self._lock:
+            return sum(key in self._entries for key in promoted)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -384,8 +406,6 @@ class ResultCache:
         """Drop every in-memory entry (and, optionally, the disk tier)."""
         with self._lock:
             self._entries.clear()
-            if self.policy is not None:
-                self.policy.clear()
         if disk and self.disk_path is not None and self.disk_path.is_dir():
             for file in self.disk_path.glob("*.json"):
                 try:

@@ -2,7 +2,7 @@
 
 :class:`SolveEngine` is what the query service (and any batch caller) talks
 to.  It owns an executor backend and a :class:`~repro.engine.cache.ResultCache`
-and exposes four operations:
+and exposes three operations:
 
 * ``solve`` / ``solve_batch`` -- answer how-to-rank requests, deduplicating
   identical requests inside a batch, serving repeats from the cache, and
@@ -10,8 +10,7 @@ and exposes four operations:
 * ``solve_incremental`` -- the session path: an exact cache hit on the
   request's composed fingerprint, else a cold in-process solve;
 * ``multi_seed_symgd`` -- the parallel multi-seed SYM-GD entry point used by
-  the scaling benchmark;
-* ``map_cells`` -- raw access to the executor for custom sweeps.
+  the scaling benchmark.
 """
 
 from __future__ import annotations
@@ -97,13 +96,8 @@ class SolveEngine:
         max_workers: Worker cap for pooled backends.
         cache: An existing :class:`ResultCache` to share, or ``None`` to
             create one from ``cache_capacity`` / ``cache_dir``.
-        cache_capacity: In-memory LRU size for the created cache.
+        cache_capacity: In-memory entry capacity of the created cache.
         cache_dir: Optional on-disk JSON tier for the created cache.
-        cache_policy: Eviction policy for the created cache (``"lru"`` --
-            the default recency LRU -- or ``"cost"`` for recompute-cost x
-            hit-frequency scoring); ignored when an existing ``cache`` is
-            shared.  Policies are answer-neutral: they change which keys
-            stay resident, never what any request returns.
         obs: Optional :class:`~repro.obs.Observability` bundle.  With a
             tracer, every dispatch opens spans (cache decision, executor
             queue-wait/run, solver internals); with a metrics registry, the
@@ -118,7 +112,6 @@ class SolveEngine:
         cache: ResultCache | None = None,
         cache_capacity: int = 512,
         cache_dir: str | Path | None = None,
-        cache_policy: str | None = None,
         obs=None,
     ) -> None:
         self.executor = get_executor(backend, max_workers)
@@ -126,9 +119,7 @@ class SolveEngine:
         self.cache = (
             cache
             if cache is not None
-            else ResultCache(
-                capacity=cache_capacity, disk_path=cache_dir, policy=cache_policy
-            )
+            else ResultCache(capacity=cache_capacity, disk_path=cache_dir)
         )
         self.solver_invocations = 0
         self.pruned_tuples_total = 0
@@ -339,10 +330,10 @@ class SolveEngine:
                 )
             else:
                 solved = self.executor.map_cells(solve_request_task, payloads)
-            # Thread each result's recompute cost into the cache so a
-            # cost-aware policy can weigh it; the solver's own recorded
-            # wall time is the honest number, with the batch's amortized
-            # dispatch wall as the fallback for solvers too fast to time.
+            # Thread each result's recompute cost into the cache's eviction
+            # score; the solver's own recorded wall time is the honest
+            # number, with the batch's amortized dispatch wall as the
+            # fallback for solvers too fast to time.
             shared_cost = (time.perf_counter() - start) / len(payloads)
             for key, result in zip(pending.keys(), solved):
                 self._harvest_dataplane(result)
@@ -450,22 +441,6 @@ class SolveEngine:
             served="cold",
         )
 
-    def solve_delta(
-        self,
-        base: RankingProblem,
-        deltas,
-        method: str = "symgd",
-        params: dict | None = None,
-    ) -> SolveOutcome:
-        """Apply a delta chain to ``base`` and solve the edited problem.
-
-        Convenience wrapper for one-shot callers; session loops
-        (:meth:`repro.api.client.RankHowClient.session`) keep the chain
-        themselves.
-        """
-        child = base.apply_delta(deltas)
-        return self.solve_incremental(SolveRequest(child, method, dict(params or {})))
-
     # -- parallel primitives --------------------------------------------------
 
     def multi_seed_symgd(
@@ -483,10 +458,6 @@ class SolveEngine:
         return SymGD(options).solve_multi_seed(
             problem, seeds=seeds, num_seeds=num_seeds, executor=self.executor
         )
-
-    def map_cells(self, fn, items) -> list:
-        """Raw ordered map on the executor (for custom per-cell sweeps)."""
-        return self.executor.map_cells(fn, items)
 
     def cell_error_bounds(self, problem: RankingProblem, cells):
         """Batched cell-error bounds fanned out over this engine's executor.
@@ -507,7 +478,6 @@ class SolveEngine:
             "backend": self.executor.name,
             "max_workers": self.executor.max_workers,
             "solver_invocations": self.solver_invocations,
-            "cache_policy": self.cache.policy_name,
             "executor": self.executor.stats.as_dict(),
             "cache": self.cache.stats.as_dict(),
             "incremental": self.incremental_stats.as_dict(),

@@ -116,19 +116,16 @@ def build_fault_plan(args: argparse.Namespace) -> FaultPlan | None:
     return FaultPlan(faults, seed=args.seed)
 
 
-async def run(args: argparse.Namespace, cache_policy: str | None = None) -> dict:
+async def run(args: argparse.Namespace) -> dict:
     users = build_users(args)
     plan = build_plan(users, seed=args.seed)
-    policy = cache_policy if cache_policy is not None else args.cache_policy
     chaos = build_fault_plan(args)
     options = ClusterOptions(
         num_shards=args.shards,
         transport=args.transport,
         queue_limit=args.queue_limit,
         cache_dir=args.cache_dir,
-        server=QueryServerOptions(
-            batch_window=args.batch_window, cache_policy=policy
-        ),
+        server=QueryServerOptions(batch_window=args.batch_window),
     )
     async with ClusterRouter(options, chaos=chaos) as cluster:
         if args.mode == "open":
@@ -150,7 +147,6 @@ async def run(args: argparse.Namespace, cache_policy: str | None = None) -> dict
         "shards": args.shards,
         "transport": args.transport,
         "queue_limit": args.queue_limit,
-        "cache_policy": policy,
         "deadline": args.deadline,
         "report": report.to_dict(),
         "digests": dict(report.digests),
@@ -161,48 +157,6 @@ async def run(args: argparse.Namespace, cache_policy: str | None = None) -> dict
         payload["faults"] = cluster.chaos.summary()
         payload["prometheus"] = prometheus
     return payload
-
-
-async def run_policy_comparison(args: argparse.Namespace) -> dict:
-    """The same seeded plan under plain LRU and the cost-aware policy.
-
-    Both legs rebuild the cluster from scratch (cold caches), so the only
-    difference is the eviction policy.  The comparison asserts the parity
-    bar -- every answer digest bitwise-equal across legs -- and reports
-    each leg's serving hit rate and latency percentiles side by side.
-    """
-    legs = {}
-    for policy in ("lru", "cost"):
-        legs[policy] = await run(args, cache_policy=policy)
-    digests_lru = legs["lru"]["digests"]
-    digests_cost = legs["cost"]["digests"]
-    mismatched = sorted(
-        key
-        for key in set(digests_lru) | set(digests_cost)
-        if digests_lru.get(key) != digests_cost.get(key)
-    )
-    def leg_summary(payload: dict) -> dict:
-        cache = payload["cluster"]["totals"]["cache"]
-        report = payload["report"]
-        return {
-            "cache_hit_rate": (
-                cache["hits"] / (cache["hits"] + cache["misses"])
-                if cache["hits"] + cache["misses"]
-                else 0.0
-            ),
-            "cache": cache,
-            "p50_latency": report["latency"]["p50"],
-            "p95_latency": report["latency"]["p95"],
-            "describe": payload["describe"],
-        }
-    return {
-        "seed": args.seed,
-        "shards": args.shards,
-        "comparison": {policy: leg_summary(leg) for policy, leg in legs.items()},
-        "digests_match": not mismatched,
-        "mismatched_digests": mismatched,
-        "legs": legs,
-    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,14 +200,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="per-shard micro-batch window, seconds")
     parser.add_argument("--cache-dir", default=None,
                         help="shared disk cache tier directory")
-    parser.add_argument("--cache-policy", default="lru",
-                        choices=("lru", "cost"),
-                        help="per-shard result-cache eviction policy "
-                        "(default: lru)")
-    parser.add_argument("--compare-policies", action="store_true",
-                        help="run the same seeded plan under lru AND cost "
-                        "policies, assert bitwise answer parity, and report "
-                        "both legs side by side")
     parser.add_argument("--deadline", type=float, default=None,
                         help="per-operation deadline budget, seconds "
                         "(expired requests are shed pre-solve and retried "
@@ -286,28 +232,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--scenario names unknown families "
                          f"{unknown or '(none given)'}")
         args.families = families
-
-    if args.compare_policies:
-        payload = asyncio.run(run_policy_comparison(args))
-        if args.json:
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            print(f"== repro.loadgen policy comparison: {args.shards} shards "
-                  f"({args.transport}), {args.mode} loop ==")
-            for policy, leg in payload["comparison"].items():
-                print(f"  {policy:>4s}: hit_rate="
-                      f"{leg['cache_hit_rate'] * 100:.1f}% "
-                      f"p50={leg['p50_latency'] * 1e3:.1f}ms "
-                      f"p95={leg['p95_latency'] * 1e3:.1f}ms")
-            print(f"  answer parity: "
-                  f"{'OK' if payload['digests_match'] else 'MISMATCH'}")
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
-            print(f"report -> {args.out}", file=sys.stderr)
-        return 0 if payload["digests_match"] else 1
 
     payload = asyncio.run(run(args))
     if args.json:

@@ -12,8 +12,7 @@ engine dispatch -> executor task -> solver internals):
   over one registry snapshot;
 * :mod:`repro.obs.profile` -- the workload profile recorder: the per-request
   JSONL stream (fingerprint, method, delta kinds, inter-arrival gap,
-  recompute cost, hit/miss) that the workload-adaptive cache and the load
-  harness consume.
+  recompute cost, hit/miss) that the load harness replays.
 
 :class:`Observability` bundles the three runtime pieces so a server and its
 engine share one configuration::
@@ -45,8 +44,6 @@ from repro.obs.profile import (
     WorkloadProfile,
     WorkloadRecorder,
     replay_profile,
-    simulate_lru,
-    simulate_policy,
 )
 from repro.obs.trace import (
     NOOP_SPAN,
@@ -97,8 +94,6 @@ __all__ = [
     "WorkloadRecorder",
     "WorkloadProfile",
     "replay_profile",
-    "simulate_lru",
-    "simulate_policy",
 ]
 
 

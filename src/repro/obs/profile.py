@@ -3,17 +3,13 @@
 Every served request becomes one :class:`ProfileRecord` -- request identity
 (fingerprint, method), the session edit kinds that produced it, its
 inter-arrival gap, what it cost to (re)compute, and how it was served
-(hit/miss/coalesced/tier).  The stream is the direct input of the
-workload-adaptive cache and the load harness planned on the roadmap: an
-observe-then-precompute loop needs to know *what* arrives, *how often*, and
-*what a miss costs* before it can decide what to keep.
+(hit/miss/coalesced/tier): *what* arrives, *how often*, and *what a miss
+costs*.  The load harness replays it (:class:`repro.loadgen.ReplayUser`).
 
 Records write as JSON Lines (one object per line) so a long-running service
 appends cheaply and a consumer can tail the file; :meth:`WorkloadProfile.load`
-reads a file back, and the replay helpers reproduce the hit/miss sequence --
-either against a real engine (:func:`replay_profile`, given a way to rebuild
-each request) or as a pure LRU simulation (:func:`simulate_lru`) when only
-the fingerprint stream is available.
+reads a file back, and :func:`replay_profile` reproduces the hit/miss
+sequence against a real engine, given a way to rebuild each request.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -30,8 +25,6 @@ __all__ = [
     "WorkloadRecorder",
     "WorkloadProfile",
     "replay_profile",
-    "simulate_lru",
-    "simulate_policy",
 ]
 
 
@@ -49,8 +42,7 @@ class ProfileRecord:
         gap: Seconds since the previous recorded request (0.0 for the first).
         latency: End-to-end seconds the caller waited.
         cost: Seconds of (re)compute behind the response -- the engine solve
-            wall time; near zero for cache hits, the number an admission
-            policy weighs against hit probability.
+            wall time; near zero for cache hits.
         cache_hit: Served from the result cache.
         coalesced: Attached to an in-flight identical request.
         served: Incremental tier (``"exact"``/``"cold"``) or ``None`` on
@@ -301,69 +293,4 @@ def replay_profile(profile: WorkloadProfile, engine, resolve) -> list[bool]:
                 f"({outcome.fingerprint} != {record.fingerprint})"
             )
         flags.append(outcome.cache_hit)
-    return flags
-
-
-def simulate_lru(profile: WorkloadProfile, capacity: int) -> list[bool]:
-    """Pure LRU-cache simulation over the recorded fingerprint stream.
-
-    No solver runs: each request is a hit iff its fingerprint is in a
-    simulated LRU of ``capacity`` entries.  Useful for sizing a cache from a
-    profile (sweep capacities, compare simulated hit rates) without
-    replaying any compute.
-    """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    entries: OrderedDict[str, None] = OrderedDict()
-    flags = []
-    for record in profile:
-        hit = record.fingerprint in entries
-        flags.append(hit)
-        entries[record.fingerprint] = None
-        entries.move_to_end(record.fingerprint)
-        while len(entries) > capacity:
-            entries.popitem(last=False)
-    return flags
-
-
-def simulate_policy(
-    profile: WorkloadProfile, capacity: int, policy="cost", **options
-) -> list[bool]:
-    """Policy-driven cache simulation over the recorded fingerprint stream.
-
-    The pluggable-policy counterpart of :func:`simulate_lru`: the simulated
-    cache runs the same access/store/evict protocol as
-    :class:`~repro.engine.cache.ResultCache` under ``policy`` (a registered
-    name or a :class:`~repro.engine.policy.CachePolicy` instance, with
-    ``options`` forwarded to its constructor), feeding each record's
-    recorded recompute ``cost`` into the policy on insert.  ``"lru"`` falls
-    back to :func:`simulate_lru`, so a capacity sweep can compare policies
-    over one code path.  No solver runs -- this is how an operator sizes
-    and picks a policy *from a recorded profile* before flipping the
-    serving flag.
-    """
-    # Imported lazily: the engine package imports repro.obs.trace, so a
-    # module-level import here would be circular.
-    from repro.engine.policy import make_policy
-
-    resolved = make_policy(policy, **options)
-    if resolved is None:
-        return simulate_lru(profile, capacity)
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    entries: OrderedDict[str, None] = OrderedDict()
-    flags = []
-    for record in profile:
-        hit = record.fingerprint in entries
-        flags.append(hit)
-        if hit:
-            entries.move_to_end(record.fingerprint)
-            resolved.on_access(record.fingerprint)
-            continue
-        entries[record.fingerprint] = None
-        resolved.on_store(record.fingerprint, max(record.cost, 0.0))
-        while len(entries) > capacity:
-            victim = resolved.victim(entries)
-            entries.pop(victim)
-            resolved.forget(victim)
     return flags

@@ -131,7 +131,6 @@ def server_options(args: argparse.Namespace) -> QueryServerOptions:
         max_batch=args.max_batch,
         cache_dir=args.cache_dir,
         allowed_methods=args.allowed_methods,
-        cache_policy=args.cache_policy,
         hot_set_path=args.hot_set,
         memory_budget_mb=args.memory_budget_mb,
     )
@@ -213,7 +212,6 @@ async def run_session_demo(args: argparse.Namespace) -> tuple[QueryServer, list]
         max_workers=args.executor_workers,
         cache_dir=args.cache_dir,
         allowed_methods=args.allowed_methods,
-        cache_policy=args.cache_policy,
         hot_set_path=args.hot_set,
         memory_budget_mb=args.memory_budget_mb,
     )
@@ -317,10 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--cache-dir", default=None,
                         help="optional on-disk result cache directory")
-    parser.add_argument("--cache-policy", default="lru",
-                        choices=("lru", "cost"),
-                        help="result-cache eviction policy: plain recency "
-                        "LRU, or cost x frequency scoring (default: lru)")
     parser.add_argument("--memory-budget-mb", type=float, default=None,
                         help="data-plane transient-memory budget in MB for "
                         "chunked evaluation (default: library default)")

@@ -70,7 +70,8 @@ class QueryServerOptions:
             of a batch arrives.  Zero still batches whatever is already
             queued (pure opportunistic batching).
         max_batch: Hard cap on queries per engine batch.
-        cache_capacity: LRU capacity of the owned engine's result cache.
+        cache_capacity: In-memory entry capacity of the owned engine's
+            result cache.
         cache_dir: Optional on-disk cache directory of the owned engine.
         history_limit: Per-request telemetry records kept in memory; older
             records are dropped (aggregate counters keep counting), so a
@@ -82,11 +83,8 @@ class QueryServerOptions:
         max_sessions: Stateful edit sessions kept alive concurrently; the
             least recently used session is evicted when the cap is hit (its
             exported delta chain can still be resumed later).
-        cache_policy: Eviction policy of the owned engine's cache: ``"lru"``
-            (the default recency LRU) or ``"cost"`` (recompute-cost x
-            hit-frequency scoring).  Answer-neutral either way.
         hot_set_path: JSON file for hot-set persistence: the resident cache
-            set (plus policy scores) is saved on :meth:`drain`/:meth:`stop`
+            set (plus eviction scores) is saved on :meth:`drain`/:meth:`stop`
             and promoted back from the disk tier on :meth:`start`, so a
             restart recovers its hit rate without cold traffic.  Requires
             ``cache_dir`` to be useful (promotion reads the disk tier).
@@ -105,7 +103,6 @@ class QueryServerOptions:
     history_limit: int = 10000
     allowed_methods: tuple[str, ...] | None = None
     max_sessions: int = 32
-    cache_policy: str = "lru"
     hot_set_path: str | None = None
     memory_budget_mb: float | None = None
 
@@ -290,7 +287,6 @@ class QueryServer:
             max_workers=self.options.max_workers,
             cache_capacity=self.options.cache_capacity,
             cache_dir=self.options.cache_dir,
-            cache_policy=self.options.cache_policy,
         )
         self._owns_obs = False
         if obs is not None:
@@ -380,7 +376,7 @@ class QueryServer:
             ),
             "repro_service_hot_set_loaded": (
                 "gauge",
-                "Hot-set entries promoted from disk at startup",
+                "Hot-set entries resident after the startup reload",
                 self._hot_set_loaded,
             ),
             "repro_service_deadline_exceeded_total": (

@@ -6,7 +6,9 @@
   parity, the batched cell bounds against their scalar reference
   :func:`~repro.testing.invariants.cell_error_bounds_reference`), each
   returning :class:`~repro.testing.invariants.CheckResult` objects so
-  callers can aggregate instead of stopping at the first raise.
+  callers can aggregate instead of stopping at the first raise; plus
+  :func:`~repro.testing.invariants.simulate_lru`, the recency reference the
+  result cache's eviction rule is measured against.
 * :mod:`repro.testing.oracle` -- :class:`~repro.testing.oracle.DifferentialOracle`,
   which runs every registered method on a generated scenario and applies
   the full invariant battery, producing one assertable
@@ -32,6 +34,7 @@ from repro.testing.invariants import (
     check_zero_error_witness,
     cell_error_bounds_reference,
     results_equal,
+    simulate_lru,
 )
 from repro.testing.oracle import (
     FAST_METHOD_OPTIONS,
@@ -55,6 +58,7 @@ __all__ = [
     "check_zero_error_witness",
     "cell_error_bounds_reference",
     "results_equal",
+    "simulate_lru",
     "FAST_METHOD_OPTIONS",
     "DifferentialOracle",
     "OracleReport",

@@ -22,6 +22,8 @@ violation at once).  The invariants:
   of two never changes any weight vector's error (metamorphic).
 * **executor / cache parity** -- serial, thread, and process backends (and
   cache hit vs. fresh solve) produce identical fingerprints and results.
+  :func:`simulate_lru` is the recency reference the result cache's
+  eviction rule is measured against.
 * **vectorized parity** -- the batched cell-bound classifier must match
   :func:`cell_error_bounds_reference`, the scalar loop kept here as its
   oracle, exactly.
@@ -33,6 +35,7 @@ violation at once).  The invariants:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -42,6 +45,7 @@ from repro.core.cells import Cell, cell_around, cell_error_bounds
 from repro.core.problem import RankingProblem
 from repro.core.result import SynthesisResult
 from repro.data.rng import as_generator
+from repro.obs.profile import WorkloadProfile
 from repro.scenarios.generator import permute_tuples, rescale_problem
 
 __all__ = [
@@ -60,6 +64,7 @@ __all__ = [
     "check_streaming_parity",
     "check_incremental_parity",
     "cell_error_bounds_reference",
+    "simulate_lru",
     "PARITY_METHOD_OPTIONS",
     "results_equal",
 ]
@@ -611,6 +616,28 @@ def check_cache_parity(
     else:
         checks.append(_ok(invariant, method))
     return checks
+
+
+def simulate_lru(profile: WorkloadProfile, capacity: int) -> list[bool]:
+    """Pure LRU-cache simulation over the recorded fingerprint stream.
+
+    No solver runs: each request is a hit iff its fingerprint is in a
+    simulated LRU of ``capacity`` entries.  Useful for sizing a cache from a
+    profile (sweep capacities, compare simulated hit rates) without
+    replaying any compute.
+    """
+    if capacity < 1:
+        raise ValueError("capacity must be >= 1")
+    entries: OrderedDict[str, None] = OrderedDict()
+    flags = []
+    for record in profile:
+        hit = record.fingerprint in entries
+        flags.append(hit)
+        entries[record.fingerprint] = None
+        entries.move_to_end(record.fingerprint)
+        while len(entries) > capacity:
+            entries.popitem(last=False)
+    return flags
 
 
 # -- incremental synthesis ----------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Result cache: hit/miss/eviction semantics and the on-disk tier."""
+"""Result cache: hit/miss semantics, the eviction score, the on-disk tier
+and hot-set persistence."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +24,13 @@ def make_result(error: int, method: str = "symgd") -> SynthesisResult:
     )
 
 
+def saved_entries(cache: ResultCache, path) -> dict:
+    """The cache's hot-set records (score, freq, cost) by fingerprint."""
+    cache.save_hot_set(path)
+    entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
+    return {entry["fingerprint"]: entry for entry in entries}
+
+
 def test_hit_miss_and_stats():
     cache = ResultCache(capacity=4)
     assert cache.get("a") is None
@@ -34,29 +44,56 @@ def test_hit_miss_and_stats():
     assert "a" in cache and len(cache) == 1
 
 
-def test_lru_eviction_order():
+def test_rehit_entry_survives_eviction():
     cache = ResultCache(capacity=2)
     cache.put("a", make_result(1))
     cache.put("b", make_result(2))
-    assert cache.get("a") is not None  # refresh "a"; "b" is now least recent
+    assert cache.get("a") is not None  # re-hit "a": it now outscores "b"
     cache.put("c", make_result(3))
     assert cache.stats.evictions == 1
     assert "b" not in cache
     assert "a" in cache and "c" in cache
 
 
-def test_get_or_compute_invokes_only_on_miss():
+def test_victim_is_lowest_score_not_oldest():
+    cache = ResultCache(capacity=2)
+    cache.put("expensive", make_result(1), cost=1.0)
+    cache.put("cheap", make_result(2), cost=0.001)
+    cache.put("newcomer", make_result(3), cost=0.5)
+    # Recency alone would evict "expensive" (the oldest entry); the score
+    # evicts the cheap one instead.
+    assert cache.stats.evictions == 1
+    assert "cheap" not in cache
+    assert "expensive" in cache and "newcomer" in cache
+
+
+def test_frequency_estimate_decays(tmp_path):
     cache = ResultCache(capacity=4)
-    calls = []
+    cache.put("a", make_result(1), cost=1.0)
+    # 32 cache accesses that never touch "a": the store of "b" and 31 hits.
+    cache.put("b", make_result(2), cost=1.0)
+    for _ in range(31):
+        assert cache.get("b") is not None
+    entries = saved_entries(cache, tmp_path / "hot.json")
+    assert entries["a"]["freq"] == pytest.approx(0.5)
+    assert entries["a"]["score"] == pytest.approx(0.5)
 
-    def compute():
-        calls.append(1)
-        return make_result(7)
 
-    result, hit = cache.get_or_compute("key", compute)
-    assert not hit and result.error == 7 and len(calls) == 1
-    result, hit = cache.get_or_compute("key", compute)
-    assert hit and result.error == 7 and len(calls) == 1
+def test_hot_set_survives_a_scan():
+    cache = ResultCache(capacity=4)
+    hot = [f"hot{i}" for i in range(3)]
+    for key in hot:
+        cache.put(key, make_result(1), cost=1.0)
+    for _ in range(5):
+        for key in hot:
+            assert cache.get(key) is not None
+    # A scan of cheap one-offs washes through: each newcomer is admitted
+    # and immediately evicted as the global minimum score.
+    for index in range(20):
+        cache.put(f"scan{index}", make_result(2), cost=1e-9)
+    for key in hot:
+        assert key in cache
+    assert cache.stats.evictions == 19
 
 
 def test_disk_tier_round_trip(tmp_path):
@@ -247,3 +284,48 @@ def test_promote_without_disk_tier_is_a_noop():
     assert cache.promote("anything") is False
     assert cache.stats.promotions == 0
     assert cache.stats.hits == 0 and cache.stats.misses == 0
+
+
+# -- hot-set persistence -------------------------------------------------------
+
+
+def test_hot_set_round_trip_restores_entries_and_scores(tmp_path):
+    cache_dir = tmp_path / "tier"
+    cache = ResultCache(capacity=8, disk_path=cache_dir)
+    for index in range(4):
+        cache.put(f"k{index}", make_result(index), cost=float(index + 1))
+    cache.get("k3")
+    hot_file = tmp_path / "hot.json"
+    assert cache.save_hot_set(hot_file) == 4
+    saved = json.loads(hot_file.read_text(encoding="utf-8"))
+    assert saved["version"] == 1
+
+    restarted = ResultCache(capacity=8, disk_path=cache_dir)
+    assert restarted.load_hot_set(hot_file) == 4
+    assert len(restarted) == 4
+    # Stats-neutral rebuild: promotions only, the hit-rate signal untouched.
+    assert restarted.stats.promotions == 4
+    assert restarted.stats.hits == 0 and restarted.stats.misses == 0
+    # Scores survive: every cost comes back, the re-hit key (saved last)
+    # keeps its frequency, and it still outranks the cheapest key.
+    reloaded = saved_entries(restarted, tmp_path / "again.json")
+    assert [reloaded[f"k{i}"]["cost"] for i in range(4)] == [1.0, 2.0, 3.0, 4.0]
+    assert reloaded["k3"]["freq"] == saved["entries"][-1]["freq"] > 1.0
+    assert reloaded["k3"]["score"] > reloaded["k0"]["score"]
+
+
+def test_hot_set_reload_into_a_smaller_cache_keeps_the_best_entries(tmp_path):
+    cache_dir = tmp_path / "tier"
+    cache = ResultCache(capacity=8, disk_path=cache_dir)
+    for index in range(6):
+        cache.put(f"k{index}", make_result(index), cost=float(index + 1))
+    hot_file = tmp_path / "hot.json"
+    assert cache.save_hot_set(hot_file) == 6
+
+    small = ResultCache(capacity=2, disk_path=cache_dir)
+    loaded = small.load_hot_set(hot_file)
+    # Each entry is inserted with its saved score, so the two costliest
+    # win; the count and the kept scores cover resident entries only.
+    assert loaded == len(small) == 2
+    assert {f"k{i}" for i in range(6) if f"k{i}" in small} == {"k4", "k5"}
+    assert set(saved_entries(small, tmp_path / "small.json")) == {"k4", "k5"}

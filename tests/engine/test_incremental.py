@@ -68,13 +68,3 @@ def test_incremental_results_match_batch_path_bitwise(problem):
     assert np.array_equal(two.result.weights, cold_two.result.weights)
     assert one.result.error == cold_one.result.error
     assert two.result.error == cold_two.result.error
-
-
-def test_solve_delta_convenience(problem):
-    with SolveEngine() as engine:
-        base = engine.solve_incremental(SolveRequest(problem, "symgd", dict(SYMGD_OPTS)))
-        outcome = engine.solve_delta(
-            problem, [tighten(problem)], method="symgd", params=dict(SYMGD_OPTS)
-        )
-        assert outcome.served == "cold"
-        assert outcome.fingerprint != base.fingerprint

@@ -25,7 +25,6 @@ TOP_LEVEL = {
     "backend": str,
     "max_workers": int,
     "solver_invocations": int,
-    "cache_policy": str,
     "executor": dict,
     "cache": dict,
     "incremental": dict,

@@ -16,8 +16,8 @@ from repro.obs.profile import (
     WorkloadProfile,
     WorkloadRecorder,
     replay_profile,
-    simulate_lru,
 )
+from repro.testing import simulate_lru
 
 FAST_PARAMS = {
     "cell_size": 0.25,

@@ -226,7 +226,6 @@ def test_allowed_methods_typo_fails_at_construction():
 def test_hot_set_survives_a_restart(tmp_path):
     hot_path = tmp_path / "hot.json"
     options = QueryServerOptions(
-        cache_policy="cost",
         cache_dir=str(tmp_path / "cache"),
         hot_set_path=str(hot_path),
     )

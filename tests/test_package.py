@@ -51,6 +51,12 @@ def test_list_methods_smoke():
         "repro.engine",
         "repro.service",
         "repro.api",
+        "repro.obs",
+        "repro.testing",
+        "repro.cluster",
+        "repro.loadgen",
+        "repro.chaos",
+        "repro.scenarios",
     ],
 )
 def test_submodules_importable(module):
