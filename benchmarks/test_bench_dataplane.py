@@ -20,7 +20,10 @@ Assertions are correctness- and memory-first, loose on wall-clock:
   chunked evaluation bitwise-equal to the single-shot reference;
 * the presolve must **shrink the naive MILP**: fewer indicator variables
   than both the unpruned formulation and the ``k * (n - 1)`` worst case,
-  with the reduction ratio recorded.
+  with the reduction ratio recorded;
+* the naive MILP build at 2,000 rows must peak under the same
+  :data:`RSS_BUDGET_BYTES` (``tracemalloc``): the model stores its rows
+  sparse, so ~40k indicator rows of a handful of nonzeros each stay small.
 """
 
 from __future__ import annotations
@@ -93,3 +96,8 @@ def test_dataplane(benchmark):
     assert pruned.extra["variables"] < full.extra["variables"]
     assert full.extra["indicators"] <= full.extra["naive_pairs"]
     assert pruned.extra["prune_ratio"] > 0.0
+    for leg in (full, pruned):
+        assert leg.extra["peak_bytes"] < RSS_BUDGET_BYTES, (
+            f"{leg.method} build peaked at {leg.extra['peak_bytes']} bytes, "
+            f"over the {RSS_BUDGET_BYTES} budget"
+        )

@@ -1,13 +1,14 @@
-"""Hot-path micro-benchmark: batched cell-error bounds.
+"""Hot-path micro-benchmarks: batched cell-error bounds and the MILP build.
 
-Guards the cell-bound classification hot path reworked for performance (see
-the README's "Performance" section): every run writes the measured numbers
-to ``.bench/BENCH_hotpaths.json`` (see ``conftest.write_baseline``).
+Guards the hot paths reworked for performance (see the README's
+"Performance" section): every run writes the measured numbers to
+``.bench/BENCH_hotpaths.json`` (see ``conftest.write_baseline``).
 
 Assertions are correctness-first and deliberately loose on wall-clock (the CI
 container often has a single CPU): the **batched** cell-bound classifier must
-reproduce the scalar reference bounds of :mod:`repro.testing` exactly and not
-be slower than the loop it replaced.
+reproduce the scalar reference bounds of :mod:`repro.testing` exactly, the
+**one-pass** RankHow MILP build must reproduce the per-pair reference models
+exactly, and neither may be slower than the loop it replaced.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def test_hotpaths(benchmark):
         iterations=1,
     )
     print()
-    print(ascii_table(records, title="Hot paths: cell bounds"))
+    print(ascii_table(records, title="Hot paths: cell bounds, MILP build"))
     write_baseline("hotpaths", records)
 
     cells = {r.method: r for r in records if r.experiment == "hotpaths_cells"}
@@ -36,3 +37,11 @@ def test_hotpaths(benchmark):
     # Loose for 1-CPU CI: the batched classifier is typically 4-10x faster;
     # only regressions that erase the win entirely should fail.
     assert batched.time_seconds <= reference.time_seconds * 1.2
+
+    builds = {r.method: r for r in records if r.experiment == "hotpaths_formulation"}
+    reference = builds["formulation[reference]"]
+    vectorized = builds["formulation[vectorized]"]
+    assert vectorized.extra["matches_reference"]
+    assert vectorized.extra["binaries"] == reference.extra["binaries"] > 0
+    # The one-pass build is typically 30-60x faster than the per-pair loop.
+    assert vectorized.time_seconds <= reference.time_seconds * 1.2

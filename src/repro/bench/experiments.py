@@ -766,14 +766,24 @@ def experiment_hotpaths(
     cells_tuples: int = 800,
     cells_max: int = 256,
 ) -> list[ExperimentRecord]:
-    """Micro-benchmark of the per-cell error-bound classification hot path.
+    """Micro-benchmarks of the cell-bound and MILP-build hot paths.
 
     ``hotpaths_cells`` classifies a simplex-covering grid twice: with the
     scalar reference loop of :mod:`repro.testing` and with the batched
     matrix-program classifier (``extra["cells_per_second"]``).
+    ``hotpaths_formulation`` builds the RankHow MILP of the grid's first 8
+    cells twice: with the per-pair reference loop of
+    :mod:`repro.testing` and with the one-pass build
+    (``extra["builds_per_second"]``); ``extra["matches_reference"]`` records
+    that every variable, row and big-M is identical.
     """
     from repro.core.cells import cell_error_bounds_many, grid_cells
-    from repro.testing import cell_error_bounds_reference
+    from repro.core.formulation import RankHowFormulation
+    from repro.testing import (
+        cell_error_bounds_reference,
+        formulation_reference,
+        model_differences,
+    )
 
     records: list[ExperimentRecord] = []
     problem = synthetic_problem("uniform", num_tuples=cells_tuples, k=10, seed=0)
@@ -799,6 +809,34 @@ def experiment_hotpaths(
                 extra={
                     "cells_per_second": len(cells) / max(wall, 1e-9),
                     "matches_reference": bounds == reference,
+                },
+            )
+        )
+
+    boxes = [(cell.lower, cell.upper) for cell in cells[:8]]
+    models = {}
+    for label, build in (
+        ("formulation[reference]", formulation_reference),
+        ("formulation[vectorized]", RankHowFormulation),
+    ):
+        start = time.perf_counter()
+        models[label] = [build(problem, cell_bounds=box).model for box in boxes]
+        wall = time.perf_counter() - start
+        same = [
+            not model_differences(ours, ref) and ours.variable_names == ref.variable_names
+            for ours, ref in zip(models[label], models["formulation[reference]"])
+        ]
+        records.append(
+            ExperimentRecord(
+                experiment="hotpaths_formulation",
+                dataset="uniform",
+                method=label,
+                params={"n": cells_tuples, "cells": len(boxes)},
+                time_seconds=wall,
+                extra={
+                    "builds_per_second": len(boxes) / max(wall, 1e-9),
+                    "binaries": sum(int(m.binary_mask().sum()) for m in models[label]),
+                    "matches_reference": all(same),
                 },
             )
         )
@@ -985,8 +1023,9 @@ def experiment_dataplane(
       ``errors_of_many``.
     * ``dataplane_milp`` -- the naive (no dominance elimination) MILP at
       ``milp_tuples`` correlated rows, full vs. pruned: indicator/variable
-      counts and the reduction ratio pruning buys before the solver ever
-      runs.
+      counts, the reduction ratio pruning buys before the solver ever
+      runs, and each build's ``tracemalloc`` peak (the model stores its
+      rows sparse, so the peak follows the nonzeros, not rows x variables).
     """
     import tracemalloc
 
@@ -1134,9 +1173,9 @@ def experiment_dataplane(
     milp_problem = RankingProblem(relation, ranking_from_scores(scores, k=milp_k))
     milp_info = prune_problem(milp_problem)
     for label, target in (("full", milp_problem), ("pruned", milp_info.problem)):
-        start = time.perf_counter()
-        formulation = RankHowFormulation(target, eliminate_dominated=False)
-        wall = time.perf_counter() - start
+        formulation, wall, peak = _timed(
+            lambda: RankHowFormulation(target, eliminate_dominated=False)
+        )
         records.append(
             ExperimentRecord(
                 experiment="dataplane_milp",
@@ -1145,8 +1184,9 @@ def experiment_dataplane(
                 params={"n": target.num_tuples, "k": milp_k},
                 time_seconds=wall,
                 extra={
-                    "indicators": len(formulation.indicator_vars),
+                    "indicators": formulation.num_indicator_variables,
                     "variables": formulation.model.num_vars,
+                    "peak_bytes": int(peak),
                     "naive_pairs": milp_k * (milp_tuples - 1),
                     "prune_ratio": round(milp_info.ratio, 6),
                 },

@@ -23,7 +23,7 @@ from repro.core.constraints import (
 )
 from repro.core.problem import RankingProblem, ToleranceSettings
 from repro.core.result import SynthesisResult
-from repro.core.formulation import IndicatorKey, RankHowFormulation
+from repro.core.formulation import RankHowFormulation
 from repro.core.precision import (
     VerificationReport,
     choose_epsilons,
@@ -67,7 +67,6 @@ __all__ = [
     "RankingProblem",
     "ToleranceSettings",
     "SynthesisResult",
-    "IndicatorKey",
     "RankHowFormulation",
     "VerificationReport",
     "choose_epsilons",

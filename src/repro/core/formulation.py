@@ -32,27 +32,31 @@ much faster than the cell-enumeration TREE baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.problem import RankingProblem
-from repro.core.ranking import UNRANKED
 from repro.solvers.milp import MILPModel
 
-__all__ = ["IndicatorKey", "RankHowFormulation"]
+__all__ = ["RankHowFormulation"]
 
 
-@dataclass(frozen=True)
-class IndicatorKey:
-    """Identifies the indicator ``delta[s, r]`` (does ``s`` beat ``r``?)."""
-
-    s: int
-    r: int
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Left-to-right row sums: the order ``np.sum`` adds fewer than eight terms
+    in, so zero-filled rows reproduce per-pair masked sums bit for bit."""
+    total = terms[:, 0].copy()
+    for column in terms.T[1:]:
+        total += column
+    return total
 
 
 class RankHowFormulation:
-    """Builds and interprets the Equation (2) MILP for one problem instance."""
+    """Builds and interprets the Equation (2) MILP for one problem instance.
+
+    After construction the indicator bookkeeping is held as arrays:
+    ``indicator_pairs[i] = (s, r)`` is the pair behind binary
+    ``indicator_columns[i]`` (in variable order), and ``fixed_pairs[j]`` is a
+    pair the dominance analysis fixed to ``fixed_values[j]``.
+    """
 
     def __init__(
         self,
@@ -81,8 +85,6 @@ class RankHowFormulation:
         self.model = MILPModel()
         self.weight_vars: list[int] = []
         self.error_vars: dict[int, int] = {}
-        self.indicator_vars: dict[IndicatorKey, int] = {}
-        self.fixed_indicators: dict[IndicatorKey, int] = {}
         self._build()
 
     # -- construction ------------------------------------------------------------
@@ -101,29 +103,27 @@ class RankHowFormulation:
             raise ValueError("cell lower bounds exceed upper bounds")
         return lower, upper
 
-    def _score_difference_range(self, diff: np.ndarray) -> tuple[float, float]:
-        """Range of ``w . diff`` over the (cell-restricted) weight simplex.
+    def _score_difference_ranges(
+        self, diffs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Range of ``w . diff`` over the (cell-restricted) simplex, per row.
 
         Without a cell the exact range over the simplex is
         ``[min_i diff_i, max_i diff_i]``.  With a box ``[lo, up]`` intersected
         with the simplex the exact range is harder; the box relaxation
         ``sum_i diff_i * (up_i if diff_i > 0 else lo_i)`` is a valid (possibly
         loose) bound, and we intersect it with the simplex bound which is
-        always valid because the cell is a subset of the simplex.
+        always valid because the cell is a subset of the simplex.  The box
+        sums add zero-filled products (:func:`_row_sums`), never a matmul.
         """
-        simplex_low = float(np.min(diff))
-        simplex_high = float(np.max(diff))
-        pos = diff > 0
-        neg = diff < 0
-        box_low = float(
-            np.sum(diff[pos] * self._cell_lower[pos])
-            + np.sum(diff[neg] * self._cell_upper[neg])
+        positive, negative = np.maximum(diffs, 0.0), np.minimum(diffs, 0.0)
+        lower, upper = self._cell_lower, self._cell_upper
+        box_low = _row_sums(positive * lower) + _row_sums(negative * upper)
+        box_high = _row_sums(positive * upper) + _row_sums(negative * lower)
+        return (
+            np.maximum(diffs.min(axis=1), box_low),
+            np.minimum(diffs.max(axis=1), box_high),
         )
-        box_high = float(
-            np.sum(diff[pos] * self._cell_upper[pos])
-            + np.sum(diff[neg] * self._cell_lower[neg])
-        )
-        return max(simplex_low, box_low), min(simplex_high, box_high)
 
     def _build(self) -> None:
         problem = self.problem
@@ -168,94 +168,105 @@ class RankHowFormulation:
                 tolerances.eps1,
             )
 
-        # Indicators, error variables and error constraints per ranked tuple.
-        for r in ranked:
-            fixed_ones = 0
-            variable_indices: list[int] = []
-            for s in range(n):
-                if s == r:
-                    continue
-                key = IndicatorKey(int(s), int(r))
-                diff = matrix[s] - matrix[r]
-                low, high = self._score_difference_range(diff)
-                if self.eliminate_dominated and low >= tolerances.eps1:
-                    self.fixed_indicators[key] = 1
-                    fixed_ones += 1
-                    continue
-                if self.eliminate_dominated and high <= tolerances.eps2:
-                    self.fixed_indicators[key] = 0
-                    continue
-                delta = self.model.add_binary(name=f"delta[{s},{r}]")
-                self.indicator_vars[key] = delta
-                variable_indices.append(delta)
-                row = {self.weight_vars[j]: float(diff[j]) for j in range(m)}
-                self.model.add_indicator(
-                    delta,
-                    1,
-                    row,
-                    ">=",
-                    tolerances.eps1,
-                    big_m=max(tolerances.eps1 - low, 0.0),
-                )
-                self.model.add_indicator(
-                    delta,
-                    0,
-                    row,
-                    "<=",
-                    tolerances.eps2,
-                    big_m=max(high - tolerances.eps2, 0.0),
-                )
+        # Indicators, error variables and error constraints per ranked tuple:
+        # all (s, r) pairs of one ranked tuple are classified in one pass.  Its
+        # indicator rows, alternating (delta = 1, >=) and (delta = 0, <=), are
+        # a prefix of these patterns.
+        model = self.model
+        eps1, eps2 = tolerances.eps1, tolerances.eps2
+        row_columns = np.tile(self.weight_vars, 2 * n)
+        row_senses, row_active = np.tile([">=", "<="], n), np.tile([1, 0], n)
+        row_rhs = np.tile([eps1, eps2], n)
+        tuples = np.arange(n)
+        free_s, columns, diff_blocks = [], [], []
+        fixed_s, fixed_one, fixed_ones = [], [], []
+        for r in ranked.tolist():
+            others = tuples[tuples != r]
+            diffs = matrix[others] - matrix[r]
+            low, high = self._score_difference_ranges(diffs)
+            one = zero = np.zeros(n - 1, dtype=bool)
+            if self.eliminate_dominated:
+                one = low >= eps1
+                zero = ~one & (high <= eps2)
+            free = ~(one | zero)
+            count = int(free.sum())
+            names = [f"delta[{s},{r}]" for s in others[free].tolist()]
+            deltas = model.add_binaries(names)
+            coefficients = diffs[free].astype(float)
+            big_m = np.column_stack([eps1 - low[free], high[free] - eps2])
+            model.add_rows(
+                np.arange(0, 2 * count * m + 1, m),
+                row_columns[: 2 * count * m],
+                np.repeat(coefficients, 2, axis=0).ravel(),
+                row_senses[: 2 * count],
+                row_rhs[: 2 * count],
+                binary=np.repeat(deltas, 2),
+                active_value=row_active[: 2 * count],
+                big_m=np.maximum(big_m, 0.0).ravel(),
+            )
+            free_s.append(others[free])
+            columns.append(deltas)
+            diff_blocks.append(coefficients)
+            fixed_s.append(others[~free])
+            fixed_one.append(one[~free])
+            fixed_ones.append(int(one.sum()))
 
-            given_position = int(positions[r])
-            weight = float(self._error_weights.get(int(r), 1.0))
-            error_var = self.model.add_continuous(
+            weight = float(self._error_weights.get(r, 1.0))
+            error_var = model.add_continuous(
                 lower=0.0, upper=error_bound, objective=weight, name=f"e[{r}]"
             )
-            self.error_vars[int(r)] = error_var
-            base = 1 + fixed_ones - given_position
+            self.error_vars[r] = error_var
+            base = 1 + fixed_ones[-1] - int(positions[r])
             # e >= rank - pi(r)  <=>  e - sum(delta) >= base
-            row_up = {error_var: 1.0}
-            for delta in variable_indices:
-                row_up[delta] = -1.0
-            self.model.add_constraint(row_up, ">=", float(base))
             # e >= pi(r) - rank  <=>  e + sum(delta) >= -base
-            row_down = {error_var: 1.0}
-            for delta in variable_indices:
-                row_down[delta] = 1.0
-            self.model.add_constraint(row_down, ">=", float(-base))
+            deltas = deltas.tolist()
+            minus, plus = dict.fromkeys(deltas, -1.0), dict.fromkeys(deltas, 1.0)
+            model.add_constraint({error_var: 1.0, **minus}, ">=", base)
+            model.add_constraint({error_var: 1.0, **plus}, ">=", -base)
 
             # Position-range constraints for this tuple (if any).
             for constraint in problem.constraints.position_constraints:
                 if constraint.tuple_index != r:
                     continue
                 # min_pos <= 1 + fixed_ones + sum(delta) <= max_pos
-                min_rhs = float(constraint.min_position - 1 - fixed_ones)
-                max_rhs = float(constraint.max_position - 1 - fixed_ones)
-                sum_row = {delta: 1.0 for delta in variable_indices}
-                if sum_row:
-                    self.model.add_constraint(sum_row, ">=", min_rhs)
-                    self.model.add_constraint(sum_row, "<=", max_rhs)
-                else:
-                    if not (min_rhs <= 0.0 <= max_rhs):
-                        # Infeasible by construction: encode with an impossible
-                        # constraint so the solver reports infeasibility.
-                        self.model.add_constraint(
-                            {self.weight_vars[0]: 0.0}, ">=", 1.0
-                        )
+                min_rhs = float(constraint.min_position - 1 - fixed_ones[-1])
+                max_rhs = float(constraint.max_position - 1 - fixed_ones[-1])
+                if deltas:
+                    model.add_constraint(dict.fromkeys(deltas, 1.0), ">=", min_rhs)
+                    model.add_constraint(dict.fromkeys(deltas, 1.0), "<=", max_rhs)
+                elif not (min_rhs <= 0.0 <= max_rhs):
+                    # Infeasible by construction: encode with an impossible
+                    # constraint so the solver reports infeasibility.
+                    model.add_constraint({self.weight_vars[0]: 0.0}, ">=", 1.0)
+
+        def pairs(s_blocks: list[np.ndarray]) -> np.ndarray:
+            r_column = np.repeat(ranked, [block.shape[0] for block in s_blocks])
+            return np.column_stack([np.concatenate(s_blocks), r_column])
+
+        self.indicator_pairs = pairs(free_s)
+        self.indicator_columns = np.concatenate(columns)
+        self.fixed_pairs = pairs(fixed_s)
+        self.fixed_values = np.concatenate(fixed_one).astype(np.int8)
+        # Incumbent bookkeeping, per free pair and per ranked tuple.
+        self._pair_diffs = np.concatenate(diff_blocks)
+        self._pair_slots = np.repeat(np.arange(len(ranked)), [b.size for b in free_s])
+        self._fixed_ones = np.asarray(fixed_ones)
+        self._error_columns = np.fromiter(self.error_vars.values(), dtype=np.int64)
+        self._given_positions = positions[ranked]
 
     # -- interpretation ------------------------------------------------------------
 
     @property
     def num_indicator_variables(self) -> int:
-        return len(self.indicator_vars)
+        return int(self.indicator_columns.shape[0])
 
     @property
     def num_eliminated_indicators(self) -> int:
-        return len(self.fixed_indicators)
+        return int(self.fixed_values.shape[0])
 
     def weights_from(self, x: np.ndarray) -> np.ndarray:
         """Extract the weight vector from a full variable assignment."""
-        weights = np.asarray([x[idx] for idx in self.weight_vars], dtype=float)
+        weights = np.asarray(x, dtype=float)[self.weight_vars]
         weights[np.abs(weights) < 1e-12] = 0.0
         weights[weights < 0.0] = 0.0
         return weights
@@ -266,8 +277,8 @@ class RankHowFormulation:
 
     def indicator_assignment_for(
         self, weights: np.ndarray, strict: bool = True
-    ) -> dict[IndicatorKey, int] | None:
-        """Indicator values implied by a weight vector.
+    ) -> np.ndarray | None:
+        """Indicator values implied by a weight vector, one per free pair.
 
         A pair whose score difference falls strictly between ``eps2`` and
         ``eps1`` cannot be assigned either value exactly (that is the "safety
@@ -278,42 +289,27 @@ class RankHowFormulation:
         and the caller is expected to re-check feasibility (and, ultimately,
         run exact verification).
         """
-        matrix = self.problem.matrix
         tolerances = self.problem.tolerances
+        # vecdot runs the same per-pair dot kernel as ``weights @ diff``.
+        difference = np.vecdot(self._pair_diffs, np.asarray(weights, dtype=float))
+        one = difference >= tolerances.eps1
+        gap = ~(one | (difference <= tolerances.eps2))
+        if strict and gap.any():
+            return None
         midpoint = 0.5 * (tolerances.eps1 + tolerances.eps2)
-        assignment: dict[IndicatorKey, int] = {}
-        for key in self.indicator_vars:
-            difference = float(weights @ (matrix[key.s] - matrix[key.r]))
-            if difference >= tolerances.eps1:
-                assignment[key] = 1
-            elif difference <= tolerances.eps2:
-                assignment[key] = 0
-            elif strict:
-                return None
-            else:
-                assignment[key] = 1 if difference > midpoint else 0
-        return assignment
+        return (one | (gap & (difference > midpoint))).astype(np.int8)
 
     def assemble_solution(
-        self, weights: np.ndarray, assignment: dict[IndicatorKey, int]
+        self, weights: np.ndarray, assignment: np.ndarray
     ) -> np.ndarray:
         """Build a full variable vector from weights plus indicator values."""
         x = np.zeros(self.model.num_vars)
-        for j, idx in enumerate(self.weight_vars):
-            x[idx] = weights[j]
-        counts: dict[int, int] = {r: 0 for r in self.error_vars}
-        for key, value in self.fixed_indicators.items():
-            if value == 1:
-                counts[key.r] = counts.get(key.r, 0) + 1
-        for key, idx in self.indicator_vars.items():
-            value = assignment[key]
-            x[idx] = float(value)
-            if value == 1:
-                counts[key.r] = counts.get(key.r, 0) + 1
-        positions = self.problem.ranking.positions
-        for r, error_var in self.error_vars.items():
-            rank = 1 + counts.get(r, 0)
-            x[error_var] = float(abs(rank - int(positions[r])))
+        x[self.weight_vars] = weights
+        x[self.indicator_columns] = assignment
+        beaten_by = self._fixed_ones + np.bincount(
+            self._pair_slots[assignment == 1], minlength=len(self._fixed_ones)
+        )
+        x[self._error_columns] = np.abs(1 + beaten_by - self._given_positions)
         return x
 
     def incumbent_from_weights(
@@ -344,7 +340,3 @@ class RankHowFormulation:
         if not self.problem.constraints.weight_constraints:
             weights = weights / total
         return self.incumbent_from_weights(weights)
-
-    def error_of_top_k(self, weights: np.ndarray) -> int:
-        """True position error of a weight vector (uses the tie tolerance)."""
-        return self.problem.error_of(weights)

@@ -6,27 +6,23 @@ provides the equivalent substrate on top of SciPy's HiGHS LP solver:
 * :mod:`repro.solvers.lp` -- a general LP model (bounds, inequalities,
   equalities) solved by ``scipy.optimize.linprog`` (HiGHS).
 * :mod:`repro.solvers.milp` -- a mixed-integer model with binary variables and
-  indicator constraints encoded through tight big-M rows.
+  indicator constraints encoded through tight big-M rows, stored as one
+  sparse (CSR) row matrix.
 * :mod:`repro.solvers.branch_and_bound` -- a best-first branch-and-bound MILP
-  solver with incumbent callbacks and rounding heuristics.
-* :mod:`repro.solvers.presolve` -- bound tightening and indicator fixing.
+  solver with incumbent callbacks, rounding heuristics and per-node
+  implied-bound tightening.
 """
 
 from repro.solvers.lp import LinearProgram, LPSolution, LPStatus
-from repro.solvers.milp import (
-    IndicatorConstraint,
-    MILPModel,
-    MILPSolution,
-    MILPStatus,
-)
+from repro.solvers.milp import MILPModel, MILPSolution, MILPStatus, ModelRows
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, SolverOptions
 
 __all__ = [
     "LinearProgram",
     "LPSolution",
     "LPStatus",
-    "IndicatorConstraint",
     "MILPModel",
+    "ModelRows",
     "MILPSolution",
     "MILPStatus",
     "BranchAndBoundSolver",

@@ -15,8 +15,11 @@ for (Section III-B):
   produces near-optimal incumbents at the root node.
 * **Most-fractional branching** -- branching on the binary closest to 0.5.
 * **Per-node bound tightening** -- implied-bound propagation over the big-M
-  rows plus an incumbent objective cutoff fixes additional binaries after
-  each branching decision and prunes infeasible nodes before their LP solve.
+  rows plus an incumbent objective cutoff (:class:`BoundTightener`) fixes
+  additional binaries after each branching decision and prunes infeasible
+  nodes before their LP solve.  It never cuts off a feasible point; the
+  formulation layer already fixes dominated indicators and sets tight big-M
+  values itself, so there is no model-level presolve.
 
 A node whose LP fails numerically is neither explored nor pruned: its parent
 bound stays in the reported ``best_bound`` and the search never claims
@@ -36,9 +39,8 @@ import numpy as np
 from repro.obs.trace import span as obs_span
 from repro.solvers.lp import LPStatus
 from repro.solvers.milp import MILPModel, MILPSolution, MILPStatus
-from repro.solvers.presolve import BoundTightener
 
-__all__ = ["SolverOptions", "BranchAndBoundSolver"]
+__all__ = ["SolverOptions", "BoundTightener", "BranchAndBoundSolver"]
 
 IncumbentCallback = Callable[[np.ndarray, MILPModel], np.ndarray | None]
 
@@ -76,6 +78,114 @@ class _Node:
     fixings: dict[int, int] = field(compare=False)
 
 
+class BoundTightener:
+    """Vectorized implied-bound tightening over a fixed set of linear rows.
+
+    Built once per branch-and-bound solve (the relaxation's rows never change
+    across nodes -- only the variable bounds do) and invoked once per node.
+    Each call propagates every row ``a @ x <= b`` into candidate-variable
+    bounds: with ``a_j > 0``, ``x_j <= lo_j + (b - min a@x) / a_j`` (and the
+    mirror image for negative coefficients), where the row minimum is taken
+    over the current box.  Bounds of integral candidates are rounded, which
+    is what turns propagation into fixed binaries and therefore smaller
+    subtrees.  The routine never cuts off a feasible point of the box, so
+    the node LP optimum is unchanged; an objective cutoff row (see
+    ``objective_row``) additionally removes points that cannot beat the
+    incumbent, exactly mirroring the solver's bound-pruning rule.
+
+    Args:
+        rows: Dense constraint rows, shape ``(n_rows, n)``.
+        senses: Row senses (``"<="``, ``">="``, ``"=="``), one per row.
+        rhs: Right-hand sides, one per row.
+        candidates: Column indices to derive new bounds for (typically the
+            binaries; propagating onto every column would cost far more than
+            it prunes).
+        integral: Whether candidate variables are integral (bounds are
+            rounded); one flag per candidate, or a single bool for all.
+        objective_row: Optional objective vector; when given, each
+            :meth:`tighten` call may pass ``cutoff`` to activate the row
+            ``objective_row @ x <= cutoff``.
+    """
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        senses: np.ndarray | list[str],
+        rhs: np.ndarray,
+        candidates: np.ndarray,
+        integral: np.ndarray | bool = True,
+        objective_row: np.ndarray | None = None,
+    ) -> None:
+        senses = np.asarray(senses, dtype="<U2")
+        # Each row as ``a @ x <= b``: ``>=`` rows negated and ``==`` rows
+        # taken both ways (the ``<=`` copy first), in the rows' order.
+        source, flipped = np.nonzero(np.stack([senses != ">=", senses != "<="], axis=1))
+        sign = np.where(flipped == 1, -1.0, 1.0)
+        a = np.asarray(rows, dtype=float)[source] * sign[:, None]
+        b = np.asarray(rhs, dtype=float)[source] * sign
+        self._cutoff_index: int | None = None
+        if objective_row is not None:
+            self._cutoff_index = a.shape[0]
+            a = np.vstack([a, np.asarray(objective_row, dtype=float)])
+            b = np.append(b, float("inf"))
+        self._candidates = np.asarray(candidates, dtype=int)
+        self._a = a
+        self._b = b
+        self._pos = np.clip(a, 0.0, None)
+        self._neg = np.clip(a, None, 0.0)
+        self._a_cand = np.ascontiguousarray(a[:, self._candidates])
+        if isinstance(integral, (bool, np.bool_)):
+            integral = np.full(self._candidates.shape[0], bool(integral))
+        self._integral = np.asarray(integral, dtype=bool)
+
+    def tighten(
+        self,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        cutoff: float | None = None,
+        max_rounds: int = 2,
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Tighten candidate bounds in place; returns ``(lower, upper, feasible)``.
+
+        ``lower`` / ``upper`` are mutated.  A ``False`` third element means
+        the box (plus the cutoff row, when active) is proven empty, so the
+        caller can prune without solving the node LP.
+        """
+        cand = self._candidates
+        if self._a.shape[0] == 0 or cand.shape[0] == 0:
+            return lower, upper, bool(np.all(lower <= upper + 1e-9))
+        b = self._b
+        if self._cutoff_index is not None:
+            b = b.copy()
+            b[self._cutoff_index] = float("inf") if cutoff is None else float(cutoff)
+        feas_tol = 1e-7
+        for _ in range(max_rounds):
+            min_act = self._pos @ lower + self._neg @ upper
+            slack = b - min_act
+            if np.any(slack < -feas_tol * (1.0 + np.abs(b))):
+                return lower, upper, False
+            residual = np.maximum(slack, 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = residual[:, None] / self._a_cand
+            ub_new = np.where(self._a_cand > 0, lower[cand][None, :] + step, np.inf)
+            ub_new = ub_new.min(axis=0)
+            lb_new = np.where(self._a_cand < 0, upper[cand][None, :] + step, -np.inf)
+            lb_new = lb_new.max(axis=0)
+            round_up = self._integral & np.isfinite(ub_new)
+            ub_new[round_up] = np.floor(ub_new[round_up] + 1e-6)
+            round_lo = self._integral & np.isfinite(lb_new)
+            lb_new[round_lo] = np.ceil(lb_new[round_lo] - 1e-6)
+            tighter_ub = ub_new < upper[cand] - 1e-12
+            tighter_lb = lb_new > lower[cand] + 1e-12
+            if not (np.any(tighter_ub) or np.any(tighter_lb)):
+                break
+            upper[cand] = np.minimum(upper[cand], ub_new)
+            lower[cand] = np.maximum(lower[cand], lb_new)
+            if np.any(lower[cand] > upper[cand] + 1e-9):
+                return lower, upper, False
+        return lower, upper, True
+
+
 class BranchAndBoundSolver:
     """Solve a :class:`MILPModel` by LP-based branch-and-bound."""
 
@@ -111,14 +221,9 @@ class BranchAndBoundSolver:
         base_upper = relaxation.upper_bounds.copy()
 
         tightener: BoundTightener | None = None
-        if binaries and relaxation.constraints:
-            rows = np.vstack(
-                [con.coefficients for con in relaxation.constraints]
-            )
+        if binaries and relaxation.num_constraints:
             tightener = BoundTightener(
-                rows,
-                [con.sense for con in relaxation.constraints],
-                np.asarray([con.rhs for con in relaxation.constraints], dtype=float),
+                *relaxation.constraint_rows(),
                 candidates=np.asarray(binaries, dtype=int),
                 integral=True,
                 objective_row=relaxation.objective,

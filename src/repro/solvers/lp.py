@@ -60,13 +60,6 @@ class LPSolution:
 
 
 @dataclass
-class _Constraint:
-    coefficients: np.ndarray
-    rhs: float
-    sense: str  # "<=", ">=", "=="
-
-
-@dataclass
 class LinearProgram:
     """A small, explicit LP model builder.
 
@@ -82,7 +75,6 @@ class LinearProgram:
 
     num_vars: int
     objective: np.ndarray = field(default=None)  # type: ignore[assignment]
-    constraints: list[_Constraint] = field(default_factory=list)
     lower_bounds: np.ndarray = field(default=None)  # type: ignore[assignment]
     upper_bounds: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -95,7 +87,11 @@ class LinearProgram:
             self.lower_bounds = np.zeros(self.num_vars)
         if self.upper_bounds is None:
             self.upper_bounds = np.full(self.num_vars, _INF)
-        self._matrix_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # Constraints in insertion order: row blocks plus flat senses / rhs.
+        self._row_blocks: list[np.ndarray] = []
+        self._senses: list[str] = []
+        self._rhs: list[float] = []
+        self._matrix_cache: dict[str, tuple[np.ndarray, ...]] = {}
 
     # -- model construction -------------------------------------------------
 
@@ -144,12 +140,35 @@ class LinearProgram:
         """
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"unsupported constraint sense: {sense!r}")
-        row = np.asarray(coefficients, dtype=float).ravel()
+        row = np.array(coefficients, dtype=float).ravel()
         if row.shape[0] != self.num_vars:
             raise ValueError("constraint length does not match num_vars")
-        self.constraints.append(_Constraint(row.copy(), float(rhs), sense))
+        self._row_blocks.append(row[None, :])
+        self._senses.append(sense)
+        self._rhs.append(float(rhs))
         self._matrix_cache.clear()
-        return len(self.constraints) - 1
+        return len(self._senses) - 1
+
+    def add_constraints(
+        self,
+        rows: np.ndarray,
+        senses: np.ndarray | list[str],
+        rhs: np.ndarray | list[float],
+    ) -> None:
+        """Add a block of constraints: ``rows`` is ``(count, num_vars)``."""
+        if not set(senses) <= {"<=", ">=", "=="}:
+            raise ValueError(f"unsupported constraint sense in {list(senses)!r}")
+        rows = np.array(rows, dtype=float, ndmin=2)
+        if rows.shape[1] != self.num_vars:
+            raise ValueError("constraint length does not match num_vars")
+        self._row_blocks.append(rows)
+        self._senses.extend(senses)
+        self._rhs.extend(map(float, rhs))
+        self._matrix_cache.clear()
+
+    @property
+    def num_constraints(self) -> int:
+        return len(self._senses)
 
     def copy(self) -> "LinearProgram":
         """Deep-copy the model."""
@@ -157,52 +176,43 @@ class LinearProgram:
         clone.objective = self.objective.copy()
         clone.lower_bounds = self.lower_bounds.copy()
         clone.upper_bounds = self.upper_bounds.copy()
-        clone.constraints = [
-            _Constraint(c.coefficients.copy(), c.rhs, c.sense)
-            for c in self.constraints
-        ]
+        clone._row_blocks = [block.copy() for block in self._row_blocks]
+        clone._senses = list(self._senses)
+        clone._rhs = list(self._rhs)
         return clone
 
     # -- matrix views --------------------------------------------------------
 
-    def inequality_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(A_ub, b_ub)`` with all inequalities as ``<=`` rows.
-
-        The stacked matrices are cached until the next :meth:`add_constraint`:
+    def _stacked(self) -> dict[str, tuple[np.ndarray, ...]]:
+        """Stacked constraint matrices, cached until the next added row:
         branch-and-bound re-solves the same program once per node, and
-        re-stacking hundreds of rows per node is pure overhead.
-        """
-        cached = self._matrix_cache.get("ub")
-        if cached is not None:
-            return cached
-        rows, rhs = [], []
-        for con in self.constraints:
-            if con.sense == "<=":
-                rows.append(con.coefficients)
-                rhs.append(con.rhs)
-            elif con.sense == ">=":
-                rows.append(-con.coefficients)
-                rhs.append(-con.rhs)
-        if not rows:
-            result = np.zeros((0, self.num_vars)), np.zeros(0)
-        else:
-            result = np.vstack(rows), np.asarray(rhs, dtype=float)
-        self._matrix_cache["ub"] = result
-        return result
+        re-stacking hundreds of rows per node is pure overhead."""
+        if not self._matrix_cache:
+            rows = np.concatenate([np.zeros((0, self.num_vars)), *self._row_blocks])
+            senses = np.asarray(self._senses, dtype="<U2")
+            rhs = np.asarray(self._rhs, dtype=float)
+            ub, eq = senses != "==", senses == "=="
+            sign = np.where(senses[ub] == ">=", -1.0, 1.0)
+            a_ub = rows[ub]
+            a_ub *= sign[:, None]
+            self._matrix_cache = {
+                "all": (rows, senses, rhs),
+                "ub": (a_ub, rhs[ub] * sign),
+                "eq": (rows[eq], rhs[eq]),
+            }
+        return self._matrix_cache
+
+    def constraint_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every constraint in insertion order: ``(rows, senses, rhs)``."""
+        return self._stacked()["all"]
+
+    def inequality_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(A_ub, b_ub)`` with all inequalities as ``<=`` rows."""
+        return self._stacked()["ub"]
 
     def equality_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(A_eq, b_eq)`` (cached, see :meth:`inequality_matrix`)."""
-        cached = self._matrix_cache.get("eq")
-        if cached is not None:
-            return cached
-        rows = [c.coefficients for c in self.constraints if c.sense == "=="]
-        rhs = [c.rhs for c in self.constraints if c.sense == "=="]
-        if not rows:
-            result = np.zeros((0, self.num_vars)), np.zeros(0)
-        else:
-            result = np.vstack(rows), np.asarray(rhs, dtype=float)
-        self._matrix_cache["eq"] = result
-        return result
+        """Return ``(A_eq, b_eq)``."""
+        return self._stacked()["eq"]
 
     # -- solving -------------------------------------------------------------
 

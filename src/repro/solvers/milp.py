@@ -7,6 +7,11 @@ they are encoded through big-M rows, with the big-M value either supplied by
 the caller (the formulation layer knows tight pair-specific values) or derived
 from variable bounds.
 
+Rows are stored sparse.  Every ``add_*`` call appends COO triplets plus
+per-row metadata, and the model assembles them into one CSR matrix
+(:class:`ModelRows`) on first use: a RankHow row has a handful of nonzeros,
+so the model's memory grows with its nonzeros, not with rows x variables.
+
 The model keeps binaries and continuous variables in a single indexed variable
 space so that branch-and-bound can treat the relaxation as an ordinary
 :class:`~repro.solvers.lp.LinearProgram`.
@@ -14,14 +19,15 @@ space so that branch-and-bound can treat the relaxation as an ordinary
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from repro.solvers.lp import LinearProgram
 
-__all__ = ["MILPStatus", "MILPSolution", "IndicatorConstraint", "MILPModel"]
+__all__ = ["MILPStatus", "MILPSolution", "ModelRows", "MILPModel"]
 
 _INF = float("inf")
 
@@ -63,33 +69,47 @@ class MILPSolution:
         return self.status in (MILPStatus.OPTIMAL, MILPStatus.FEASIBLE)
 
 
-@dataclass
-class IndicatorConstraint:
-    """``binary == active_value  =>  coefficients @ x  <sense>  rhs``.
+@dataclass(frozen=True, eq=False)
+class ModelRows:
+    """Every row of a :class:`MILPModel`: one CSR matrix plus per-row arrays.
 
-    Attributes:
-        binary: Index of the binary variable.
-        active_value: 0 or 1; the value of the binary that activates the row.
-        coefficients: Row over *all* model variables (binaries included).
-        sense: ``"<="`` or ``">="``.
-        rhs: Right-hand side.
-        big_m: Slack added when the indicator is inactive.  When ``None`` a
-            valid value is derived from the variable bounds.
+    Row ``i`` is ``data[k] @ x[indices[k]] sense[i] rhs[i]`` over
+    ``k in indptr[i]:indptr[i+1]``, with entries in insertion order.  It holds
+    unconditionally when ``binary[i] < 0``; otherwise only while
+    ``x[binary[i]] == active_value[i]``, relaxed by ``big_m[i]`` (``nan``:
+    derived from the variable bounds).
     """
 
-    binary: int
-    active_value: int
-    coefficients: np.ndarray
-    sense: str
-    rhs: float
-    big_m: float | None = None
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    binary: np.ndarray
+    active_value: np.ndarray
+    big_m: np.ndarray
 
+    def __len__(self) -> int:
+        return int(self.rhs.shape[0])
 
-@dataclass
-class _LinearRow:
-    coefficients: np.ndarray
-    sense: str
-    rhs: float
+    @property
+    def is_indicator(self) -> np.ndarray:
+        return self.binary >= 0
+
+    def entry_rows(self) -> np.ndarray:
+        """Row index of every stored entry (the COO row array)."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """``row @ x`` for every row."""
+        products = self.data * x[self.indices]
+        return np.bincount(self.entry_rows(), weights=products, minlength=len(self))
+
+    def dense(self, num_vars: int) -> np.ndarray:
+        """The rows as a dense ``(rows, num_vars)`` matrix."""
+        matrix = np.zeros((len(self), num_vars))
+        np.add.at(matrix, (self.entry_rows(), self.indices), self.data)
+        return matrix
 
 
 class MILPModel:
@@ -102,8 +122,10 @@ class MILPModel:
         self._upper: list[float] = []
         self._is_binary: list[bool] = []
         self._names: list[str] = []
-        self._rows: list[_LinearRow] = []
-        self._indicators: list[IndicatorConstraint] = []
+        # Row blocks as appended: (entries per row, indices, data, sense, rhs,
+        # binary, active value, big-M); assembled into ``rows`` on demand.
+        self._blocks: list[tuple[np.ndarray, ...]] = []
+        self.add_rows([0], [], [], [], [])
 
     # -- variables -----------------------------------------------------------
 
@@ -115,25 +137,34 @@ class MILPModel:
         name: str = "",
     ) -> int:
         """Add a continuous variable and return its index."""
-        return self._add_var(lower, upper, objective, False, name)
+        if lower > upper:
+            raise ValueError(f"variable lower bound {lower} exceeds upper {upper}")
+        return int(self._add_vars(lower, upper, objective, False, [name])[0])
 
     def add_binary(self, objective: float = 0.0, name: str = "") -> int:
         """Add a binary (0/1) variable and return its index."""
-        return self._add_var(0.0, 1.0, objective, True, name)
+        return int(self._add_vars(0.0, 1.0, objective, True, [name])[0])
 
-    def _add_var(
-        self, lower: float, upper: float, objective: float, binary: bool, name: str
-    ) -> int:
-        if lower > upper:
-            raise ValueError(f"variable lower bound {lower} exceeds upper {upper}")
-        index = self._num_vars
-        self._num_vars += 1
-        self._lower.append(lower)
-        self._upper.append(upper)
-        self._objective.append(objective)
-        self._is_binary.append(binary)
-        self._names.append(name or f"x{index}")
-        return index
+    def add_binaries(self, names: Sequence[str]) -> np.ndarray:
+        """Add one zero-objective binary per name; returns their indices."""
+        return self._add_vars(0.0, 1.0, 0.0, True, names)
+
+    def _add_vars(
+        self,
+        lower: float,
+        upper: float,
+        objective: float,
+        binary: bool,
+        names: Sequence[str],
+    ) -> np.ndarray:
+        first, count = self._num_vars, len(names)
+        self._num_vars += count
+        self._lower += [lower] * count
+        self._upper += [upper] * count
+        self._objective += [objective] * count
+        self._is_binary += [binary] * count
+        self._names += [name or f"x{first + i}" for i, name in enumerate(names)]
+        return np.arange(first, self._num_vars)
 
     @property
     def num_vars(self) -> int:
@@ -159,17 +190,8 @@ class MILPModel:
             np.asarray(self._upper, dtype=float),
         )
 
-    def set_objective_coefficient(self, index: int, value: float) -> None:
-        self._objective[index] = float(value)
-
-    def fix_binary(self, index: int, value: int) -> None:
-        """Fix a binary variable to a constant (used by presolve)."""
-        if not self._is_binary[index]:
-            raise ValueError(f"variable {index} is not binary")
-        if value not in (0, 1):
-            raise ValueError("binary value must be 0 or 1")
-        self._lower[index] = float(value)
-        self._upper[index] = float(value)
+    def binary_mask(self) -> np.ndarray:
+        return np.asarray(self._is_binary, dtype=bool)
 
     # -- constraints ----------------------------------------------------------
 
@@ -184,10 +206,8 @@ class MILPModel:
         ``coefficients`` may be a dense vector over all variables or a sparse
         ``{index: value}`` mapping.
         """
-        if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"unsupported sense {sense!r}")
-        row = self._dense_row(coefficients)
-        self._rows.append(_LinearRow(row, sense, float(rhs)))
+        indices, data = self._sparse_row(coefficients)
+        self.add_rows([0, len(indices)], indices, data, [sense], [rhs])
 
     def add_indicator(
         self,
@@ -199,104 +219,136 @@ class MILPModel:
         big_m: float | None = None,
     ) -> None:
         """Add an indicator constraint ``binary == active_value => row sense rhs``."""
-        if not self._is_binary[binary]:
-            raise ValueError(f"variable {binary} is not binary")
-        if active_value not in (0, 1):
-            raise ValueError("active_value must be 0 or 1")
-        if sense not in ("<=", ">="):
-            raise ValueError("indicator constraints support only <= and >=")
-        row = self._dense_row(coefficients)
-        self._indicators.append(
-            IndicatorConstraint(binary, active_value, row, sense, float(rhs), big_m)
+        indices, data = self._sparse_row(coefficients)
+        self.add_rows(
+            [0, len(indices)],
+            indices,
+            data,
+            [sense],
+            [rhs],
+            binary=[binary],
+            active_value=[active_value],
+            big_m=[np.nan if big_m is None else big_m],
         )
 
-    def _dense_row(self, coefficients: dict[int, float] | np.ndarray) -> np.ndarray:
+    def add_rows(
+        self,
+        indptr: Sequence[int] | np.ndarray,
+        indices: Sequence[int] | np.ndarray,
+        data: Sequence[float] | np.ndarray,
+        sense: Sequence[str] | np.ndarray,
+        rhs: Sequence[float] | np.ndarray,
+        binary: Sequence[int] | np.ndarray | None = None,
+        active_value: Sequence[int] | np.ndarray | None = None,
+        big_m: Sequence[float] | np.ndarray | None = None,
+    ) -> None:
+        """Append a block of rows given as CSR arrays (``indptr`` starts at 0).
+
+        Without ``binary`` the rows are unconditional; with it, row ``i`` is
+        the indicator ``x[binary[i]] == active_value[i] => row sense rhs``
+        with slack ``big_m[i]`` (``nan``: derived from the bounds).
+        """
+        counts = np.diff(np.asarray(indptr, dtype=np.int64))
+        sense = np.asarray(sense, dtype="<U2")
+        if not np.all((sense == "<=") | (sense == ">=") | (sense == "==")):
+            raise ValueError(f"unsupported sense in {sorted(set(sense.tolist()))!r}")
+        if binary is None:
+            binary, active_value, big_m = -1, -1, np.nan
+        else:
+            binary, active_value = np.asarray(binary), np.asarray(active_value)
+            if not all(self._is_binary[index] for index in binary.tolist()):
+                raise ValueError("indicator variables must be binary")
+            if not np.all((active_value == 0) | (active_value == 1)):
+                raise ValueError("active_value must be 0 or 1")
+            if np.any(sense == "=="):
+                raise ValueError("indicator constraints support only <= and >=")
+        per_row = (
+            np.broadcast_to(np.asarray(values, dtype=dtype), counts.shape)
+            for values, dtype in (
+                (rhs, float),
+                (binary, np.int64),
+                (active_value, np.int8),
+                (big_m, float),
+            )
+        )
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=float)
+        self._blocks.append((counts, indices, data, sense, *per_row))
+        self._rows = None
+
+    def _sparse_row(
+        self, coefficients: dict[int, float] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(coefficients, dict):
-            row = np.zeros(self._num_vars)
-            for idx, value in coefficients.items():
-                row[idx] = value
-            return row
+            indices = np.fromiter(coefficients.keys(), dtype=np.int64)
+            return indices, np.fromiter(coefficients.values(), dtype=float)
         row = np.asarray(coefficients, dtype=float).ravel()
         if row.shape[0] != self._num_vars:
             raise ValueError("constraint length does not match number of variables")
-        return row.copy()
-
-    def padded_row(self, row: np.ndarray) -> np.ndarray:
-        """Pad a constraint row added before later variables existed.
-
-        Constraints may be added interleaved with variable creation; rows are
-        stored at their creation-time width and variables added later have an
-        implicit coefficient of zero.
-        """
-        if row.shape[0] == self._num_vars:
-            return row
-        padded = np.zeros(self._num_vars)
-        padded[: row.shape[0]] = row
-        return padded
+        indices = np.flatnonzero(row)
+        return indices, row[indices]
 
     @property
-    def constraints(self) -> list[_LinearRow]:
+    def rows(self) -> ModelRows:
+        """All rows in insertion order.  Rows added before a variable existed
+        simply have no entry for it (an implicit zero)."""
+        if self._rows is None:
+            counts, *columns = (np.concatenate(part) for part in zip(*self._blocks))
+            self._rows = ModelRows(np.concatenate(([0], np.cumsum(counts))), *columns)
+            self._blocks = [(counts, *columns)]
         return self._rows
-
-    @property
-    def indicators(self) -> list[IndicatorConstraint]:
-        return self._indicators
 
     # -- relaxation ------------------------------------------------------------
 
-    def _derive_big_m(self, indicator: IndicatorConstraint) -> float:
-        """Compute a valid big-M from variable bounds for one indicator row.
+    def _big_m_values(self, rows: ModelRows) -> np.ndarray:
+        """Big-M per row; missing values derived from the variable bounds.
 
-        For a ``>=`` row we need ``row @ x >= rhs - M`` to be vacuous, i.e.
-        ``M >= rhs - min(row @ x)``; for ``<=`` analogously with the max.
+        A ``>=`` row needs ``row @ x >= rhs - M`` to be vacuous, i.e.
+        ``M >= rhs - min(row @ x)``; a ``<=`` row analogously uses the max.
         """
-        lower = np.asarray(self._lower)
-        upper = np.asarray(self._upper)
-        row = self.padded_row(indicator.coefficients)
-        pos = row > 0
-        neg = row < 0
-        if indicator.sense == ">=":
-            worst = float(np.sum(row[pos] * lower[pos]) + np.sum(row[neg] * upper[neg]))
-            if not np.isfinite(worst):
-                raise ValueError(
-                    "cannot derive a finite big-M: unbounded variable in indicator row"
-                )
-            return max(indicator.rhs - worst, 0.0)
-        worst = float(np.sum(row[pos] * upper[pos]) + np.sum(row[neg] * lower[neg]))
-        if not np.isfinite(worst):
+        big_m = rows.big_m.copy()
+        derive = rows.is_indicator & np.isnan(big_m)
+        if not derive.any():
+            return big_m
+        lower, upper = self.bounds()
+        data, indices = rows.data, rows.indices
+        geq = np.repeat(rows.sense == ">=", np.diff(rows.indptr))
+        # The bound that makes each term smallest (>= rows) or largest (<=).
+        bound = np.where((data > 0) == geq, lower[indices], upper[indices])
+        with np.errstate(invalid="ignore"):
+            terms = np.where(data != 0.0, data * bound, 0.0)
+        worst = np.bincount(rows.entry_rows(), weights=terms, minlength=len(rows))
+        if not np.all(np.isfinite(worst[derive])):
             raise ValueError(
                 "cannot derive a finite big-M: unbounded variable in indicator row"
             )
-        return max(worst - indicator.rhs, 0.0)
+        slack = np.where(rows.sense == ">=", rows.rhs - worst, worst - rows.rhs)
+        big_m[derive] = np.maximum(slack[derive], 0.0)
+        return big_m
 
     def build_relaxation(self) -> LinearProgram:
-        """Build the LP relaxation with indicators expanded into big-M rows."""
+        """Build the LP relaxation with indicators expanded into big-M rows.
+
+        For an indicator row with slack ``M`` and ``s = +1`` (``<=``) or
+        ``-1`` (``>=``): active value 1 gives ``row + s*M*delta <= / >= rhs
+        + s*M``; active value 0 gives ``row - s*M*delta <= / >= rhs``.
+        Unconditional rows come first, then the indicator rows, each group
+        in insertion order.
+        """
+        rows = self.rows
+        big_m = self._big_m_values(rows)
+        matrix = rows.dense(self._num_vars)
+        rhs = rows.rhs.copy()
+        indicator = np.flatnonzero(rows.is_indicator)
+        shift = np.where(rows.sense[indicator] == "<=", 1.0, -1.0) * big_m[indicator]
+        active = rows.active_value[indicator] == 1
+        matrix[indicator, rows.binary[indicator]] += np.where(active, shift, -shift)
+        rhs[indicator[active]] += shift[active]
+        order = np.argsort(rows.is_indicator, kind="stable")
         lp = LinearProgram(self._num_vars)
         lp.set_objective(self._objective)
-        lp.set_all_bounds(np.asarray(self._lower), np.asarray(self._upper))
-        for row in self._rows:
-            lp.add_constraint(self.padded_row(row.coefficients), row.sense, row.rhs)
-        for ind in self._indicators:
-            big_m = ind.big_m if ind.big_m is not None else self._derive_big_m(ind)
-            coeffs = self.padded_row(ind.coefficients).copy()
-            rhs = ind.rhs
-            if ind.sense == ">=":
-                # row >= rhs - M * (1 - delta)   when active_value == 1
-                # row >= rhs - M * delta         when active_value == 0
-                if ind.active_value == 1:
-                    coeffs[ind.binary] += -big_m
-                    rhs -= big_m
-                else:
-                    coeffs[ind.binary] += big_m
-            else:
-                # row <= rhs + M * (1 - delta)   when active_value == 1
-                # row <= rhs + M * delta         when active_value == 0
-                if ind.active_value == 1:
-                    coeffs[ind.binary] += big_m
-                    rhs += big_m
-                else:
-                    coeffs[ind.binary] += -big_m
-            lp.add_constraint(coeffs, ind.sense, rhs)
+        lp.set_all_bounds(*self.bounds())
+        lp.add_constraints(matrix[order], rows.sense[order], rhs[order])
         return lp
 
     # -- verification -----------------------------------------------------------
@@ -307,26 +359,22 @@ class MILPModel:
         lower, upper = self.bounds()
         if np.any(x < lower - tol) or np.any(x > upper + tol):
             return False
-        for i in self.binary_indices:
-            if abs(x[i] - round(x[i])) > tol:
-                return False
-        for row in self._rows:
-            value = float(self.padded_row(row.coefficients) @ x)
-            if row.sense == "<=" and value > row.rhs + tol:
-                return False
-            if row.sense == ">=" and value < row.rhs - tol:
-                return False
-            if row.sense == "==" and abs(value - row.rhs) > tol:
-                return False
-        for ind in self._indicators:
-            if round(x[ind.binary]) != ind.active_value:
-                continue
-            value = float(self.padded_row(ind.coefficients) @ x)
-            if ind.sense == ">=" and value < ind.rhs - tol:
-                return False
-            if ind.sense == "<=" and value > ind.rhs + tol:
-                return False
-        return True
+        binary_values = x[self.binary_mask()]
+        if np.any(np.abs(binary_values - np.round(binary_values)) > tol):
+            return False
+        rows = self.rows
+        value = rows.activity(x)
+        sense, rhs = rows.sense, rows.rhs
+        violated = (
+            ((sense == "<=") & (value > rhs + tol))
+            | ((sense == ">=") & (value < rhs - tol))
+            | ((sense == "==") & (np.abs(value - rhs) > tol))
+        )
+        indicator = rows.is_indicator
+        enforced = ~indicator
+        active = rows.active_value[indicator]
+        enforced[indicator] = np.round(x[rows.binary[indicator]]) == active
+        return not np.any(violated & enforced)
 
     def evaluate_objective(self, x: np.ndarray) -> float:
         """Objective value of an assignment."""
@@ -341,4 +389,3 @@ class MILPModel:
         from repro.solvers.branch_and_bound import BranchAndBoundSolver
 
         return BranchAndBoundSolver(options).solve(self)
-

@@ -4,7 +4,9 @@
   (result contract, exact dominance, cell-bound consistency, serialization
   round-trips, permutation / rescaling metamorphics, executor and cache
   parity, the batched cell bounds against their scalar reference
-  :func:`~repro.testing.invariants.cell_error_bounds_reference`), each
+  :func:`~repro.testing.invariants.cell_error_bounds_reference`, the
+  one-pass MILP build against the per-pair
+  :func:`~repro.testing.invariants.formulation_reference`), each
   returning :class:`~repro.testing.invariants.CheckResult` objects so
   callers can aggregate instead of stopping at the first raise; plus
   :func:`~repro.testing.invariants.simulate_lru`, the recency reference the
@@ -24,6 +26,7 @@ from repro.testing.invariants import (
     check_cell_bound_consistency,
     check_exact_dominance,
     check_executor_parity,
+    check_formulation_parity,
     check_incremental_parity,
     check_permutation_invariance,
     check_problem_roundtrip,
@@ -33,6 +36,8 @@ from repro.testing.invariants import (
     check_streaming_parity,
     check_zero_error_witness,
     cell_error_bounds_reference,
+    formulation_reference,
+    model_differences,
     results_equal,
     simulate_lru,
 )
@@ -48,6 +53,7 @@ __all__ = [
     "check_cell_bound_consistency",
     "check_exact_dominance",
     "check_executor_parity",
+    "check_formulation_parity",
     "check_incremental_parity",
     "check_permutation_invariance",
     "check_problem_roundtrip",
@@ -57,6 +63,8 @@ __all__ = [
     "check_streaming_parity",
     "check_zero_error_witness",
     "cell_error_bounds_reference",
+    "formulation_reference",
+    "model_differences",
     "results_equal",
     "simulate_lru",
     "FAST_METHOD_OPTIONS",

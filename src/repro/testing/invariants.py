@@ -27,6 +27,9 @@ violation at once).  The invariants:
 * **vectorized parity** -- the batched cell-bound classifier must match
   :func:`cell_error_bounds_reference`, the scalar loop kept here as its
   oracle, exactly.
+* **formulation parity** -- the one-pass RankHow MILP build must match
+  :func:`formulation_reference`, the per-pair loop kept here as its oracle:
+  same variables, rows, pairs and bitwise-equal coefficients and big-Ms.
 * **streaming parity** -- every bounded-memory chunked evaluation path
   (blocked ``errors_of_many``, blocked ``induced_ranks_many``, the streaming
   :class:`~repro.core.cells.CellBoundEvaluator`) must be bitwise-equal to
@@ -38,6 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,6 +51,7 @@ from repro.core.result import SynthesisResult
 from repro.data.rng import as_generator
 from repro.obs.profile import WorkloadProfile
 from repro.scenarios.generator import permute_tuples, rescale_problem
+from repro.solvers.milp import MILPModel
 
 __all__ = [
     "CheckResult",
@@ -61,9 +66,12 @@ __all__ = [
     "check_cache_parity",
     "check_zero_error_witness",
     "check_vectorized_cell_bounds",
+    "check_formulation_parity",
     "check_streaming_parity",
     "check_incremental_parity",
     "cell_error_bounds_reference",
+    "formulation_reference",
+    "model_differences",
     "simulate_lru",
     "PARITY_METHOD_OPTIONS",
     "results_equal",
@@ -404,6 +412,25 @@ def cell_error_bounds_reference(
     return lower_total, upper_total
 
 
+def _probe_cells(
+    problem: RankingProblem,
+    results: dict[str, SynthesisResult] | None,
+    cell_size: float,
+    max_grid_cells: int,
+) -> list[Cell]:
+    """A coarse grid over the simplex plus a cell around every simplex-feasible
+    method result: the regions seeding and the cell-bound check visit."""
+    from repro.core.cells import grid_cells
+
+    grid_step = 0.5 if problem.num_attributes <= 6 else 0.95
+    cells = grid_cells(problem.num_attributes, grid_step, max_cells=max_grid_cells)
+    for result in (results or {}).values():
+        weights = np.asarray(result.weights, dtype=float).ravel()
+        if result.error >= 0 and _on_simplex(weights):
+            cells.append(cell_around(weights, cell_size))
+    return cells
+
+
 def check_vectorized_cell_bounds(
     problem: RankingProblem,
     results: dict[str, SynthesisResult] | None = None,
@@ -418,17 +445,10 @@ def check_vectorized_cell_bounds(
     :class:`~repro.core.cells.CellBoundEvaluator` matrix program to
     reproduce the reference loop's integer bounds exactly.
     """
-    from repro.core.cells import cell_error_bounds_many, grid_cells
+    from repro.core.cells import cell_error_bounds_many
 
     invariant = "vectorized_parity"
-    grid_step = 0.5 if problem.num_attributes <= 6 else 0.95
-    cells = grid_cells(problem.num_attributes, grid_step, max_cells=max_grid_cells)
-    for result in (results or {}).values():
-        if result.error < 0:
-            continue
-        weights = np.asarray(result.weights, dtype=float).ravel()
-        if _on_simplex(weights):
-            cells.append(cell_around(weights, cell_size))
+    cells = _probe_cells(problem, results, cell_size, max_grid_cells)
     reference = [cell_error_bounds_reference(problem, cell) for cell in cells]
     batched = cell_error_bounds_many(problem, cells)
     if reference != batched:
@@ -443,6 +463,161 @@ def check_vectorized_cell_bounds(
             f"{len(mismatches)}/{len(cells)} cells diverge: " + "; ".join(mismatches[:3]),
         )
     return _ok(invariant, "cell_bounds", f"{len(cells)} cells")
+
+
+def formulation_reference(
+    problem: RankingProblem,
+    eliminate_dominated: bool = True,
+    cell_bounds: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SimpleNamespace:
+    """Per-pair reference build of the RankHow MILP (plain position error).
+
+    One score-range evaluation and one pair of ``add_indicator`` calls per
+    (ranked, other) pair: the loop the one-pass
+    :class:`~repro.core.formulation.RankHowFormulation` build replaced, kept
+    as the ground truth of :func:`check_formulation_parity`.  Returns the
+    ``model`` with its ``indicator_pairs``, ``fixed_pairs`` and
+    ``fixed_values``, laid out as the formulation's.
+    """
+    matrix, tol, m = problem.matrix, problem.tolerances, problem.num_attributes
+    box = (np.zeros(m), np.ones(m)) if cell_bounds is None else cell_bounds
+    lower, upper = (np.clip(np.asarray(b, dtype=float).ravel(), 0.0, 1.0) for b in box)
+
+    def score_range(diff: np.ndarray) -> tuple[float, float]:
+        pos, neg = diff > 0, diff < 0
+        low = float(np.sum(diff[pos] * lower[pos]) + np.sum(diff[neg] * upper[neg]))
+        high = float(np.sum(diff[pos] * upper[pos]) + np.sum(diff[neg] * lower[neg]))
+        return max(float(np.min(diff)), low), min(float(np.max(diff)), high)
+
+    model = MILPModel()
+    w = [
+        model.add_continuous(lower=float(lo), upper=float(up), name=f"w[{name}]")
+        for lo, up, name in zip(lower, upper, problem.attributes)
+    ]
+    model.add_constraint(dict.fromkeys(w, 1.0), "==", 1.0)
+    for row, sense, rhs in problem.constraints.weight_rows(problem.attributes):
+        coefficients = {w[j]: float(row[j]) for j in range(m) if row[j] != 0.0}
+        model.add_constraint(coefficients, sense, rhs)
+    for precedence in problem.constraints.precedence_constraints:
+        diff = matrix[precedence.above] - matrix[precedence.below]
+        model.add_constraint({w[j]: float(diff[j]) for j in range(m)}, ">=", tol.eps1)
+    n, positions = problem.num_tuples, problem.ranking.positions
+    error_bound = float(getattr(problem, "_error_bound_override", n))
+    free, fixed, values = [], [], []
+    for r in problem.top_k_indices().tolist():
+        ones, deltas = 0, []
+        for s in range(n):
+            if s == r:
+                continue
+            diff = matrix[s] - matrix[r]
+            low, high = score_range(diff)
+            if eliminate_dominated and (low >= tol.eps1 or high <= tol.eps2):
+                fixed.append((s, r))
+                values.append(int(low >= tol.eps1))
+                ones += values[-1]
+                continue
+            delta = model.add_binary(name=f"delta[{s},{r}]")
+            free.append((s, r))
+            deltas.append(delta)
+            row = {w[j]: float(diff[j]) for j in range(m)}
+            big_m_one, big_m_zero = max(tol.eps1 - low, 0.0), max(high - tol.eps2, 0.0)
+            model.add_indicator(delta, 1, row, ">=", tol.eps1, big_m_one)
+            model.add_indicator(delta, 0, row, "<=", tol.eps2, big_m_zero)
+        e = model.add_continuous(0.0, error_bound, objective=1.0, name=f"e[{r}]")
+        base = 1 + ones - int(positions[r])
+        model.add_constraint({e: 1.0, **dict.fromkeys(deltas, -1.0)}, ">=", float(base))
+        model.add_constraint({e: 1.0, **dict.fromkeys(deltas, 1.0)}, ">=", float(-base))
+        for constraint in problem.constraints.position_constraints:
+            if constraint.tuple_index != r:
+                continue
+            min_rhs = float(constraint.min_position - 1 - ones)
+            max_rhs = float(constraint.max_position - 1 - ones)
+            if deltas:
+                model.add_constraint(dict.fromkeys(deltas, 1.0), ">=", min_rhs)
+                model.add_constraint(dict.fromkeys(deltas, 1.0), "<=", max_rhs)
+            elif not min_rhs <= 0.0 <= max_rhs:
+                model.add_constraint({w[0]: 0.0}, ">=", 1.0)
+    return SimpleNamespace(
+        model=model,
+        indicator_pairs=np.asarray(free, dtype=np.int64).reshape(-1, 2),
+        fixed_pairs=np.asarray(fixed, dtype=np.int64).reshape(-1, 2),
+        fixed_values=np.asarray(values, dtype=np.int8),
+    )
+
+
+def model_differences(
+    ours: MILPModel, theirs: MILPModel, big_m_atol: np.ndarray | None = None
+) -> list[str]:
+    """What differs between two models (empty: identical), variable names aside.
+
+    Variables (bounds, objective, binary flags) and every row (CSR entries
+    in order, sense, rhs, indicator binary and active value, big-M) compare
+    bit for bit; big-Ms within ``big_m_atol`` (one value per row) when given.
+    """
+    if ours.num_vars != theirs.num_vars or len(ours.rows) != len(theirs.rows):
+        return ["model sizes differ"]
+    a, b = ours.rows, theirs.rows
+    fields = ("indptr", "indices", "data", "sense", "rhs", "binary", "active_value")
+    pairs = {f"rows.{name}": (getattr(a, name), getattr(b, name)) for name in fields}
+    pairs["bounds"] = (np.stack(ours.bounds()), np.stack(theirs.bounds()))
+    pairs["objective"] = (ours.objective_vector(), theirs.objective_vector())
+    pairs["binary flags"] = (ours.binary_mask(), theirs.binary_mask())
+    if big_m_atol is None:
+        pairs["rows.big_m"] = (a.big_m, b.big_m)
+    problems = [
+        f"{label} differ"
+        for label, (x, y) in pairs.items()
+        if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes()
+    ]
+    if big_m_atol is not None and np.any(np.abs(a.big_m - b.big_m) > big_m_atol):
+        problems.append("rows.big_m differ beyond the tolerance")
+    return problems
+
+
+def check_formulation_parity(
+    problem: RankingProblem, results: dict[str, SynthesisResult] | None = None
+) -> CheckResult:
+    """The one-pass RankHow build matches :func:`formulation_reference`.
+
+    Builds the whole simplex, four grid cells and a 0.2 cell around every
+    simplex-feasible method result, with the dominance elimination on and
+    off, and requires identical variables (numbering, bounds, names), row
+    order, CSR entries and fixed/free pair sets, with bitwise-equal
+    coefficients and big-Ms.  The one exception: with ``m >= 8`` the
+    reference's masked 1-D ``np.sum`` adds eight or more same-sign terms in
+    numpy's 8-way unrolled order, so there big-Ms may differ by rounding,
+    within ``m * eps * sum_j |d_j * b_j|`` (``b_j`` the weight's upper bound).
+    """
+    from repro.core.formulation import RankHowFormulation
+
+    m = problem.num_attributes
+    cells = [None] + _probe_cells(problem, results, cell_size=0.2, max_grid_cells=4)
+    mismatches = []
+    for index, cell in enumerate(cells):
+        box = None if cell is None else (cell.lower, cell.upper)
+        for eliminate in (True, False):
+            reference = formulation_reference(problem, eliminate, box)
+            atol = None
+            if m >= 8:
+                rows, upper = reference.model.rows, reference.model.bounds()[1]
+                terms = np.abs(rows.data * upper[rows.indices])
+                atol = m * np.finfo(float).eps * np.bincount(
+                    rows.entry_rows(), weights=terms, minlength=len(rows)
+                )
+            ours = RankHowFormulation(problem, eliminate, cell_bounds=box)
+            problems = model_differences(ours.model, reference.model, atol)
+            if ours.model.variable_names != reference.model.variable_names:
+                problems.append("variable names differ")
+            for label in ("indicator_pairs", "fixed_pairs", "fixed_values"):
+                if not np.array_equal(getattr(ours, label), getattr(reference, label)):
+                    problems.append(f"{label} differ")
+            if problems:
+                mismatches.append(f"cell {index} eliminate={eliminate}: {problems}")
+    invariant, builds = "formulation_parity", 2 * len(cells)
+    if mismatches:
+        details = f"{len(mismatches)}/{builds} builds diverge: "
+        return _fail(invariant, "formulation", details + "; ".join(mismatches[:3]))
+    return _ok(invariant, "formulation", f"{builds} builds")
 
 
 def check_streaming_parity(

@@ -26,6 +26,7 @@ from repro.testing.invariants import (
     CheckResult,
     check_cell_bound_consistency,
     check_exact_dominance,
+    check_formulation_parity,
     check_incremental_parity,
     check_permutation_invariance,
     check_problem_roundtrip,
@@ -167,6 +168,10 @@ class DifferentialOracle:
         # The batched cell-bound classifier against its scalar reference:
         # bit-compatible with the loop it replaced, on every family.
         checks.append(check_vectorized_cell_bounds(problem, results))
+
+        # The one-pass RankHow MILP build against its per-pair reference:
+        # same variables, rows and pairs, bitwise-equal coefficients.
+        checks.append(check_formulation_parity(problem, results))
 
         # Bounded-memory data plane against the single-shot references: the
         # chunked errors/ranks paths and the streaming cell-bound evaluator

@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 from repro.core.constraints import ConstraintSet, PositionRangeConstraint, PrecedenceConstraint, min_weight
-from repro.core.formulation import IndicatorKey, RankHowFormulation
+from repro.core.formulation import RankHowFormulation
 from repro.core.problem import RankingProblem, ToleranceSettings
 from repro.core.ranking import Ranking
 from repro.data.rankings import ranking_from_scores
 from repro.data.relation import Relation
+from repro.core.result import SynthesisResult
 from repro.data.synthetic import generate_uniform
+from repro.scenarios import generate_one
+from repro.testing import check_formulation_parity
+
+
+def _plain_rows(formulation: RankHowFormulation) -> int:
+    """Number of unconditional (non-indicator) rows in the model."""
+    return int((~formulation.model.rows.is_indicator).sum())
 
 
 def test_variable_counts_without_elimination(tiny_problem):
@@ -21,7 +29,7 @@ def test_variable_counts_without_elimination(tiny_problem):
     assert len(formulation.error_vars) == k
     assert len(formulation.weight_vars) == m
     # Two indicator constraints per indicator variable.
-    assert len(formulation.model.indicators) == 2 * k * (n - 1)
+    assert int(formulation.model.rows.is_indicator.sum()) == 2 * k * (n - 1)
 
 
 def test_dominance_elimination_reduces_indicators(tiny_problem):
@@ -42,8 +50,9 @@ def test_dominated_pair_is_fixed_correctly():
         relation, ranking, tolerances=ToleranceSettings(eps1=1e-4, eps2=0.0)
     )
     formulation = RankHowFormulation(problem)
-    assert formulation.fixed_indicators.get(IndicatorKey(1, 0)) == 1
-    assert formulation.fixed_indicators.get(IndicatorKey(0, 1)) == 0
+    fixed = dict(zip(map(tuple, formulation.fixed_pairs.tolist()), formulation.fixed_values))
+    assert fixed[(1, 0)] == 1
+    assert fixed[(0, 1)] == 0
 
 
 def test_objective_matches_true_error_for_feasible_weights(linear_problem):
@@ -103,7 +112,7 @@ def test_precedence_constraint_is_a_weight_row():
     problem = RankingProblem(relation, ranking, constraints=constraints)
     baseline = RankHowFormulation(problem.with_constraints(ConstraintSet()))
     constrained = RankHowFormulation(problem)
-    assert len(constrained.model.constraints) == len(baseline.model.constraints) + 1
+    assert _plain_rows(constrained) == _plain_rows(baseline) + 1
 
 
 def test_position_range_constraints_add_rows(linear_problem):
@@ -113,7 +122,7 @@ def test_position_range_constraints_add_rows(linear_problem):
     )
     formulation = RankHowFormulation(constrained)
     plain = RankHowFormulation(linear_problem)
-    assert len(formulation.model.constraints) >= len(plain.model.constraints) + 1
+    assert _plain_rows(formulation) >= _plain_rows(plain) + 1
 
 
 def test_cell_bounds_fix_more_indicators(nonlinear_problem):
@@ -145,3 +154,24 @@ def test_error_weights_scale_the_objective(linear_problem):
     error_indices = list(formulation.error_vars.values())
     assert objective[error_indices[0]] == pytest.approx(1.0)
     assert objective[error_indices[-1]] == pytest.approx(1.0 / len(ranked))
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_formulation_parity_on_wide_problems(index):
+    """m >= 8: the one-pass build matches the per-pair reference, with big-Ms
+    allowed to differ only by the rounding of numpy's 8-way unrolled sums."""
+    problem = generate_one("wide", index, 20260730).problem
+    assert problem.num_attributes >= 8
+    rng = np.random.default_rng(index)
+    results = {}
+    for draw, weights in enumerate(rng.dirichlet(np.ones(problem.num_attributes), 3)):
+        results[f"draw{draw}"] = SynthesisResult(
+            weights=weights,
+            attributes=list(problem.attributes),
+            error=problem.error_of(weights),
+            objective=0.0,
+            optimal=False,
+            method="draw",
+        )
+    check = check_formulation_parity(problem, results)
+    assert check.passed, check.details

@@ -26,6 +26,7 @@ REQUIRED_INVARIANTS = {
     "permutation_invariance",
     "rescaling_invariance",
     "vectorized_parity",
+    "formulation_parity",
     "streaming_parity",
     "incremental_parity",
 }

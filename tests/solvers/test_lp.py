@@ -113,8 +113,8 @@ def test_copy_is_independent():
     clone.set_bounds(0, lower=0.5)
     clone.add_constraint([1.0, 0.0], "<=", 0.75)
     assert lp.lower_bounds[0] == 0.0
-    assert len(lp.constraints) == 1
-    assert len(clone.constraints) == 2
+    assert lp.num_constraints == 1
+    assert clone.num_constraints == 2
 
 
 def test_simplex_weight_vector_problem():

@@ -45,10 +45,6 @@ def test_invalid_variable_and_constraint_arguments():
         model.add_indicator(d, 2, {x: 1.0}, ">=", 0.0)
     with pytest.raises(ValueError):
         model.add_indicator(d, 1, {x: 1.0}, "==", 0.0)
-    with pytest.raises(ValueError):
-        model.fix_binary(x, 1)
-    with pytest.raises(ValueError):
-        model.fix_binary(d, 2)
 
 
 def test_dense_and_sparse_rows_equivalent():
@@ -57,8 +53,8 @@ def test_dense_and_sparse_rows_equivalent():
     y = model.add_continuous(upper=1.0)
     model.add_constraint({x: 1.0, y: 2.0}, "<=", 1.5)
     model.add_constraint(np.array([1.0, 2.0]), "<=", 1.5)
-    rows = model.constraints
-    assert np.allclose(rows[0].coefficients, rows[1].coefficients)
+    dense = model.rows.dense(model.num_vars)
+    assert np.array_equal(dense[0], dense[1])
 
 
 def test_padded_row_extends_older_constraints():
@@ -66,7 +62,7 @@ def test_padded_row_extends_older_constraints():
     x = model.add_continuous(upper=1.0)
     model.add_constraint({x: 1.0}, "<=", 0.5)
     model.add_continuous(upper=1.0)  # added after the constraint
-    padded = model.padded_row(model.constraints[0].coefficients)
+    padded = model.rows.dense(model.num_vars)[0]
     assert padded.shape[0] == 2
     assert padded[1] == 0.0
     # The relaxation must build without shape errors.
@@ -104,13 +100,6 @@ def test_check_feasible_enforces_bounds_integrality_and_rows():
     assert not model.check_feasible(np.array([1.5, 0.0]))  # bound violated
     assert not model.check_feasible(np.array([0.2, 0.5]))  # fractional binary
     assert not model.check_feasible(np.array([0.9, 1.0]))  # row violated
-
-
-def test_fix_binary_restricts_bounds():
-    model = _indicator_model(big_m=1.0)
-    model.fix_binary(1, 1)
-    lower, upper = model.bounds()
-    assert lower[1] == upper[1] == 1.0
 
 
 def test_evaluate_objective():

@@ -1,4 +1,4 @@
-"""Tests for the presolve reductions and the per-node bound tightener."""
+"""Tests for the per-node bound tightener."""
 
 from __future__ import annotations
 
@@ -7,158 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.solvers.branch_and_bound import BranchAndBoundSolver
+from repro.solvers.branch_and_bound import BoundTightener, BranchAndBoundSolver
 from repro.solvers.milp import MILPModel, MILPStatus
-from repro.solvers.presolve import BoundTightener, presolve
-
-
-def test_always_satisfied_indicator_is_removed():
-    model = MILPModel()
-    x = model.add_continuous(lower=0.5, upper=1.0)
-    d = model.add_binary()
-    # x >= 0.1 holds for every point in the box -> implication is vacuous.
-    model.add_indicator(d, 1, {x: 1.0}, ">=", 0.1)
-    report = presolve(model)
-    assert report.removed_indicators == 1
-    assert len(model.indicators) == 0
-
-
-def test_never_satisfied_indicator_fixes_binary():
-    model = MILPModel()
-    x = model.add_continuous(lower=0.0, upper=0.3)
-    d = model.add_binary()
-    model.add_indicator(d, 1, {x: 1.0}, ">=", 0.9)  # impossible
-    model.add_indicator(d, 0, {x: 1.0}, "<=", 0.5)  # always possible
-    report = presolve(model)
-    assert report.fixed_binaries == 1
-    lower, upper = model.bounds()
-    assert lower[d] == upper[d] == 0.0
-
-
-def test_fixed_binary_turns_indicator_into_row():
-    model = MILPModel()
-    x = model.add_continuous(lower=0.0, upper=1.0)
-    d = model.add_binary()
-    model.add_indicator(d, 1, {x: 1.0}, ">=", 0.6)
-    model.fix_binary(d, 1)
-    rows_before = len(model.constraints)
-    report = presolve(model)
-    assert report.removed_indicators == 1
-    assert len(model.constraints) == rows_before + 1
-
-
-def test_big_m_tightening_reported():
-    model = MILPModel()
-    x = model.add_continuous(lower=0.0, upper=0.5)
-    d = model.add_binary()
-    model.add_indicator(d, 1, {x: 1.0}, ">=", 0.4, big_m=100.0)
-    model.add_indicator(d, 0, {x: 1.0}, "<=", 0.1, big_m=100.0)
-    report = presolve(model)
-    assert report.tightened_big_ms == 2
-    for ind in model.indicators:
-        assert ind.big_m <= 0.5
-
-
-def test_presolve_preserves_optimum():
-    def build() -> MILPModel:
-        model = MILPModel()
-        x = model.add_continuous(upper=1.0, objective=1.0)
-        d1 = model.add_binary(objective=0.5)
-        d2 = model.add_binary(objective=0.25)
-        model.add_indicator(d1, 1, {x: 1.0}, ">=", 0.6, big_m=10.0)
-        model.add_indicator(d1, 0, {x: 1.0}, "<=", 0.4, big_m=10.0)
-        model.add_indicator(d2, 1, {x: 1.0}, ">=", 2.0, big_m=10.0)  # impossible
-        model.add_indicator(d2, 0, {x: 1.0}, "<=", 1.0, big_m=10.0)  # trivial
-        model.add_constraint({x: 1.0, d1: 0.2}, ">=", 0.5)
-        return model
-
-    plain = BranchAndBoundSolver().solve(build())
-    reduced_model = build()
-    presolve(reduced_model)
-    reduced = BranchAndBoundSolver().solve(reduced_model)
-    assert plain.has_solution and reduced.has_solution
-    assert plain.objective == pytest.approx(reduced.objective, abs=1e-6)
-
-
-def test_presolve_handles_interleaved_variable_creation():
-    model = MILPModel()
-    x = model.add_continuous(lower=0.2, upper=0.8)
-    d = model.add_binary()
-    model.add_indicator(d, 1, {x: 1.0}, ">=", 0.1)
-    model.add_continuous(lower=0.0, upper=1.0)  # widens the variable space
-    report = presolve(model)
-    assert report.removed_indicators == 1
-    assert isinstance(report.fixed_binaries, int)
-
-
-def test_presolve_keeps_undecidable_indicators():
-    model = MILPModel()
-    x = model.add_continuous(lower=0.0, upper=1.0)
-    d = model.add_binary()
-    model.add_indicator(d, 1, {x: 1.0}, ">=", 0.6)
-    model.add_indicator(d, 0, {x: 1.0}, "<=", 0.4)
-    report = presolve(model)
-    assert report.fixed_binaries == 0
-    assert len(model.indicators) == 2
-    assert np.all([ind.big_m is not None for ind in model.indicators])
-
-
-# -- edge cases ---------------------------------------------------------------------
-
-
-def test_presolve_on_empty_model_is_a_noop():
-    model = MILPModel()
-    report = presolve(model)
-    assert (report.fixed_binaries, report.tightened_big_ms, report.removed_indicators) == (0, 0, 0)
-    assert len(model.indicators) == 0
-    assert len(model.constraints) == 0
-
-
-def test_presolve_without_indicators_leaves_constraints_alone():
-    model = MILPModel()
-    x = model.add_continuous(lower=0.0, upper=1.0, objective=1.0)
-    model.add_constraint({x: 1.0}, ">=", 0.5)
-    rows_before = len(model.constraints)
-    report = presolve(model)
-    assert report.removed_indicators == 0
-    assert len(model.constraints) == rows_before
-    solution = BranchAndBoundSolver().solve(model)
-    assert solution.has_solution
-    assert solution.objective == pytest.approx(0.5, abs=1e-6)
-
-
-def test_presolve_keeps_binary_free_when_both_arms_are_impossible():
-    # Both arms violate the box: fixing either way would be wrong, so the
-    # indicator must survive and infeasibility is left to the solver.
-    model = MILPModel()
-    x = model.add_continuous(lower=0.0, upper=0.1)
-    d = model.add_binary()
-    model.add_indicator(d, 1, {x: 1.0}, ">=", 0.9)
-    model.add_indicator(d, 0, {x: 1.0}, ">=", 0.5)
-    report = presolve(model)
-    assert report.fixed_binaries == 0
-    assert len(model.indicators) == 2
-    solution = BranchAndBoundSolver().solve(model)
-    assert not solution.has_solution
-
-
-def test_presolve_preserves_infeasibility():
-    def build() -> MILPModel:
-        model = MILPModel()
-        x = model.add_continuous(lower=0.0, upper=1.0)
-        model.add_constraint({x: 1.0}, ">=", 0.8)
-        model.add_constraint({x: 1.0}, "<=", 0.2)
-        d = model.add_binary()
-        model.add_indicator(d, 1, {x: 1.0}, ">=", 0.5)
-        model.add_indicator(d, 0, {x: 1.0}, "<=", 0.5)
-        return model
-
-    plain = BranchAndBoundSolver().solve(build())
-    reduced_model = build()
-    presolve(reduced_model)
-    reduced = BranchAndBoundSolver().solve(reduced_model)
-    assert not plain.has_solution
-    assert not reduced.has_solution
 
 
 class TestBoundTightener:
