@@ -1,4 +1,4 @@
-"""Hot-path micro-benchmarks: batched cell-error bounds and the MILP build.
+"""Hot-path micro-benchmarks: batched cell-error bounds, MILP build, node LPs.
 
 Guards the hot paths reworked for performance (see the README's
 "Performance" section): every run writes the measured numbers to
@@ -8,7 +8,9 @@ Assertions are correctness-first and deliberately loose on wall-clock (the CI
 container often has a single CPU): the **batched** cell-bound classifier must
 reproduce the scalar reference bounds of :mod:`repro.testing` exactly, the
 **one-pass** RankHow MILP build must reproduce the per-pair reference models
-exactly, and neither may be slower than the loop it replaced.
+exactly, the **direct** HiGHS hand-off must reproduce every replayed node LP
+of the ``linprog`` reference bit for bit, and none may be slower than the
+path it replaced.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def test_hotpaths(benchmark):
         iterations=1,
     )
     print()
-    print(ascii_table(records, title="Hot paths: cell bounds, MILP build"))
+    print(ascii_table(records, title="Hot paths: cell bounds, MILP build, node LPs"))
     write_baseline("hotpaths", records)
 
     cells = {r.method: r for r in records if r.experiment == "hotpaths_cells"}
@@ -45,3 +47,11 @@ def test_hotpaths(benchmark):
     assert vectorized.extra["binaries"] == reference.extra["binaries"] > 0
     # The one-pass build is typically 30-60x faster than the per-pair loop.
     assert vectorized.time_seconds <= reference.time_seconds * 1.2
+
+    lps = {r.method: r for r in records if r.experiment == "hotpaths_lp"}
+    reference = lps["lp[linprog]"]
+    direct = lps["lp[direct]"]
+    assert direct.extra["matches_reference"]
+    assert direct.params["lps"] == reference.params["lps"] > 0
+    # The direct hand-off is typically ~2x faster on these node LPs.
+    assert direct.time_seconds <= reference.time_seconds * 1.2

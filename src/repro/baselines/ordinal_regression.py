@@ -85,10 +85,15 @@ class OrdinalRegressionBaseline:
     def __init__(self, options: OrdinalRegressionOptions | None = None) -> None:
         self.options = options or OrdinalRegressionOptions()
 
-    def solve(self, problem: RankingProblem) -> SynthesisResult:
-        """Fit the LP and evaluate the resulting weights."""
+    def build_lp(self, problem: RankingProblem) -> tuple[LinearProgram, dict]:
+        """The LP :meth:`solve` minimizes, plus its pair counts and margin.
+
+        Variables are the ``m`` weights, one slack per ordered pair, then two
+        per tied pair.  Rows: the simplex, the weight constraints, every
+        ordered pair (one block), every tied pair's upper and lower row (one
+        block, interleaved).
+        """
         options = self.options
-        start = time.perf_counter()
         matrix = problem.matrix
         positions = problem.ranking.positions
         m = problem.num_attributes
@@ -101,23 +106,18 @@ class OrdinalRegressionBaseline:
 
         # Ranked tuples ordered by position; consecutive distinct positions
         # produce ordering constraints, equal positions produce tie constraints.
-        ranked = [int(r) for r in problem.top_k_indices()]
-        ordered_pairs: list[tuple[int, int]] = []  # (better, worse)
-        tied_pairs: list[tuple[int, int]] = []
-        for i in range(len(ranked) - 1):
-            a, b = ranked[i], ranked[i + 1]
-            if positions[a] == positions[b]:
-                tied_pairs.append((a, b))
-            else:
-                ordered_pairs.append((a, b))
-        if options.include_unranked and ranked:
-            last = ranked[-1]
-            for s in np.where(positions == UNRANKED)[0]:
-                ordered_pairs.append((last, int(s)))
+        ranked = problem.top_k_indices().astype(int)
+        tied = positions[ranked[:-1]] == positions[ranked[1:]]
+        better, worse = ranked[:-1][~tied], ranked[1:][~tied]
+        if options.include_unranked and len(ranked):
+            unranked = np.flatnonzero(positions == UNRANKED)
+            better = np.concatenate((better, np.full(len(unranked), ranked[-1])))
+            worse = np.concatenate((worse, unranked))
+        tied_a, tied_b = ranked[:-1][tied], ranked[1:][tied]
 
-        num_order_slacks = len(ordered_pairs)
-        num_tie_slacks = 2 * len(tied_pairs) if options.support_ties else 0
-        total_vars = m + num_order_slacks + num_tie_slacks
+        num_ordered = len(better)
+        num_tie_slacks = 2 * len(tied_a) if options.support_ties else 0
+        total_vars = m + num_ordered + num_tie_slacks
 
         lp = LinearProgram(total_vars)
         objective = np.zeros(total_vars)
@@ -138,28 +138,32 @@ class OrdinalRegressionBaseline:
                 full_row[:m] = row
                 lp.add_constraint(full_row, sense, rhs)
 
-        slack_index = m
-        for better, worse in ordered_pairs:
-            row = np.zeros(total_vars)
-            row[:m] = matrix[better] - matrix[worse]
-            row[slack_index] = 1.0
-            lp.add_constraint(row, ">=", margin)
-            slack_index += 1
+        slack = m + np.arange(num_ordered + num_tie_slacks)
+        rows = np.zeros((num_ordered, total_vars))
+        rows[:, :m] = matrix[better] - matrix[worse]
+        rows[np.arange(num_ordered), slack[:num_ordered]] = 1.0
+        lp.add_constraints(rows, [">="] * num_ordered, np.full(num_ordered, margin))
 
-        if options.support_ties:
-            for a, b in tied_pairs:
-                difference = matrix[a] - matrix[b]
-                row_upper = np.zeros(total_vars)
-                row_upper[:m] = difference
-                row_upper[slack_index] = -1.0
-                lp.add_constraint(row_upper, "<=", tie_eps)
-                slack_index += 1
-                row_lower = np.zeros(total_vars)
-                row_lower[:m] = difference
-                row_lower[slack_index] = 1.0
-                lp.add_constraint(row_lower, ">=", -tie_eps)
-                slack_index += 1
+        if num_tie_slacks:
+            rows = np.zeros((num_tie_slacks, total_vars))
+            rows[:, :m] = np.repeat(matrix[tied_a] - matrix[tied_b], 2, axis=0)
+            rows[np.arange(num_tie_slacks), slack[num_ordered:]] = np.tile(
+                [-1.0, 1.0], len(tied_a)
+            )
+            lp.add_constraints(
+                rows, ["<=", ">="] * len(tied_a), np.tile([tie_eps, -tie_eps], len(tied_a))
+            )
+        return lp, {
+            "ordered_pairs": num_ordered,
+            "tied_pairs": len(tied_a),
+            "margin": margin,
+        }
 
+    def solve(self, problem: RankingProblem) -> SynthesisResult:
+        """Fit the LP and evaluate the resulting weights."""
+        start = time.perf_counter()
+        m = problem.num_attributes
+        lp, pairs = self.build_lp(problem)
         solution = lp.solve()
         elapsed = time.perf_counter() - start
 
@@ -190,8 +194,6 @@ class OrdinalRegressionBaseline:
             diagnostics={
                 "k": problem.k,
                 "score_penalty": float(solution.objective),
-                "ordered_pairs": len(ordered_pairs),
-                "tied_pairs": len(tied_pairs),
-                "margin": margin,
+                **pairs,
             },
         )

@@ -766,7 +766,7 @@ def experiment_hotpaths(
     cells_tuples: int = 800,
     cells_max: int = 256,
 ) -> list[ExperimentRecord]:
-    """Micro-benchmarks of the cell-bound and MILP-build hot paths.
+    """Micro-benchmarks of the cell-bound, MILP-build and node-LP hot paths.
 
     ``hotpaths_cells`` classifies a simplex-covering grid twice: with the
     scalar reference loop of :mod:`repro.testing` and with the batched
@@ -775,14 +775,23 @@ def experiment_hotpaths(
     cells twice: with the per-pair reference loop of
     :mod:`repro.testing` and with the one-pass build
     (``extra["builds_per_second"]``); ``extra["matches_reference"]`` records
-    that every variable, row and big-M is identical.
+    that every variable, row and big-M is identical.  ``hotpaths_lp``
+    replays the node LPs of one n=10 exact solve and one n=1000 SYM-GD
+    cell, best of three passes, through the ``linprog`` reference of
+    :mod:`repro.testing` and through :meth:`LinearProgram.solve`
+    (``extra["lps_per_second"]``); ``extra["matches_reference"]`` records
+    that every status, ``x``, objective and iteration count is identical.
     """
     from repro.core.cells import cell_error_bounds_many, grid_cells
     from repro.core.formulation import RankHowFormulation
+    from repro.solvers.lp import LinearProgram
     from repro.testing import (
         cell_error_bounds_reference,
         formulation_reference,
+        lp_differences,
+        lp_reference,
         model_differences,
+        recorded_lps,
     )
 
     records: list[ExperimentRecord] = []
@@ -836,6 +845,42 @@ def experiment_hotpaths(
                 extra={
                     "builds_per_second": len(boxes) / max(wall, 1e-9),
                     "binaries": sum(int(m.binary_mask().sum()) for m in models[label]),
+                    "matches_reference": all(same),
+                },
+            )
+        )
+
+    exact = synthetic_problem("uniform", 10, num_attributes=3, k=6, exponent=2.0, seed=1)
+    cell = synthetic_problem("uniform", 1000, num_attributes=4, k=10, seed=0)
+    with recorded_lps() as node_lps:
+        get_method("rankhow").synthesize(exact, {"node_limit": 60, "time_limit": None})
+        get_method("symgd").synthesize(
+            cell, {"max_iterations": 1, "solver_options": {"node_limit": 20}}
+        )
+    reference = None
+    for label, solve in (("lp[linprog]", lp_reference), ("lp[direct]", LinearProgram.solve)):
+        walls = []
+        for _ in range(3):
+            models = {id(lp): lp.copy() for lp, *_ in node_lps}
+            start = time.perf_counter()
+            solved = []
+            for lp, objective, lower, upper in node_lps:
+                model = models[id(lp)]
+                model.objective, model.lower_bounds, model.upper_bounds = objective, lower, upper
+                solved.append(solve(model))
+            walls.append(time.perf_counter() - start)
+        reference = reference or solved
+        same = [not lp_differences(ours, ref) for ours, ref in zip(solved, reference)]
+        records.append(
+            ExperimentRecord(
+                experiment="hotpaths_lp",
+                dataset="uniform",
+                method=label,
+                params={"lps": len(node_lps), "models": len(models)},
+                time_seconds=min(walls),
+                extra={
+                    "lps_per_second": len(node_lps) / max(min(walls), 1e-9),
+                    "iterations": sum(solution.iterations for solution in solved),
                     "matches_reference": all(same),
                 },
             )

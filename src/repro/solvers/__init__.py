@@ -4,7 +4,8 @@ The RankHow paper relies on Gurobi, a commercial MILP solver.  This package
 provides the equivalent substrate on top of SciPy's HiGHS LP solver:
 
 * :mod:`repro.solvers.lp` -- a general LP model (bounds, inequalities,
-  equalities) solved by ``scipy.optimize.linprog`` (HiGHS).
+  equalities) handed to HiGHS through SciPy's bundled binding, prepared
+  once per row change and solved cold.
 * :mod:`repro.solvers.milp` -- a mixed-integer model with binary variables and
   indicator constraints encoded through tight big-M rows, stored as one
   sparse (CSR) row matrix.

@@ -7,14 +7,18 @@
                 A_eq @ x == b_eq
                 lb <= x <= ub        (entries may be -inf / +inf)
 
-and solves it with ``scipy.optimize.linprog(method="highs")``.  The RankHow
-pipelines solve thousands of small LPs (one per branch-and-bound node, one
-per TREE region), so the model caches its stacked constraint matrices
-between solves that change only the bounds.
+and solves it with HiGHS through SciPy's bundled binding
+(``scipy.optimize._highspy``).  The RankHow pipelines solve thousands of
+small LPs (one per branch-and-bound node, one per TREE region), so the model
+prepares its HiGHS model -- stacked CSC matrix and row bounds -- once per
+row change, and a solve that changes only the objective or the bounds writes
+just those into it.  Every solve still runs on a fresh HiGHS instance, from
+a cold start.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -216,36 +220,118 @@ class LinearProgram:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(self) -> LPSolution:
-        """Solve the LP with HiGHS."""
-        from scipy.optimize import linprog
+    def _prepared(self) -> tuple:
+        """The HiGHS model of the current rows, built by the first solve
+        after a row change: rows validated, ``A_ub`` stacked over ``A_eq``
+        in CSC form, row bounds set.  Each solve then writes only the
+        objective and the column bounds into it."""
+        prepared = self._matrix_cache.get("highs")
+        if prepared is None:
+            from scipy.optimize._highspy import _core as highs
+            from scipy.sparse import csc_array
 
-        a_ub, b_ub = self.inequality_matrix()
-        a_eq, b_eq = self.equality_matrix()
-        bounds = [
-            (
-                None if self.lower_bounds[i] == -_INF else self.lower_bounds[i],
-                None if self.upper_bounds[i] == _INF else self.upper_bounds[i],
-            )
-            for i in range(self.num_vars)
-        ]
-        result = linprog(
-            c=self.objective,
-            A_ub=a_ub if a_ub.shape[0] else None,
-            b_ub=b_ub if a_ub.shape[0] else None,
-            A_eq=a_eq if a_eq.shape[0] else None,
-            b_eq=b_eq if a_eq.shape[0] else None,
-            bounds=bounds,
-            method="highs",
+            a_ub, b_ub = self.inequality_matrix()
+            a_eq, b_eq = self.equality_matrix()
+            for name, values in (("A_ub", a_ub), ("b_ub", b_ub), ("A_eq", a_eq), ("b_eq", b_eq)):
+                _check_finite(name, values)
+            matrix = csc_array(np.vstack((a_ub, a_eq)))
+            model = highs.HighsLp()
+            model.num_col_ = model.a_matrix_.num_col_ = self.num_vars
+            model.num_row_ = model.a_matrix_.num_row_ = matrix.shape[0]
+            model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+            model.a_matrix_.start_ = matrix.indptr
+            model.a_matrix_.index_ = matrix.indices
+            model.a_matrix_.value_ = matrix.data
+            model.row_lower_ = np.concatenate((np.full(len(b_ub), -_INF), b_eq))
+            model.row_upper_ = row_upper = np.concatenate((b_ub, b_eq))
+            prepared = self._matrix_cache["highs"] = (model, row_upper, len(b_ub))
+        return prepared
+
+    def solve(self) -> LPSolution:
+        """Solve the LP with HiGHS, every call from a cold start.
+
+        Statuses follow the HiGHS model status: a load error or a proven
+        infeasibility is ``INFEASIBLE``, a proven unboundedness
+        ``UNBOUNDED``, an optimum ``OPTIMAL`` only when its primal residuals
+        are within ``sqrt(1e-9) * 10`` (else ``ERROR``), anything else
+        ``ERROR``.  ``iterations`` is the HiGHS simplex (or, failing that,
+        interior-point) iteration count on every status.
+        """
+        from scipy.optimize._highspy import _core as highs
+
+        c = np.asarray(self.objective, dtype=float).ravel()
+        if c.shape[0] != self.num_vars:
+            raise ValueError("objective length does not match num_vars")
+        _check_finite("c", c)
+        model, row_upper, num_ub = self._prepared()
+        lower = np.asarray(self.lower_bounds, dtype=float).ravel()
+        upper = np.asarray(self.upper_bounds, dtype=float).ravel()
+        if lower.shape[0] != self.num_vars or upper.shape[0] != self.num_vars:
+            raise ValueError("bound arrays must have num_vars entries")
+        lower = np.where(np.isnan(lower), -_INF, lower)
+        upper = np.where(np.isnan(upper), _INF, upper)
+        model.col_cost_ = c
+        model.col_lower_ = lower
+        model.col_upper_ = upper
+
+        solver = highs._Highs()
+        solver.passOptions(_highs_options())
+        if solver.passModel(model) == highs.HighsStatus.kError:
+            return _failure(highs.HighsModelStatus.kModelError, 0)
+        if solver.run() == highs.HighsStatus.kError:
+            return _failure(solver.getModelStatus(), 0)
+        status = solver.getModelStatus()
+        info = solver.getInfo()
+        iterations = info.simplex_iteration_count or info.ipm_iteration_count
+        if status != highs.HighsModelStatus.kOptimal:
+            return _failure(status, iterations)
+        solution = solver.getSolution()
+        x = np.array(solution.col_value)
+        objective = info.objective_function_value
+        slack = row_upper - np.array(solution.row_value)
+        tol = _RESIDUAL_TOLERANCE
+        feasible = not (
+            np.isnan(x).any()
+            or np.isnan(objective)
+            or np.isnan(slack).any()
+            or not np.all((x >= lower - tol) & (x <= upper + tol))
+            or (slack[:num_ub] < -tol).any()
+            or (np.abs(slack[num_ub:]) > tol).any()
         )
-        if result.status == 0:
-            return LPSolution(
-                LPStatus.OPTIMAL,
-                np.asarray(result.x, dtype=float),
-                float(result.fun),
-                iterations=int(getattr(result, "nit", 0) or 0),
-            )
-        status = {2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}.get(
-            result.status, LPStatus.ERROR
-        )
-        return LPSolution(status, np.zeros(0), float("nan"))
+        if not feasible:
+            return LPSolution(LPStatus.ERROR, np.zeros(0), float("nan"), iterations)
+        return LPSolution(LPStatus.OPTIMAL, x, float(objective), iterations)
+
+
+#: Largest primal residual (bounds and rows) an optimum may carry.
+_RESIDUAL_TOLERANCE = np.sqrt(1e-9) * 10
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"invalid LP input: {name} must not contain inf or nan")
+
+
+@functools.cache
+def _highs_options():
+    """Presolve on, dual simplex, no output."""
+    from scipy.optimize._highspy import _core as highs
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+def _failure(status, iterations: int) -> LPSolution:
+    """The solution of a solve that ended without an accepted optimum."""
+    from scipy.optimize._highspy import _core as highs
+
+    mapped = {
+        highs.HighsModelStatus.kInfeasible: LPStatus.INFEASIBLE,
+        highs.HighsModelStatus.kModelError: LPStatus.INFEASIBLE,
+        highs.HighsModelStatus.kUnbounded: LPStatus.UNBOUNDED,
+    }.get(status, LPStatus.ERROR)
+    return LPSolution(mapped, np.zeros(0), float("nan"), iterations)

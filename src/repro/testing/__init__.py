@@ -6,7 +6,9 @@
   parity, the batched cell bounds against their scalar reference
   :func:`~repro.testing.invariants.cell_error_bounds_reference`, the
   one-pass MILP build against the per-pair
-  :func:`~repro.testing.invariants.formulation_reference`), each
+  :func:`~repro.testing.invariants.formulation_reference`, the LP solve
+  against the ``linprog`` call of
+  :func:`~repro.testing.invariants.lp_reference`), each
   returning :class:`~repro.testing.invariants.CheckResult` objects so
   callers can aggregate instead of stopping at the first raise; plus
   :func:`~repro.testing.invariants.simulate_lru`, the recency reference the
@@ -37,7 +39,10 @@ from repro.testing.invariants import (
     check_zero_error_witness,
     cell_error_bounds_reference,
     formulation_reference,
+    lp_differences,
+    lp_reference,
     model_differences,
+    recorded_lps,
     results_equal,
     simulate_lru,
 )
@@ -64,7 +69,10 @@ __all__ = [
     "check_zero_error_witness",
     "cell_error_bounds_reference",
     "formulation_reference",
+    "lp_differences",
+    "lp_reference",
     "model_differences",
+    "recorded_lps",
     "results_equal",
     "simulate_lru",
     "FAST_METHOD_OPTIONS",

@@ -39,7 +39,8 @@ violation at once).  The invariants:
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -51,6 +52,7 @@ from repro.core.result import SynthesisResult
 from repro.data.rng import as_generator
 from repro.obs.profile import WorkloadProfile
 from repro.scenarios.generator import permute_tuples, rescale_problem
+from repro.solvers.lp import LinearProgram, LPSolution, LPStatus
 from repro.solvers.milp import MILPModel
 
 __all__ = [
@@ -71,7 +73,10 @@ __all__ = [
     "check_incremental_parity",
     "cell_error_bounds_reference",
     "formulation_reference",
+    "lp_differences",
+    "lp_reference",
     "model_differences",
+    "recorded_lps",
     "simulate_lru",
     "PARITY_METHOD_OPTIONS",
     "results_equal",
@@ -543,6 +548,87 @@ def formulation_reference(
         fixed_pairs=np.asarray(fixed, dtype=np.int64).reshape(-1, 2),
         fixed_values=np.asarray(values, dtype=np.int8),
     )
+
+
+def lp_reference(lp: LinearProgram) -> LPSolution:
+    """Solve ``lp`` through ``scipy.optimize.linprog(method="highs")``.
+
+    The call :meth:`~repro.solvers.lp.LinearProgram.solve` made before it
+    drove HiGHS directly, kept as the ground truth of the LP parity tests:
+    same status, ``x``, objective and iteration count, bit for bit.
+    """
+    from scipy.optimize import linprog
+
+    a_ub, b_ub = lp.inequality_matrix()
+    a_eq, b_eq = lp.equality_matrix()
+    bounds = [
+        (
+            None if lp.lower_bounds[i] == -np.inf else lp.lower_bounds[i],
+            None if lp.upper_bounds[i] == np.inf else lp.upper_bounds[i],
+        )
+        for i in range(lp.num_vars)
+    ]
+    result = linprog(
+        c=lp.objective,
+        A_ub=a_ub if a_ub.shape[0] else None,
+        b_ub=b_ub if a_ub.shape[0] else None,
+        A_eq=a_eq if a_eq.shape[0] else None,
+        b_eq=b_eq if a_eq.shape[0] else None,
+        bounds=bounds,
+        method="highs",
+    )
+    iterations = int(getattr(result, "nit", 0) or 0)
+    if result.status == 0:
+        return LPSolution(
+            LPStatus.OPTIMAL,
+            np.asarray(result.x, dtype=float),
+            float(result.fun),
+            iterations=iterations,
+        )
+    status = {2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}.get(
+        result.status, LPStatus.ERROR
+    )
+    return LPSolution(status, np.zeros(0), float("nan"), iterations=iterations)
+
+
+@contextmanager
+def recorded_lps() -> Iterator[list[tuple]]:
+    """Record every :meth:`~repro.solvers.lp.LinearProgram.solve` call made
+    inside the block.
+
+    Yields a list that fills with one ``(lp, objective, lower, upper)`` per
+    solve: the model itself and copies of the objective and bounds that
+    solve saw.  Rows are not copied, so a record replays what was solved
+    only while no row is added to its model afterwards -- true of
+    branch-and-bound relaxations, TREE regions and the ordinal-regression
+    seed, which are each built once and then only re-bounded.
+    """
+    solve = LinearProgram.solve
+    records: list[tuple] = []
+
+    def recording(lp: LinearProgram) -> LPSolution:
+        records.append(
+            (lp, lp.objective.copy(), lp.lower_bounds.copy(), lp.upper_bounds.copy())
+        )
+        return solve(lp)
+
+    LinearProgram.solve = recording
+    try:
+        yield records
+    finally:
+        LinearProgram.solve = solve
+
+
+def lp_differences(ours: LPSolution, theirs: LPSolution) -> list[str]:
+    """Which fields of two LP solutions differ (empty: bit-identical)."""
+    objectives = np.array([ours.objective, theirs.objective])
+    pairs = {
+        "status": (ours.status, theirs.status),
+        "x": (ours.x.tobytes(), theirs.x.tobytes()),
+        "objective": (objectives[:1].tobytes(), objectives[1:].tobytes()),
+        "iterations": (ours.iterations, theirs.iterations),
+    }
+    return [f"{label} differ" for label, (a, b) in pairs.items() if a != b]
 
 
 def model_differences(

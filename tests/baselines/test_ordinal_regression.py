@@ -11,10 +11,12 @@ from repro.baselines.ordinal_regression import (
 )
 from repro.core.constraints import ConstraintSet, min_weight
 from repro.core.problem import RankingProblem
-from repro.core.ranking import Ranking
+from repro.core.ranking import UNRANKED, Ranking
 from repro.data.rankings import ranking_from_scores
 from repro.data.relation import Relation
 from repro.data.synthetic import generate_uniform
+from repro.scenarios.generator import scenario_problem
+from repro.solvers.lp import LinearProgram
 
 
 def test_recovers_linearly_representable_ranking(linear_problem):
@@ -100,3 +102,43 @@ def test_infeasible_constraints_fall_back_to_uniform():
     result = OrdinalRegressionBaseline().solve(problem)
     assert result.weights == pytest.approx([0.5, 0.5])
     assert result.objective == float("inf")
+
+
+def _per_row_lp(problem: RankingProblem) -> LinearProgram:
+    """The default-options LP built with one ``add_constraint`` call per row."""
+    matrix, positions, m = problem.matrix, problem.ranking.positions, problem.num_attributes
+    ranked = [int(r) for r in problem.top_k_indices()]
+    ordered, tied = [], []
+    for a, b in zip(ranked, ranked[1:]):
+        (tied if positions[a] == positions[b] else ordered).append((a, b))
+    ordered += [(ranked[-1], int(s)) for s in np.where(positions == UNRANKED)[0]]
+    total = m + len(ordered) + 2 * len(tied)
+    lp = LinearProgram(total)
+    lp.add_constraint(np.r_[np.ones(m), np.zeros(total - m)], "==", 1.0)
+    slack = m
+    for better, worse in ordered:
+        row = np.zeros(total)
+        row[:m] = matrix[better] - matrix[worse]
+        row[slack] = 1.0
+        lp.add_constraint(row, ">=", problem.tolerances.eps1)
+        slack += 1
+    tie_eps = problem.tolerances.tie_eps
+    for a, b in tied:
+        for sign, sense, rhs in ((-1.0, "<=", tie_eps), (1.0, ">=", -tie_eps)):
+            row = np.zeros(total)
+            row[:m] = matrix[a] - matrix[b]
+            row[slack] = sign
+            lp.add_constraint(row, sense, rhs)
+            slack += 1
+    return lp
+
+
+@pytest.mark.parametrize("family", ["tied_scores", "heavy_tail"])
+def test_block_built_lp_matches_per_row_build(family):
+    problem = scenario_problem(family, 0, seed=0)
+    lp, pairs = OrdinalRegressionBaseline().build_lp(problem)
+    assert (pairs["tied_pairs"] > 0) == (family == "tied_scores")
+    expected = _per_row_lp(problem)
+    assert lp.num_vars == expected.num_vars
+    for ours, theirs in zip(lp.constraint_rows(), expected.constraint_rows()):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()

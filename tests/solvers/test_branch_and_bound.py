@@ -152,3 +152,23 @@ def test_lp_errors_do_not_count_as_pruned(monkeypatch):
     assert solution.status is not MILPStatus.OPTIMAL
     assert solution.has_solution
     assert solution.best_bound <= root_bound + 1e-9
+
+
+def test_lp_iterations_count_infeasible_nodes(monkeypatch):
+    """``lp_iterations`` totals every node solve, infeasible nodes included."""
+    from repro.core.formulation import RankHowFormulation
+    from repro.scenarios.generator import scenario_problem
+
+    real_solve = LinearProgram.solve
+    solves: list[LPSolution] = []
+
+    def counting_solve(self):
+        solves.append(real_solve(self))
+        return solves[-1]
+
+    monkeypatch.setattr(LinearProgram, "solve", counting_solve)
+    model = RankHowFormulation(scenario_problem("duplicate_tuples", 0, seed=0)).model
+    solution = BranchAndBoundSolver(SolverOptions(node_limit=40)).solve(model)
+    infeasible = [s.iterations for s in solves if s.status is LPStatus.INFEASIBLE]
+    assert sum(infeasible) > 0
+    assert solution.lp_iterations == sum(s.iterations for s in solves)

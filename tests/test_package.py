@@ -26,10 +26,13 @@ def test_pyproject_declares_version_and_dependencies():
     assert project["name"] == "repro"
     assert project["version"] == repro.__version__
     declared = {
-        re.match(r"[A-Za-z0-9_.-]+", dependency).group(0)
+        re.match(r"[A-Za-z0-9_.-]+", dependency).group(0): dependency
         for dependency in project["dependencies"]
     }
-    assert {"numpy", "scipy"} <= declared
+    assert {"numpy", "scipy"} <= set(declared)
+    # The LP backend drives HiGHS through scipy.optimize._highspy, which
+    # SciPy ships from 1.15 on.
+    assert declared["scipy"] == "scipy>=1.15"
 
 
 def test_list_methods_smoke():
