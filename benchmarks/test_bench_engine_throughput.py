@@ -5,15 +5,18 @@ Not a figure of the paper -- this benchmark guards the execution substrate:
 * the ``process`` backend must reach a >= 2x speedup over ``serial`` on the
   multi-seed SYM-GD workload when at least 4 cores are available (on smaller
   machines the speedup is reported but not asserted);
-* both backends must produce identical results (the fan-out must not change
-  the math);
+* both backends must produce identical results -- errors and weights of the
+  multi-seed and sampling legs, errors of the query batch (the fan-out must
+  not change the math);
 * a repeated identical query batch must be answered entirely from the result
   cache without invoking any solver.
+
+The run's records land in ``.bench/BENCH_engine.json``.
 """
 
 from __future__ import annotations
 
-from conftest import bench_scale
+from conftest import bench_scale, write_baseline
 
 from repro.bench.experiments import experiment_engine_throughput
 from repro.bench.reporting import ascii_table
@@ -31,7 +34,11 @@ def _assert_shapes(records):
     by_method = _by_method(records)
 
     # Backend parity: the fan-out must not change any result.
-    assert by_method["multiseed[serial]"].error == by_method["multiseed[process]"].error
+    for leg in ("multiseed", "sampling"):
+        serial = by_method[f"{leg}[serial]"]
+        process = by_method[f"{leg}[process]"]
+        assert serial.error == process.error, leg
+        assert serial.extra["weights"] == process.extra["weights"], leg
     assert (
         by_method["queries_cold[serial]"].error
         == by_method["queries_cold[process]"].error
@@ -72,4 +79,5 @@ def test_engine_throughput(benchmark):
     )
     print()
     print(ascii_table(records, title="Engine: executor speedup and cache hits"))
+    write_baseline("engine", records)
     _assert_shapes(records)

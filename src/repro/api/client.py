@@ -4,9 +4,9 @@
 async query service: it owns (or shares) a
 :class:`~repro.engine.engine.SolveEngine` and routes every
 :class:`~repro.api.request.SynthesisRequest` through it, so batch
-deduplication, the content-addressed result cache, and the thread / process
-executor backends apply uniformly to baselines and exact solves alike --
-not just SYM-GD.
+deduplication, the content-addressed result cache, and the process executor
+backend apply uniformly to baselines and exact solves alike -- not just
+SYM-GD.
 
 Quick start::
 
@@ -41,7 +41,7 @@ class RankHowClient:
             one built from the remaining arguments (and closes it on
             :meth:`close`).
         backend: Executor backend of the owned engine (``serial`` /
-            ``thread`` / ``process`` / ``auto``).
+            ``process`` / ``auto``).
         max_workers: Worker cap for pooled backends.
         cache_capacity: In-memory entry capacity of the owned engine's cache.
         cache_dir: Optional on-disk cache directory of the owned engine.

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.request import SynthesisRequest
+from repro.core.cells import cell_error_bounds_many
 from repro.core.delta import (
     AddTuplesDelta,
     ConstraintDelta,
@@ -241,8 +242,8 @@ class SynthesisSession:
 
     def cell_error_bounds(self, cells):
         """Batched cell-error bounds on the head (see
-        :meth:`~repro.engine.engine.SolveEngine.cell_error_bounds`)."""
-        return self.engine.cell_error_bounds(self._problem, cells)
+        :func:`~repro.core.cells.cell_error_bounds_many`)."""
+        return cell_error_bounds_many(self._problem, cells)
 
     # -- serialization --------------------------------------------------------
 

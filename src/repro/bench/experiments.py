@@ -567,19 +567,23 @@ def experiment_engine_throughput(
 ) -> list[ExperimentRecord]:
     """Throughput of the execution substrate (not a figure of the paper).
 
-    Two workloads per backend:
+    Three workloads per backend:
 
     * ``multiseed`` -- one multi-seed SYM-GD run (``num_seeds`` independent
       descents); the per-seed descents are what the executor parallelizes, so
       ``serial`` vs ``process`` wall-clock is the speedup of interest.
+    * ``sampling`` -- one chunked sampling-baseline run (20,000 samples in 8
+      chunks); the chunks are what the executor parallelizes.
     * ``queries_cold`` / ``queries_warm`` -- the same batch of how-to-rank
       requests solved twice through one :class:`~repro.engine.SolveEngine`;
       the warm pass must be answered entirely from the result cache without
       invoking any solver.
 
-    Every record carries the achieved error so backend parity (identical
-    results regardless of backend) can be asserted by the benchmark wrapper.
+    Every record carries the achieved error (and the solve records their
+    weights) so backend parity -- identical results regardless of backend --
+    can be asserted by the benchmark wrapper.
     """
+    from repro.baselines.sampling import SamplingBaseline, SamplingOptions
     from repro.engine import SolveEngine, SolveRequest, available_cpu_count
 
     scale = scale or BenchmarkScale.from_environment()
@@ -594,6 +598,7 @@ def experiment_engine_throughput(
             node_limit=200, verify=False, warm_start_strategy="none"
         ),
     )
+    sampling_options = SamplingOptions(num_samples=20_000, chunk_size=2_500, seed=7)
     query_params = {
         "cell_size": 0.1,
         "max_iterations": 8,
@@ -633,6 +638,31 @@ def experiment_engine_throughput(
                         "workers": engine.executor.max_workers,
                         "cpus": available_cpu_count(),
                         "per_seed_errors": multiseed.diagnostics["per_seed_errors"],
+                        "weights": [float(w) for w in multiseed.weights],
+                    },
+                )
+            )
+
+            start = time.perf_counter()
+            sampled = SamplingBaseline(
+                sampling_options, executor=engine.executor
+            ).solve(problem)
+            records.append(
+                ExperimentRecord(
+                    experiment="engine",
+                    dataset="nba",
+                    method=f"sampling[{backend}]",
+                    params={
+                        "samples": sampling_options.num_samples,
+                        "chunks": sampled.diagnostics["chunks"],
+                        "backend": backend,
+                    },
+                    error=float(sampled.error),
+                    per_tuple_error=float(sampled.error) / max(problem.k, 1),
+                    time_seconds=time.perf_counter() - start,
+                    extra={
+                        "workers": engine.executor.max_workers,
+                        "weights": [float(w) for w in sampled.weights],
                     },
                 )
             )

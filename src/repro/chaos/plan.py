@@ -11,9 +11,9 @@ hooks:
   counter** once per routed operation (:meth:`ChaosInjector.step`) and
   executes the router-level faults it returns (``kill_shard``,
   ``corrupt_cache``);
-* :class:`~repro.cluster.shard.ProcessShard` / ``InprocShard`` consult
-  :meth:`ChaosInjector.take_pipe_fault` before each call (``delay_pipe``,
-  ``drop_message``);
+* :class:`~repro.cluster.shard.InprocShard` consults
+  :meth:`ChaosInjector.take_pipe_fault` before each data call
+  (``delay_pipe``, ``drop_message``);
 * the engine's :class:`~repro.engine.executor.Executor` calls the
   installed :attr:`fault_hook <ChaosInjector.executor_hook>` before each
   dispatch (``solver_error``);
@@ -59,7 +59,7 @@ FAULT_KINDS: tuple[str, ...] = (
 
 #: Kinds the router executes itself when the op counter reaches them.
 _ROUTER_KINDS = frozenset({"kill_shard", "corrupt_cache"})
-#: Kinds armed at their op and consumed by the next matching transport call.
+#: Kinds armed at their op and consumed by the next matching shard call.
 _PIPE_KINDS = frozenset({"delay_pipe", "drop_message"})
 
 
@@ -205,7 +205,7 @@ class ChaosInjector:
         self._due: dict[int, list[FaultSpec]] = {}
         for fault in plan:
             self._due.setdefault(fault.at_op, []).append(fault)
-        # Armed budgets, consumed by the transport/executor/cache hooks.
+        # Armed budgets, consumed by the shard/executor/cache hooks.
         self._pipe_armed: dict[int, list[_ArmedFault]] = {}
         self._solver_errors = 0
 
@@ -242,12 +242,12 @@ class ChaosInjector:
             FaultRecord(op=self._op, kind=kind, shard=shard, detail=detail)
         )
 
-    # -- transport hook -------------------------------------------------------
+    # -- shard hook -----------------------------------------------------------
 
     def take_pipe_fault(self, shard: int) -> FaultSpec | None:
         """Pop an armed pipe fault for ``shard`` (``None`` when clean).
 
-        The caller (shard transport) applies the fault -- sleep for
+        The caller (the shard) applies the fault -- sleep for
         ``delay_pipe``, raise :class:`ChaosError` for ``drop_message`` --
         and this method records it.
         """

@@ -1,13 +1,13 @@
-"""Sharded multi-worker serving: router, shard transports, metric merging.
+"""Sharded serving: router, in-process shards, metric merging.
 
-The cluster layer scales :class:`repro.service.QueryServer` horizontally:
-a :class:`ClusterRouter` shards queries by problem fingerprint across N
-workers (in-process or separate worker processes), pins edit sessions to
+The cluster layer scales :class:`repro.service.QueryServer` out: a
+:class:`ClusterRouter` shards queries by problem fingerprint across N
+in-process serving cores (:class:`InprocShard`), pins edit sessions to
 their owning shard, sheds load once a shard's admission queue is full
 (:class:`ShardBusyError`), shares the content-addressed disk cache tier
 across shards, and aggregates per-shard health/stats/Prometheus exports
 into one cluster-wide surface.  A supervisor loop detects dead shards
-(:class:`ShardDeadError` from the transport, or a health-probe timeout),
+(:class:`ShardDeadError` from a shard call, or a health-probe timeout),
 restarts them with exponential backoff, replays their journaled sessions,
 and fails stateless traffic over to live shards in the meantime
 (:class:`ShardCrashedError` when nothing can serve).  Drive it under load
@@ -24,7 +24,7 @@ from repro.cluster.router import (
     ShardBusyError,
     ShardCrashedError,
 )
-from repro.cluster.shard import InprocShard, ProcessShard, ShardDeadError, ShardError
+from repro.cluster.shard import InprocShard, ShardDeadError
 
 __all__ = [
     "ClusterOptions",
@@ -34,9 +34,7 @@ __all__ = [
     "ShardBusyError",
     "ShardCrashedError",
     "InprocShard",
-    "ProcessShard",
     "ShardDeadError",
-    "ShardError",
     "aggregate_prometheus",
     "aggregate_samples",
 ]

@@ -1,8 +1,7 @@
 """Cluster-wide metric aggregation over per-shard Prometheus expositions.
 
-Every shard -- in-process or a separate worker process -- exports its own
-:mod:`repro.obs` registry as Prometheus text.  The text format is the
-cluster's cross-process aggregation wire: :func:`aggregate_prometheus`
+Every shard exports its own :mod:`repro.obs` registry as Prometheus text.
+The text format is the cluster's aggregation wire: :func:`aggregate_prometheus`
 parses each shard's exposition, **sums** samples that share a metric name
 and label set, and re-renders one valid exposition, so the cluster-wide
 export is a drop-in replacement for a single server's.

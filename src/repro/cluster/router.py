@@ -1,8 +1,8 @@
 """Fingerprint-sharded cluster front-end with admission control.
 
 :class:`ClusterRouter` is the serving topology's front door: it owns ``N``
-shards (each a full engine + :class:`~repro.service.QueryServer` core,
-in-process or a separate worker process), routes every stateless query by
+shards (each a full engine + :class:`~repro.service.QueryServer` core on
+the router's event loop), routes every stateless query by
 its **request fingerprint** -- so identical queries always land on the same
 shard and keep coalescing/caching there -- and pins stateful edit sessions
 to the shard that opened them (the session's server-side state lives
@@ -25,15 +25,15 @@ The router adds the cluster-level behaviors a single server cannot provide:
   every shard has been answered and profile sinks are flushed;
   :meth:`stop` drains, then tears the shards down.
 * **Supervision & failover** -- a supervisor loop probes shard health on an
-  interval; a dead shard (process exit, pipe EOF, probe timeout, injected
-  crash) is restarted with exponential backoff up to ``max_restarts``
-  times, its hot set reloads from the per-shard hot-set file, and every
-  session pinned to it is replayed from the router's append-only **session
-  journal** (base + delta chain, the :meth:`ServerSession.to_dict` wire
-  format).  While the shard is down, its *stateless* query traffic fails
-  over to the next live shard -- any shard computes the same bitwise
-  answer, so failover is correctness-free -- and session traffic fails with
-  a retryable :class:`ShardCrashedError` until the replay finishes.
+  interval; a dead shard (injected crash, probe timeout) is restarted with
+  exponential backoff up to ``max_restarts`` times, its hot set reloads
+  from the per-shard hot-set file, and every session pinned to it is
+  replayed from the router's append-only **session journal** (base + delta
+  chain, the :meth:`ServerSession.to_dict` wire format).  While the shard
+  is down, its *stateless* query traffic fails over to the next live shard
+  -- any shard computes the same bitwise answer, so failover is
+  correctness-free -- and session traffic fails with a retryable
+  :class:`ShardCrashedError` until the replay finishes.
 * **One metrics surface** -- :meth:`export_metrics_prometheus` sums the
   per-shard expositions (:func:`repro.cluster.metrics.aggregate_prometheus`)
   and appends the router's own ``repro_cluster_*`` series; the result
@@ -55,7 +55,7 @@ from repro.service.errors import DeadlineExceededError
 from repro.service.server import QueryServerOptions, ServiceStats
 
 from repro.cluster.metrics import aggregate_prometheus
-from repro.cluster.shard import InprocShard, ProcessShard, ShardDeadError
+from repro.cluster.shard import InprocShard, ShardDeadError
 
 __all__ = [
     "ClusterOptions",
@@ -121,11 +121,7 @@ class ClusterOptions:
     """Topology and admission knobs of the cluster front-end.
 
     Attributes:
-        num_shards: Worker count; each shard is a full engine + server core.
-        transport: ``"inproc"`` (shards share the router's event loop; zero
-            serialization, the right default for tests and 1-CPU boxes) or
-            ``"process"`` (each shard is a spawned worker process talking
-            wire dicts over pipes).
+        num_shards: Shard count; each shard is a full engine + server core.
         queue_limit: Max queries pending per shard before the router sheds
             (admission control); pinned-session traffic is exempt.
         retry_after: Seconds a shed caller is told to back off
@@ -137,13 +133,12 @@ class ClusterOptions:
             overrides the copy each shard receives, and a ``hot_set_path``
             is suffixed ``.s<index>`` per shard so hot-set files never
             collide.
-        mp_method: ``multiprocessing`` start method for process shards.
         supervise: Run the supervisor: health probing, automatic restarts,
             session replay.  ``False`` leaves a dead shard dead (stateless
             traffic still fails over; sessions fail terminally).
         health_interval: Seconds between supervisor health probe rounds.
         health_timeout: Seconds a probe may hang before the shard is
-            declared dead (covers a live-but-wedged worker).
+            declared dead (covers a live-but-wedged shard).
         max_restarts: Restarts allowed per shard before it is terminal.
         restart_backoff: Base restart delay; doubles per prior restart of
             that shard (exponential backoff).
@@ -151,12 +146,10 @@ class ClusterOptions:
     """
 
     num_shards: int = 2
-    transport: str = "inproc"
     queue_limit: int = 32
     retry_after: float = 0.05
     cache_dir: str | None = None
     server: QueryServerOptions = field(default_factory=QueryServerOptions)
-    mp_method: str = "spawn"
     supervise: bool = True
     health_interval: float = 0.25
     health_timeout: float = 5.0
@@ -167,11 +160,6 @@ class ClusterOptions:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.transport not in ("inproc", "process"):
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                "use 'inproc' or 'process'"
-            )
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.health_interval <= 0:
@@ -208,8 +196,7 @@ class ClusterStats:
 
     ``totals`` reuses :class:`~repro.service.ServiceStats`: counters are
     sums over shards, ``shed`` is the router's admission-reject count, and
-    the latency distribution is the *router-side* end-to-end view (it
-    includes transport cost for process shards).
+    the latency distribution is the *router-side* end-to-end view.
     """
 
     shards: int
@@ -264,7 +251,7 @@ def _sum_numeric(dicts: list) -> dict:
 
 
 class ClusterRouter:
-    """Shard-by-fingerprint front-end over N serving workers.
+    """Shard-by-fingerprint front-end over N serving cores.
 
     Use as an async context manager::
 
@@ -333,7 +320,7 @@ class ClusterRouter:
     # -- lifecycle ------------------------------------------------------------
 
     def _build_shard(self, index: int):
-        """One shard transport, with its per-shard hot-set path resolved."""
+        """One shard, with its per-shard hot-set path resolved."""
         shard_options = self._server_options
         if shard_options.hot_set_path is not None:
             from dataclasses import replace
@@ -345,28 +332,21 @@ class ClusterRouter:
                 shard_options,
                 hot_set_path=f"{shard_options.hot_set_path}.s{index}",
             )
-        if self.options.transport == "process":
-            return ProcessShard(
-                index, shard_options, mp_method=self.options.mp_method
-            )
         return InprocShard(index, shard_options)
 
     def _attach_chaos(self, shard) -> None:
         """Point a (re)started shard at the run's injector.
 
-        In-process shards additionally get the executor/cache hooks wired
-        (``solver_error`` and targeted cache corruption); those hooks cannot
-        cross a process boundary, so for process shards only the transport
-        faults (kill / delay / drop) and directory-level cache corruption
-        apply.
+        Besides the shard-level faults (kill / delay / drop), the shard's
+        engine gets the executor and cache hooks wired (``solver_error`` and
+        targeted cache corruption).
         """
         shard.chaos = self.chaos
         if self.chaos is None:
             return
-        server = getattr(shard, "server", None)
-        if server is not None:
-            server.engine.executor.fault_hook = self.chaos.executor_hook
-            server.engine.cache.fault_hook = self.chaos.cache_read_hook
+        server = shard.server
+        server.engine.executor.fault_hook = self.chaos.executor_hook
+        server.engine.cache.fault_hook = self.chaos.cache_read_hook
 
     async def start(self) -> "ClusterRouter":
         """Build and start every shard (idempotent); start the supervisor."""
@@ -448,7 +428,7 @@ class ClusterRouter:
         Passive detection (a data-path call raising
         :class:`~repro.cluster.shard.ShardDeadError`) usually wins the race;
         this loop catches the quiet failure modes -- a shard with no traffic,
-        or a worker that is alive but wedged (probe timeout).
+        or one that is alive but wedged (probe timeout).
         """
         try:
             while not self._closing:
@@ -469,9 +449,8 @@ class ClusterRouter:
                     except (ShardDeadError, asyncio.TimeoutError):
                         self._note_shard_death(index)
                     except Exception:
-                        # App-level probe noise is not death; a worker-side
-                        # error rebuilt as a plain ShardError must not kill
-                        # a healthy shard.
+                        # App-level probe noise is not death: only a dead
+                        # shard or a timeout starts the restart machinery.
                         continue
         except asyncio.CancelledError:
             raise
@@ -989,7 +968,6 @@ class ClusterRouter:
         )
         return {
             "shards": self.options.num_shards,
-            "transport": self.options.transport,
             "per_shard": {index: payload for index, payload in enumerate(payloads)},
         }
 

@@ -11,6 +11,10 @@ hyperplane ``w . (s - r) = eps``, either the cell lies entirely on one side
 indicator is free).  Counting constant-1, constant-0 and free indicators per
 ranked tuple gives an interval for its induced rank and therefore a lower and
 an upper bound on its position error.
+
+A sweep over many cells is one in-process matrix program
+(:class:`CellBoundEvaluator`): it takes milliseconds, less than handing its
+chunks to a process pool would cost.
 """
 
 from __future__ import annotations
@@ -333,42 +337,12 @@ class CellBoundEvaluator:
         ]
 
 
-def _bounds_chunk_task(payload: tuple) -> list[tuple[int, int]]:
-    """Evaluate error bounds over one ``(problem, cells)`` chunk.
-
-    Module-level so that process-pool executors can pickle it.  Each chunk
-    builds its own :class:`CellBoundEvaluator` (cheap relative to the chunk).
-    """
-    problem, cells = payload
-    return CellBoundEvaluator(problem).bounds_many(cells)
-
-
 def cell_error_bounds_many(
-    problem: RankingProblem,
-    cells: Sequence[Cell],
-    executor=None,
-    chunk_size: int = 64,
+    problem: RankingProblem, cells: Sequence[Cell]
 ) -> list[tuple[int, int]]:
-    """Error bounds for many cells, optionally fanned out over an executor.
+    """Error bounds for many cells, in the order given.
 
-    Every chunk classifies its cells against all indicator hyperplanes as one
-    matrix program (:class:`CellBoundEvaluator`).
-
-    Args:
-        problem: The problem instance.
-        cells: Cells to evaluate (results come back in the same order).
-        executor: Anything exposing ``map_cells(fn, items)`` (see
-            :mod:`repro.engine.executor`); ``None`` evaluates serially.
-        chunk_size: Cells per executor task; chunking keeps the per-task
-            pickling overhead of the problem instance amortized over many
-            cheap bound evaluations.
+    All cells are classified against all indicator hyperplanes as one matrix
+    program (:class:`CellBoundEvaluator`).
     """
-    cells = list(cells)
-    if executor is None or len(cells) <= chunk_size:
-        return CellBoundEvaluator(problem).bounds_many(cells)
-    payloads = [
-        (problem, cells[start : start + chunk_size])
-        for start in range(0, len(cells), chunk_size)
-    ]
-    chunked = executor.map_cells(_bounds_chunk_task, payloads)
-    return [bounds for chunk in chunked for bounds in chunk]
+    return CellBoundEvaluator(problem).bounds_many(list(cells))

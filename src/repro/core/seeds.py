@@ -67,19 +67,17 @@ def grid_seed(
     problem: RankingProblem,
     cell_size: float = 0.25,
     max_cells: int = 2048,
-    executor=None,
 ) -> np.ndarray:
     """Center of the grid cell with the smallest position-error lower bound.
 
-    The per-cell bound evaluations are independent; passing an executor (see
-    :mod:`repro.engine.executor`) fans them out across threads or processes.
-    Ties between cells break towards the first cell in grid order, so the
-    chosen seed is identical for every backend.
+    All cells' bounds come from one batched sweep
+    (:func:`~repro.core.cells.cell_error_bounds_many`).  Ties between cells
+    break towards the first cell in grid order.
     """
     cells = grid_cells(problem.num_attributes, cell_size, max_cells=max_cells)
     if not cells:
         return uniform_seed(problem)
-    bounds = cell_error_bounds_many(problem, cells, executor=executor)
+    bounds = cell_error_bounds_many(problem, cells)
     best_index = min(range(len(cells)), key=lambda i: (bounds[i][0], i))
     return _sanitize(cells[best_index].center, problem)
 

@@ -5,8 +5,8 @@ scalability story; this package is where the reproduction turns it into
 throughput.  It sits between :mod:`repro.core` (the algorithms) and
 :mod:`repro.service` (the async front-end):
 
-* :mod:`repro.engine.executor` -- ``serial`` / ``thread`` / ``process``
-  backends behind one ``map_cells`` interface;
+* :mod:`repro.engine.executor` -- ``serial`` / ``process`` backends behind
+  one ``map_cells`` interface;
 * :mod:`repro.engine.fingerprint` -- canonical SHA-256 digests of problems,
   cells, and solver options (content addressing);
 * :mod:`repro.engine.cache` -- the result cache: a memory tier that evicts
@@ -24,7 +24,6 @@ from repro.engine.executor import (
     ExecutorStats,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     available_cpu_count,
     get_executor,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "SolveEngine",
     "SolveOutcome",
     "SolveRequest",
-    "ThreadExecutor",
     "available_cpu_count",
     "build_solver",
     "canonical_json",

@@ -2,14 +2,15 @@
 
 Keys are the hex digests produced by :mod:`repro.engine.fingerprint`; values
 are :class:`~repro.core.result.SynthesisResult` objects.  The in-memory tier
-is guarded by a lock (the service's batching loop and the thread backend both
-touch it concurrently) and evicts by one rule: every resident entry scores
-``decayed access count x recompute cost`` and the lowest score goes.  A
-brand-new entry starts with one access worth of frequency, so a one-off scan
-key scores below a repeatedly hit, expensive key: inserting it and evicting
-the global minimum *is* the admission filter that keeps scan traffic from
-displacing the hot set.  The score never touches a result, so eviction
-decides which requests hit, never what any request answers.
+is guarded by a lock (the query server runs batch and session solves on its
+event loop's default-pool threads, which touch it concurrently) and evicts by
+one rule: every resident entry scores ``decayed access count x recompute
+cost`` and the lowest score goes.  A brand-new entry starts with one access
+worth of frequency, so a one-off scan key scores below a repeatedly hit,
+expensive key: inserting it and evicting the global minimum *is* the
+admission filter that keeps scan traffic from displacing the hot set.  The
+score never touches a result, so eviction decides which requests hit, never
+what any request answers.
 
 The optional disk layer writes one ``<digest>.json`` file per entry, so
 caches survive process restarts and can be shared between a CLI run and a

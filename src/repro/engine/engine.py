@@ -91,7 +91,7 @@ class SolveEngine:
     """Parallel, cached execution substrate for how-to-rank requests.
 
     Args:
-        backend: Executor backend name or instance (``serial`` / ``thread`` /
+        backend: Executor backend name or instance (``serial`` /
             ``process`` / ``auto``).
         max_workers: Worker cap for pooled backends.
         cache: An existing :class:`ResultCache` to share, or ``None`` to
@@ -124,9 +124,9 @@ class SolveEngine:
         self.solver_invocations = 0
         self.pruned_tuples_total = 0
         self.incremental_stats = IncrementalStats()
-        # Counter increments take this lock: concurrent session solves run
-        # on executor threads, and an unsynchronized '+=' would silently
-        # drop telemetry.
+        # Counter increments take this lock: the query server runs batch and
+        # session solves concurrently on its event loop's default-pool
+        # threads, and an unsynchronized '+=' would silently drop telemetry.
         self._stats_lock = threading.Lock()
         self.obs = None
         if obs is not None:
@@ -307,7 +307,8 @@ class SolveEngine:
                 (request.problem, get_method(request.method), request.effective)
                 for request in pending.values()
             ]
-            self.solver_invocations += len(payloads)
+            with self._stats_lock:
+                self.solver_invocations += len(payloads)
             if tracer is not None:
                 for key, request in pending.items():
                     dispatch_spans[key] = tracer.span(
@@ -458,17 +459,6 @@ class SolveEngine:
         return SymGD(options).solve_multi_seed(
             problem, seeds=seeds, num_seeds=num_seeds, executor=self.executor
         )
-
-    def cell_error_bounds(self, problem: RankingProblem, cells):
-        """Batched cell-error bounds fanned out over this engine's executor.
-
-        Thin wrapper over :func:`repro.core.cells.cell_error_bounds_many` so
-        service-side sweeps (grid seeding, cell heat maps) get the batched
-        classification and the executor fan-out in one call.
-        """
-        from repro.core.cells import cell_error_bounds_many
-
-        return cell_error_bounds_many(problem, cells, executor=self.executor)
 
     # -- lifecycle / telemetry ------------------------------------------------
 

@@ -1,40 +1,38 @@
-"""Pluggable execution backends for independent per-cell work.
+"""Execution backends for independent solves.
 
-SYM-GD decomposes weight synthesis into many independent solves -- per-cell
-MILPs, per-seed descents, per-chunk sampling trials, per-cell bound
-evaluations.  The seed implementation ran all of them serially on one core;
-this module is the substrate that fans them out.
+SYM-GD decomposes weight synthesis into independent solves -- per-seed
+descents, per-chunk sampling trials, distinct requests of a batch.  This
+module is the substrate that fans them out.
 
 Every backend exposes the same tiny interface, ``map_cells(fn, items)``:
 apply a picklable function to every item and return the results *in order*.
 The consumers (:meth:`repro.core.symgd.SymGD.solve_multi_seed`,
-:func:`repro.core.cells.cell_error_bounds_many`,
 :class:`repro.baselines.sampling.SamplingBaseline`, and
-:class:`repro.engine.engine.SolveEngine`) only depend on that method, so they
-accept any of the three backends -- or any duck-typed stand-in -- without
-caring which one they got.
+:meth:`repro.engine.engine.SolveEngine.solve_batch`) only depend on that
+method, so they accept either backend -- or any duck-typed stand-in --
+without caring which one they got.
 
 Backends:
 
-* ``serial``  -- plain loop; the baseline and the fallback.
-* ``thread``  -- ``ThreadPoolExecutor``; helps when tasks release the GIL
-  (NumPy-heavy bound sweeps) and costs no pickling.
+* ``serial``  -- plain loop; the default.
 * ``process`` -- ``ProcessPoolExecutor``; true parallelism for the
-  Python-heavy MILP solves, at the price of pickling each payload.
+  Python-heavy solves, at the price of pickling each payload.
+
+``auto`` picks ``process`` when more than one CPU is usable, else
+``serial``.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 __all__ = [
     "ExecutorStats",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "available_cpu_count",
     "get_executor",
@@ -42,7 +40,7 @@ __all__ = [
 ]
 
 #: Backend names accepted by :func:`get_executor`.
-BACKEND_NAMES: tuple[str, ...] = ("serial", "thread", "process")
+BACKEND_NAMES: tuple[str, ...] = ("serial", "process")
 
 
 def available_cpu_count() -> int:
@@ -95,7 +93,7 @@ class Executor:
         # Every backend's map_cells calls this exactly once per dispatch, so
         # it doubles as the chaos injection point: a hook that raises aborts
         # the batch before any task runs (parent-side, which is what makes
-        # it work identically across serial/thread/process backends).
+        # it work identically on both backends).
         hook = self.fault_hook
         if hook is not None:
             hook(len(items))
@@ -124,30 +122,6 @@ class SerialExecutor(Executor):
         items = list(items)
         self._count(items)
         return [fn(item) for item in items]
-
-
-class ThreadExecutor(Executor):
-    """Fan tasks out over a lazily created thread pool."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__(max_workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map_cells(self, fn: Callable, items: Sequence) -> list:
-        items = list(items)
-        self._count(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        return list(self._pool.map(fn, items))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class ProcessExecutor(Executor):
@@ -187,8 +161,8 @@ def get_executor(
     """Resolve a backend name (or pass an executor through unchanged).
 
     Args:
-        backend: ``"serial"``, ``"thread"``, ``"process"``, ``"auto"`` (process
-            pool when more than one CPU is available, else serial), or an
+        backend: ``"serial"``, ``"process"``, ``"auto"`` (process pool when
+            more than one CPU is available, else serial), or an
             already-constructed :class:`Executor`.
         max_workers: Worker cap for pooled backends; defaults to the number of
             usable CPUs.
@@ -200,8 +174,6 @@ def get_executor(
         name = "process" if available_cpu_count() > 1 else "serial"
     if name == "serial":
         return SerialExecutor(max_workers)
-    if name == "thread":
-        return ThreadExecutor(max_workers)
     if name == "process":
         return ProcessExecutor(max_workers)
     raise ValueError(

@@ -11,7 +11,6 @@ Examples::
 
     python -m repro.loadgen --shards 2 --ops 24 --edits 4
     python -m repro.loadgen --mode open --rate 200 --queue-limit 4
-    python -m repro.loadgen --shards 2 --transport process --ops 16
     python -m repro.loadgen --replay workload.jsonl --mode open
     python -m repro.loadgen --seed 11 --json --out BENCH_service.json
     python -m repro.loadgen --shards 2 --chaos-kill 0@5 --json
@@ -122,7 +121,6 @@ async def run(args: argparse.Namespace) -> dict:
     chaos = build_fault_plan(args)
     options = ClusterOptions(
         num_shards=args.shards,
-        transport=args.transport,
         queue_limit=args.queue_limit,
         cache_dir=args.cache_dir,
         server=QueryServerOptions(batch_window=args.batch_window),
@@ -145,7 +143,6 @@ async def run(args: argparse.Namespace) -> dict:
     payload = {
         "seed": args.seed,
         "shards": args.shards,
-        "transport": args.transport,
         "queue_limit": args.queue_limit,
         "deadline": args.deadline,
         "report": report.to_dict(),
@@ -166,8 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--shards", type=int, default=2,
                         help="worker shards in the cluster (default: 2)")
-    parser.add_argument("--transport", default="inproc",
-                        choices=("inproc", "process"))
     parser.add_argument("--mode", default="closed", choices=("closed", "open"),
                         help="closed: next op after previous response; "
                         "open: scheduled arrivals, sheds not retried")
@@ -239,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
     else:
         print(f"== repro.loadgen: {payload['report']['operations']} ops, "
-              f"{args.shards} shards ({args.transport}), {args.mode} loop ==")
+              f"{args.shards} shards, {args.mode} loop ==")
         print(payload["describe"])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -13,9 +13,9 @@ Three properties drive the design:
   span -- no allocation, no bookkeeping (`test_disabled_tracer_allocates_
   nothing` pins this down).  Hot solver loops can therefore stay
   instrumented unconditionally.
-* **Propagation across executors.**  Thread- and process-pool workers do not
-  inherit the submitting context (process workers do not even share memory),
-  so tasks are *packed*: the payload carries a picklable
+* **Propagation across executors.**  Process-pool workers do not inherit
+  the submitting context (they do not even share memory), so tasks are
+  *packed*: the payload carries a picklable
   :class:`SpanContext` plus the submit timestamp, the worker records its
   spans into a private collecting tracer, and the finished span records ride
   back with the result where :func:`adopt_results` re-attaches them to the
@@ -415,8 +415,9 @@ def span(name: str, **attributes):
 class run_in_context:
     """Context manager parenting this thread's spans under a remote span.
 
-    The service's request handler runs engine work on executor threads (via
-    ``loop.run_in_executor``), which do not inherit the request context;
+    The service's request handler runs engine work on the event loop's
+    default-pool threads (via ``loop.run_in_executor``), which do not
+    inherit the request context;
     wrapping the work in ``run_in_context(tracer, ctx)`` reconnects it::
 
         await loop.run_in_executor(

@@ -20,11 +20,11 @@ metrics registry (service + engine + cache counters, latency histogram)
 after the run.
 
 With ``--workers N`` the burst runs through a sharded
-:class:`~repro.cluster.ClusterRouter` instead of a single server: N worker
-shards (``--cluster-transport`` picks in-process cores or separate worker
-processes), fingerprint routing, admission control (``--queue-limit``), and
-the cluster-wide stats/metrics aggregation.  ``--executor-workers`` caps
-each engine's *executor* pool -- a different axis than ``--workers``.
+:class:`~repro.cluster.ClusterRouter` instead of a single server: N
+in-process shards, fingerprint routing, admission control
+(``--queue-limit``), and the cluster-wide stats/metrics aggregation.
+``--executor-workers`` caps each engine's *executor* pool -- a different
+axis than ``--workers``.
 
 Examples::
 
@@ -172,7 +172,6 @@ async def run_cluster_burst(args: argparse.Namespace) -> tuple[object, list]:
     params = method_params(args)
     options = ClusterOptions(
         num_shards=args.workers,
-        transport=args.cluster_transport,
         queue_limit=args.queue_limit,
         cache_dir=args.cache_dir,
         server=server_options(args),
@@ -298,14 +297,10 @@ def main(argv: list[str] | None = None) -> int:
         "(default: all registered methods)",
     )
     parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process", "auto"))
+                        choices=("serial", "process", "auto"))
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="run the burst through a sharded cluster of N "
                         "worker shards instead of a single server")
-    parser.add_argument("--cluster-transport", default="inproc",
-                        choices=("inproc", "process"),
-                        help="shard transport for --workers: in-process "
-                        "cores or separate worker processes (default: inproc)")
     parser.add_argument("--queue-limit", type=int, default=32,
                         help="per-shard admission limit for --workers "
                         "(default: 32)")
@@ -434,8 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             print()
         else:
             print(f"== repro.service cluster burst: {args.queries} x "
-                  f"{args.method} over {args.workers} shards "
-                  f"({args.cluster_transport} transport) ==")
+                  f"{args.method} over {args.workers} shards ==")
             print(stats.describe())
         if metrics_text is not None:
             sys.stdout.write(metrics_text)

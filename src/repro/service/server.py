@@ -63,8 +63,7 @@ class QueryServerOptions:
 
     Attributes:
         backend: Executor backend for the owned engine (``serial`` /
-            ``thread`` / ``process`` / ``auto``); ignored when an engine is
-            passed in.
+            ``process`` / ``auto``); ignored when an engine is passed in.
         max_workers: Worker cap for the owned engine's executor.
         batch_window: Seconds to keep collecting queries after the first one
             of a batch arrives.  Zero still batches whatever is already
@@ -90,8 +89,8 @@ class QueryServerOptions:
             ``cache_dir`` to be useful (promotion reads the disk tier).
         memory_budget_mb: Data-plane transient-memory budget applied on
             :meth:`start` (see :mod:`repro.core.chunking`); ``None`` keeps
-            the process default.  Serialized with the options, so cluster
-            process shards inherit the router's budget.
+            the process default.  Cluster shards are built from the
+            router's copy of these options, so they share its budget.
     """
 
     backend: str = "serial"
@@ -832,9 +831,9 @@ class QueryServer:
         loop = asyncio.get_running_loop()
         tracer = self._tracer()
         try:
-            # The executor thread does not inherit the request's contextvars;
-            # run_in_context re-parents the engine/solver spans under the
-            # submitting request span (a no-op when tracing is off).
+            # The default-pool thread does not inherit the request's
+            # contextvars; run_in_context re-parents the engine/solver spans
+            # under the submitting request span (a no-op when tracing is off).
             outcome = await loop.run_in_executor(
                 None,
                 lambda: run_in_context(tracer, ctx)(

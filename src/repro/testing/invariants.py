@@ -20,8 +20,8 @@ violation at once).  The invariants:
   vector's error (metamorphic).
 * **rescaling invariance** -- scaling attributes and tolerances by a power
   of two never changes any weight vector's error (metamorphic).
-* **executor / cache parity** -- serial, thread, and process backends (and
-  cache hit vs. fresh solve) produce identical fingerprints and results.
+* **executor / cache parity** -- serial and process backends (and cache hit
+  vs. fresh solve) produce identical fingerprints and results.
   :func:`simulate_lru` is the recency reference the result cache's
   eviction rule is measured against.
 * **vectorized parity** -- the batched cell-bound classifier must match
@@ -806,14 +806,15 @@ def check_streaming_parity(
 
 def check_executor_parity(
     cases: Sequence[tuple],
-    backends=("serial", "thread"),
+    backends=("serial", "process"),
 ) -> list[CheckResult]:
     """Every executor backend returns identical fingerprints and results.
 
     ``cases`` is a list of ``(problem, method, options)`` triples solved as
-    ONE batch per backend.  Batching matters: pooled executors run
+    ONE batch per backend.  Batching matters: the process executor runs
     single-item batches inline, so a one-request comparison would never
-    exercise the thread or process pool it claims to test.
+    cross the pickle boundary it claims to test.  A one-worker pool (on a
+    1-CPU machine) still crosses it.
     """
     from repro.api.request import SynthesisRequest
     from repro.engine.engine import SolveEngine

@@ -60,7 +60,7 @@ def test_step_sequences_faults_by_op_counter():
     due = injector.step()  # op 3: both router-level faults fire together
     assert {spec.kind for spec in due} == {"kill_shard", "corrupt_cache"}
     assert injector.op == 3
-    # The armed drop is consumed by the transport hook, once.
+    # The armed drop is consumed by the shard hook, once.
     fault = injector.take_pipe_fault(0)
     assert fault is not None and fault.kind == "drop_message"
     assert injector.take_pipe_fault(0) is None

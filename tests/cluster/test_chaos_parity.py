@@ -2,7 +2,7 @@
 
 A seeded load plan (query lanes + a session edit chain) runs twice through
 identical two-shard clusters -- once fault-free, once with a fault plan
-that kills the session-owning shard mid-run (plus transport-level faults).
+that kills the session-owning shard mid-run (plus pipe delay/drop faults).
 The supervisor restarts the victim, the journal replays its session, the
 retry policy carries every lane through, and the bar is absolute: **zero
 lost operations, every answer digest bitwise-equal to the fault-free run**.
@@ -86,7 +86,7 @@ def test_mid_run_shard_kill_loses_nothing_and_preserves_digests():
         [
             # Kill the session-owning shard mid-plan (23 ops total)...
             FaultSpec(kind="kill_shard", at_op=9, shard=victim),
-            # ...and pile on transport noise before and after.
+            # ...and pile on pipe noise before and after.
             FaultSpec(kind="drop_message", at_op=4, shard=1 - victim),
             FaultSpec(
                 kind="delay_pipe", at_op=14, shard=victim, seconds=0.01

@@ -11,9 +11,7 @@ from repro.cluster import (
     ClusterOptions,
     ClusterRouter,
     ShardCrashedError,
-    ShardDeadError,
 )
-from repro.cluster.shard import ProcessShard
 from repro.core.delta import RescaleDelta
 from repro.core.problem import RankingProblem
 from repro.data.rankings import ranking_from_scores
@@ -65,62 +63,6 @@ def owner_of(cluster, problem) -> int:
     )
 
 
-# -- satellite: the ProcessShard post-EOF race --------------------------------
-
-
-def test_process_shard_call_after_worker_death_fails_fast():
-    """Regression: a _call issued after the reader observed EOF used to
-    register a future that no failure sweep would ever touch -- the caller
-    hung forever.  The _worker_dead flag makes it fail fast instead."""
-    problem = build_problem()
-
-    async def scenario():
-        shard = ProcessShard(0, QueryServerOptions(batch_window=0.0))
-        await shard.start()
-        try:
-            await shard.submit(problem, "symgd", FAST_PARAMS)
-            shard.inject_kill()
-            # Wait for the reader thread to observe EOF and flip the flag.
-            await asyncio.wait_for(
-                asyncio.get_running_loop().run_in_executor(
-                    None, shard._reader.join, 15
-                ),
-                timeout=20,
-            )
-            assert shard._worker_dead
-            # The regression scenario: this call starts strictly after the
-            # pending-future sweep.  It must raise promptly, not hang.
-            with pytest.raises(ShardDeadError):
-                await asyncio.wait_for(
-                    shard.submit(problem, "symgd", FAST_PARAMS), timeout=10
-                )
-        finally:
-            await shard.abort()
-
-    asyncio.run(scenario())
-
-
-def test_process_shard_kill_fails_inflight_requests_retryably():
-    problem = build_problem()
-
-    async def scenario():
-        shard = ProcessShard(0, QueryServerOptions(batch_window=0.0))
-        await shard.start()
-        try:
-            inflight = asyncio.ensure_future(
-                shard.submit(problem, "symgd", FAST_PARAMS)
-            )
-            await asyncio.sleep(0.05)  # let the request cross the pipe
-            shard.inject_kill()
-            with pytest.raises(ShardDeadError) as excinfo:
-                await asyncio.wait_for(inflight, timeout=20)
-            assert excinfo.value.retryable is True
-        finally:
-            await shard.abort()
-
-    asyncio.run(scenario())
-
-
 # -- supervised restart + stateless failover ----------------------------------
 
 
@@ -166,32 +108,6 @@ def test_dead_shard_restarts_and_stateless_traffic_fails_over():
     entry = stats.restart_log[0]
     assert entry["shard"] == victim
     assert entry["duration"] > 0
-
-
-def test_process_transport_shard_is_restarted_after_a_real_kill():
-    problem = build_problem()
-
-    async def scenario():
-        options = make_options(transport="process", health_interval=0.1)
-        async with ClusterRouter(options) as cluster:
-            first = await cluster.submit(problem, "symgd", FAST_PARAMS)
-            victim = owner_of(cluster, problem)
-            cluster.shards[victim].inject_kill()
-            await wait_until(
-                lambda: cluster._routable(victim)
-                and cluster.shards[victim] is not None
-                and not cluster._dead[victim],
-                timeout=60,
-            )
-            again = await cluster.submit(problem, "symgd", FAST_PARAMS)
-            health = await cluster.health()
-            stats = await cluster.stats()
-            return first, again, victim, health, stats
-
-    first, again, victim, health, stats = asyncio.run(scenario())
-    assert answer_digest(again.result) == answer_digest(first.result)
-    assert stats.restarts[victim] == 1
-    assert health["per_shard"][victim]["ok"]
 
 
 # -- session journal replay ----------------------------------------------------

@@ -159,16 +159,3 @@ def test_batched_cell_bounds_dimension_mismatch(nonlinear_problem):
                  np.ones(nonlinear_problem.num_attributes + 1))
     with pytest.raises(ValueError):
         CellBoundEvaluator(nonlinear_problem).bounds(wrong)
-
-
-def test_batched_cell_bounds_through_executor(nonlinear_problem):
-    from repro.core.cells import cell_error_bounds_many
-    from repro.engine.executor import ThreadExecutor
-
-    cells = grid_cells(nonlinear_problem.num_attributes, 0.34)
-    serial = cell_error_bounds_many(nonlinear_problem, cells)
-    with ThreadExecutor(max_workers=2) as executor:
-        fanned = cell_error_bounds_many(
-            nonlinear_problem, cells, executor=executor, chunk_size=4
-        )
-    assert fanned == serial

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -53,16 +55,31 @@ def test_batch_dedup_collapses_duplicates():
         assert outcomes[2].fingerprint != outcomes[0].fingerprint
 
 
+def test_solve_batch_counts_invocations_under_the_stats_lock():
+    # The query server runs batch and session solves concurrently on its
+    # default-pool threads, so every counter bump must take the lock.
+    request = SolveRequest(build_problem(), "linear_regression", {})
+    with SolveEngine(backend="serial") as engine:
+        with engine._stats_lock:
+            worker = threading.Thread(target=engine.solve_batch, args=([request],))
+            worker.start()
+            worker.join(timeout=0.5)
+            assert engine.solver_invocations == 0
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert engine.solver_invocations == 1
+
+
 def test_backend_parity_on_solve_batch():
     requests = [
         SolveRequest(build_problem(k=k), "symgd", FAST_PARAMS) for k in (3, 4, 5)
     ]
     errors = {}
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         with SolveEngine(backend=backend, max_workers=2) as engine:
             outcomes = engine.solve_batch(requests)
             errors[backend] = [outcome.result.error for outcome in outcomes]
-    assert errors["serial"] == errors["thread"] == errors["process"]
+    assert errors["serial"] == errors["process"]
 
 
 def test_unknown_method_is_rejected():
@@ -208,14 +225,3 @@ def test_engine_multi_seed_matches_in_process_loop():
         in_process.diagnostics["per_seed_errors"]
         == pooled.diagnostics["per_seed_errors"]
     )
-
-
-def test_engine_cell_error_bounds_helper():
-    from repro.core.cells import grid_cells
-    from repro.testing import cell_error_bounds_reference
-
-    problem = build_problem(k=3, seed=2)
-    cells = grid_cells(problem.num_attributes, 0.5)
-    with SolveEngine(backend="serial") as engine:
-        batched = engine.cell_error_bounds(problem, cells)
-    assert batched == [cell_error_bounds_reference(problem, c) for c in cells]

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.sampling import SamplingBaseline, SamplingOptions
-from repro.core.cells import cell_error_bounds_many, grid_cells
 from repro.core.rankhow import RankHowOptions
-from repro.core.seeds import grid_seed
 from repro.core.symgd import SymGD, SymGDOptions, default_seed_points
 from repro.engine.executor import (
     BACKEND_NAMES,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     available_cpu_count,
     get_executor,
 )
@@ -36,7 +33,6 @@ def test_map_cells_preserves_order(backend):
 
 def test_get_executor_resolves_names_and_instances():
     assert isinstance(get_executor("serial"), SerialExecutor)
-    assert isinstance(get_executor("thread"), ThreadExecutor)
     assert isinstance(get_executor("process"), ProcessExecutor)
     existing = SerialExecutor()
     assert get_executor(existing) is existing
@@ -45,6 +41,8 @@ def test_get_executor_resolves_names_and_instances():
     assert isinstance(auto, expected)
     with pytest.raises(ValueError):
         get_executor("gpu")
+    with pytest.raises(ValueError):
+        get_executor("thread")
 
 
 def test_executor_rejects_bad_worker_count():
@@ -52,7 +50,7 @@ def test_executor_rejects_bad_worker_count():
         SerialExecutor(max_workers=-1)
     with pytest.raises(ValueError):
         # 0 must not silently mean "all CPUs".
-        ThreadExecutor(max_workers=0)
+        ProcessExecutor(max_workers=0)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -105,26 +103,7 @@ def test_sampling_parity_across_backends(nonlinear_problem):
 
 def test_sampling_time_budget_stays_serial(nonlinear_problem):
     options = SamplingOptions(num_samples=50, time_limit=5.0)
-    with get_executor("thread", max_workers=2) as executor:
+    with get_executor("process", max_workers=2) as executor:
         result = SamplingBaseline(options, executor=executor).solve(nonlinear_problem)
     # The time-budgeted path has no chunk diagnostics (legacy serial search).
     assert "chunks" not in result.diagnostics
-
-
-def test_cell_bounds_sweep_parity(nonlinear_problem):
-    cells = grid_cells(nonlinear_problem.num_attributes, 0.5, max_cells=64)
-    reference = cell_error_bounds_many(nonlinear_problem, cells)
-    for backend in BACKENDS:
-        with get_executor(backend, max_workers=2) as executor:
-            bounds = cell_error_bounds_many(
-                nonlinear_problem, cells, executor=executor, chunk_size=4
-            )
-        assert bounds == reference, backend
-
-
-def test_grid_seed_parity(nonlinear_problem):
-    reference = grid_seed(nonlinear_problem, cell_size=0.5)
-    for backend in BACKENDS:
-        with get_executor(backend, max_workers=2) as executor:
-            seed = grid_seed(nonlinear_problem, cell_size=0.5, executor=executor)
-        assert np.allclose(seed, reference), backend

@@ -125,7 +125,7 @@ def _task(item):
     return item * 2
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_packed_tasks_reparent_across_executors(backend):
     tracer = Tracer()
     executor = get_executor(backend, max_workers=2)

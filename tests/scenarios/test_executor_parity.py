@@ -1,16 +1,15 @@
 """Executor and cache parity under the differential oracle.
 
-Serial, thread, and process backends (and the cache-on / cache-off paths)
-must produce identical fingerprints and results for generated scenarios.
-The process leg needs real parallel capacity; on a 1-CPU container it is
-skipped gracefully rather than spawning a pool that cannot help.
+Serial and process backends (and the cache-on / cache-off paths) must
+produce identical fingerprints and results for generated scenarios.  The
+process leg runs on every machine: a one-worker pool still crosses the
+pickle boundary.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.executor import available_cpu_count
 from repro.testing import check_cache_parity, check_executor_parity
 
 #: (family, method, wire options) -- small instances, cheap budgets; two
@@ -43,13 +42,11 @@ def _cases(scenario_cache, method, options):
     ]
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("process",))
 @pytest.mark.parametrize(
     "method,options", PARITY_METHODS, ids=[m for m, _ in PARITY_METHODS]
 )
 def test_backend_matches_serial(backend, method, options, scenario_cache):
-    if backend == "process" and available_cpu_count() < 2:
-        pytest.skip("process-pool parity needs >= 2 CPUs (1-CPU container)")
     checks = check_executor_parity(
         _cases(scenario_cache, method, options), backends=("serial", backend)
     )

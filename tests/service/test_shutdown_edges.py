@@ -7,7 +7,6 @@ import asyncio
 import numpy as np
 
 from repro.cluster import ClusterOptions, ClusterRouter
-from repro.cluster.shard import ProcessShard
 from repro.core.problem import RankingProblem
 from repro.core.ranking import Ranking
 from repro.data.relation import Relation
@@ -44,22 +43,6 @@ def test_query_server_double_stop_is_idempotent():
 
     stats = asyncio.run(scenario())
     assert stats.requests == 1
-
-
-def test_process_shard_double_stop_and_stop_after_abort():
-    async def scenario():
-        shard = ProcessShard(0, QueryServerOptions(batch_window=0.0))
-        await shard.start()
-        await shard.stop()
-        await shard.stop()  # idempotent
-
-        second = ProcessShard(1, QueryServerOptions(batch_window=0.0))
-        await second.start()
-        await second.abort()
-        await second.abort()  # abort is idempotent too
-        await second.stop()  # and stop after abort is a no-op
-
-    asyncio.run(scenario())
 
 
 def test_cluster_router_double_stop_is_idempotent():
