@@ -87,7 +87,7 @@ def _build_stream() -> list[tuple[str, RankingProblem]]:
 
 
 async def _replay(capacity: int, stream) -> dict:
-    options = QueryServerOptions(batch_window=0.0, cache_capacity=capacity)
+    options = QueryServerOptions(cache_capacity=capacity)
     latencies = []
     digests = {}
     fingerprints = []

@@ -89,7 +89,6 @@ def _options(cache_dir=None, hot_set_path=None) -> ClusterOptions:
         num_shards=NUM_SHARDS,
         cache_dir=str(cache_dir) if cache_dir else None,
         server=QueryServerOptions(
-            batch_window=0.0,
             hot_set_path=str(hot_set_path) if hot_set_path else None,
         ),
         health_interval=0.05,

@@ -39,7 +39,7 @@ from repro.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.service import QueryServer, QueryServerOptions
+from repro.service import QueryServer
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -87,18 +87,11 @@ def _users() -> list:
 
 
 def _cluster_options(**overrides) -> ClusterOptions:
-    defaults = dict(
-        num_shards=NUM_SHARDS,
-        server=QueryServerOptions(batch_window=0.0),
-    )
-    defaults.update(overrides)
-    return ClusterOptions(**defaults)
+    return ClusterOptions(**{"num_shards": NUM_SHARDS, **overrides})
 
 
 async def _leg_single_closed(plan):
-    async with QueryServer(
-        options=QueryServerOptions(batch_window=0.0)
-    ) as server:
+    async with QueryServer() as server:
         results, wall = await run_closed_loop(server, plan)
     return build_report("closed", results, wall)
 

@@ -31,7 +31,7 @@ from repro.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.service import QueryServer, QueryServerOptions
+from repro.service import QueryServer
 
 SEED = 11
 SYMGD_PARAMS = {
@@ -75,17 +75,13 @@ async def main() -> None:
     print(f"Workload plan: {total} ops across {len(plan)} lanes (seed {SEED})")
 
     print("\n-- leg 1: single server, closed loop (baseline) --")
-    async with QueryServer(
-        options=QueryServerOptions(batch_window=0.0)
-    ) as server:
+    async with QueryServer() as server:
         results, wall = await run_closed_loop(server, plan)
     baseline = build_report("closed", results, wall)
     print("  " + baseline.describe())
 
     print("\n-- leg 2: 2-shard cluster, closed loop (same plan) --")
-    options = ClusterOptions(
-        num_shards=2, server=QueryServerOptions(batch_window=0.0)
-    )
+    options = ClusterOptions(num_shards=2)
     async with ClusterRouter(options) as cluster:
         results, wall = await run_closed_loop(cluster, plan)
         await cluster.drain()
@@ -111,7 +107,6 @@ async def main() -> None:
         num_shards=2,
         queue_limit=1,
         retry_after=0.01,
-        server=QueryServerOptions(batch_window=0.0),
     )
     async with ClusterRouter(options) as cluster:
         results, wall = await run_open_loop(cluster, plan, rate=400.0)

@@ -47,7 +47,7 @@ def build_problem() -> RankingProblem:
 def show(label: str, outcome) -> None:
     result = outcome.result
     print(
-        f"  {label:>28s}: served={outcome.served:<5s} error={result.error:<3d} "
+        f"  {label:>28s}: cache_hit={outcome.cache_hit!s:<5s} error={result.error:<3d} "
         f"wall={outcome.wall_time * 1e3:7.1f}ms fingerprint={outcome.fingerprint[:10]}"
     )
 
@@ -91,11 +91,8 @@ def main() -> None:
         resumed = client.resume_session(exported)
         show("resumed head (cache hit)", resumed.solve())
 
-        stats = client.stats()["incremental"]
-        print(
-            f"\nincremental counters: cold={stats['cold_solves']} "
-            f"exact={stats['exact_hits']}"
-        )
+        cache = client.stats()["cache"]
+        print(f"\ncache: hits={cache['hits']} misses={cache['misses']}")
 
 
 if __name__ == "__main__":

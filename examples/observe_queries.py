@@ -41,7 +41,7 @@ SYMGD_PARAMS = {
 }
 
 INTERESTING_ATTRS = (
-    "outcome", "queue_wait", "nodes", "lp_iterations", "served",
+    "outcome", "queue_wait", "nodes", "lp_iterations",
     "cache_hit", "coalesced", "error",
 )
 
@@ -61,7 +61,7 @@ def print_span(node: dict, depth: int = 0) -> None:
 
 async def traced_workload(obs: Observability, problems) -> list[str]:
     """Fire the burst; return the fingerprints in submission order."""
-    options = QueryServerOptions(backend="serial", batch_window=0.005)
+    options = QueryServerOptions(backend="serial")
     fingerprints: list[str] = []
     async with QueryServer(options=options, obs=obs) as server:
         # Distinct problems, then repeats: the repeats coalesce in-flight or

@@ -46,7 +46,7 @@ async def main() -> None:
         for index in range(NUM_DISTINCT)
     ]
 
-    options = QueryServerOptions(backend="auto", batch_window=0.01, max_batch=32)
+    options = QueryServerOptions(backend="auto")
     async with QueryServer(options=options) as server:
         print(
             f"Burst 1: {NUM_DISTINCT * REPEATS} concurrent queries "

@@ -53,8 +53,8 @@ class _WarmStartedRankHow(RankHow):
     ``warm_start`` is part of the resolved options (it changes what a
     truncated search returns, so it must be covered by the fingerprint), but
     :class:`RankHowOptions` has no such field -- it is a ``solve`` argument.
-    Binding it here keeps the ``build_solver`` contract honest: the returned
-    solver runs exactly the configuration the fingerprint describes.
+    Binding it here keeps the ``build`` contract honest: the returned solver
+    runs exactly the configuration the fingerprint describes.
     """
 
     def __init__(self, options: RankHowOptions, warm_start) -> None:

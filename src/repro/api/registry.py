@@ -127,8 +127,8 @@ class SynthesisMethod(abc.ABC):
         """Construct the configured solver object for resolved options.
 
         The returned object exposes ``solve(problem) -> SynthesisResult``;
-        callers that want a reusable solver (the engine's ``build_solver``)
-        get the instance itself rather than a closure.
+        callers that want a reusable solver get the instance itself rather
+        than a closure.
         """
 
     def synthesize_resolved(

@@ -3,10 +3,10 @@
 A session is the client-side unit of interactive synthesis: it pins a base
 :class:`~repro.core.problem.RankingProblem`, accumulates
 :class:`~repro.core.delta.ProblemDelta` edits, and solves the current head
-through the engine's incremental path
-(:meth:`~repro.engine.engine.SolveEngine.solve_incremental`): a head the
-chain visited before (after an undo, or on a resumed session) is answered
-from the cache, and any other head is solved cold.
+through the engine (:meth:`~repro.engine.engine.SolveEngine.solve_batch`):
+a head the chain visited before (after an undo, or on a resumed session)
+carries the same composed fingerprint and is answered from the cache, and
+any other head is solved cold.
 
 Quick start::
 
@@ -18,7 +18,7 @@ Quick start::
         first = session.solve()
         session.tighten_tolerance()          # an edit ...
         second = session.solve()             # ... solved cold
-        print(second.served, second.result.describe())
+        print(second.cache_hit, second.result.describe())
 
 A session is **exact-parity safe**: every solve returns exactly what a
 cold solve of the edited problem returns (the differential oracle's
@@ -62,7 +62,7 @@ class SessionStep:
     step: int
     edits: int
     fingerprint: str
-    served: str
+    cache_hit: bool
     error: int
     wall_time: float
 
@@ -217,22 +217,21 @@ class SynthesisSession:
     def solve(self, method: str | None = None, options: dict | None = None):
         """Solve the current head; returns a ``SolveOutcome``.
 
-        Served as an exact cache hit when the head's composed fingerprint was
-        solved before, cold otherwise (see
-        :meth:`~repro.engine.engine.SolveEngine.solve_incremental`).
+        Answered from the engine's cache when the head's composed
+        fingerprint was solved before, solved cold otherwise.
         """
         request = SynthesisRequest(
             self._problem,
             method or self.method,
             dict(options if options is not None else self.options),
         )
-        outcome = self.engine.solve_incremental(request)
+        outcome = self.engine.solve_batch([request])[0]
         self.history.append(
             SessionStep(
                 step=len(self.history),
                 edits=self._pending_edits,
                 fingerprint=outcome.fingerprint,
-                served=outcome.served or "cold",
+                cache_hit=outcome.cache_hit,
                 error=int(outcome.result.error),
                 wall_time=outcome.wall_time,
             )

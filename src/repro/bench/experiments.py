@@ -947,9 +947,11 @@ def experiment_incremental(
     every solve does real LP work -- with the default seeding the
     incumbent-cutoff presolve prunes these sizes at the root and there
     would be no iterations to compare.  ``extra["lp_iterations"]`` counts
-    HiGHS iterations actually performed in that leg (zero for an exact
-    cache hit), so the totals the bench asserts on are work done, not work
-    remembered.
+    HiGHS iterations actually performed in that leg (zero for a cache hit),
+    so the totals the bench asserts on are work done, not work remembered.
+    ``extra["cache_hit"]`` marks each visit, and a closing
+    ``incremental_cache`` record holds the session engine's cache hits and
+    misses.
     """
     from repro.api.client import RankHowClient
     from repro.scenarios.generator import mutation_delta
@@ -998,7 +1000,7 @@ def experiment_incremental(
 
     records: list[ExperimentRecord] = []
 
-    def _visit_record(mode, index, result, lp_iterations, served, wall):
+    def _visit_record(mode, index, result, lp_iterations, cache_hit, wall):
         return ExperimentRecord(
             experiment="incremental_chain",
             dataset="uniform",
@@ -1009,7 +1011,7 @@ def experiment_incremental(
             time_seconds=wall,
             extra={
                 "lp_iterations": int(lp_iterations),
-                "served": served,
+                "cache_hit": cache_hit,
                 "status": result.diagnostics.get("status"),
                 # Exact float values (not rounded): the bench asserts the
                 # incremental leg's weights are bitwise the cold leg's.
@@ -1025,7 +1027,7 @@ def experiment_incremental(
         wall = time.perf_counter() - start
         records.append(
             _visit_record(
-                "cold", index, result, result.diagnostics["lp_iterations"], "cold", wall
+                "cold", index, result, result.diagnostics["lp_iterations"], False, wall
             )
         )
 
@@ -1039,7 +1041,7 @@ def experiment_incremental(
             wall = time.perf_counter() - start
             performed = (
                 0
-                if outcome.served == "exact"
+                if outcome.cache_hit
                 else outcome.result.diagnostics["lp_iterations"]
             )
             records.append(
@@ -1048,7 +1050,7 @@ def experiment_incremental(
                     index,
                     outcome.result,
                     performed,
-                    outcome.served,
+                    outcome.cache_hit,
                     wall,
                 )
             )
@@ -1062,13 +1064,14 @@ def experiment_incremental(
                 deltas, _ = mutation_delta(session.problem, kind, seed=mutation_seed)
                 session.edit(*deltas)
             _solve_and_record(index)
+        cache = client.stats()["cache"]
         records.append(
             ExperimentRecord(
-                experiment="incremental_stats",
+                experiment="incremental_cache",
                 dataset="uniform",
                 method="incremental",
                 params={"n": num_tuples, "k": k},
-                extra=dict(client.stats()["incremental"]),
+                extra={"hits": cache["hits"], "misses": cache["misses"]},
             )
         )
     return records

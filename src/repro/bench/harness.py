@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.registry import GLOBAL_REGISTRY, get_method
+from repro.api.registry import get_method
 from repro.core.problem import RankingProblem, ToleranceSettings
 from repro.core.result import SynthesisResult
 from repro.data.csrankings import (
@@ -50,14 +50,7 @@ __all__ = [
     "synthetic_problem",
     "budget_params",
     "run_method",
-    "METHOD_NAMES",
 ]
-
-#: Methods known to :func:`run_method` -- everything in the global registry
-#: at import time.  :func:`run_method` itself does a live lookup, so methods
-#: registered later still run by name; only this listing is a snapshot (use
-#: :func:`repro.api.list_methods` for a live view).
-METHOD_NAMES: tuple[str, ...] = GLOBAL_REGISTRY.names()
 
 
 @dataclass(frozen=True)
@@ -279,8 +272,8 @@ def run_method(
 ) -> SynthesisResult:
     """Run one algorithm on one problem with a consistent budget.
 
-    Dispatches through the :mod:`repro.api` method registry, so every name
-    in :data:`METHOD_NAMES` (and any method registered later) is reachable.
+    Dispatches through the :mod:`repro.api` method registry, so every
+    registered name (see :func:`repro.api.list_methods`) is reachable.
 
     Args:
         name: A registered method name.

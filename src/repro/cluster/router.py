@@ -184,7 +184,6 @@ class ClusterResponse:
     coalesced: bool
     latency: float
     batch_size: int
-    served: str | None = None
     session_id: str | None = None
     #: True when the owning shard was down and a fallback shard answered.
     failover: bool = False
@@ -691,7 +690,7 @@ class ClusterRouter:
                 )
             self._admit(target)
             try:
-                payload = await self.shards[target].submit(
+                response = await self.shards[target].submit(
                     problem, method, params,
                     request_id=request_id, deadline=deadline,
                 )
@@ -713,13 +712,12 @@ class ClusterRouter:
         return ClusterResponse(
             request_id=request_id,
             shard=target,
-            result=payload["result"],
-            fingerprint=payload["fingerprint"],
-            cache_hit=payload["cache_hit"],
-            coalesced=payload["coalesced"],
+            result=response.result,
+            fingerprint=response.outcome.fingerprint,
+            cache_hit=response.cache_hit,
+            coalesced=response.coalesced,
             latency=latency,
-            batch_size=payload["batch_size"],
-            served=payload["served"],
+            batch_size=response.batch_size,
             failover=target != owner,
         )
 
@@ -816,9 +814,10 @@ class ClusterRouter:
         (the bound protects shards from stateless floods, which is also why
         this path still counts toward the shard's pending depth -- admission
         sees session load, it just cannot reject it).  While the shard is
-        down a retryable :class:`ShardCrashedError` is raised; the delta
-        journal appends only on success, so a retried call re-applies its
-        edits exactly once against the replayed session.
+        down a retryable :class:`ShardCrashedError` is raised.  The delta
+        journal appends only on success, and the shard rolls back the edits
+        of a solve that failed, so journal and shard agree and a retried
+        call re-applies its edits exactly once.
         """
         self._require_running()
         await self._chaos_step()
@@ -830,7 +829,7 @@ class ClusterRouter:
         self._note_pending(shard_index)  # visible to admission, not bounded
         arrived = self._stamp_request()
         try:
-            payload = await self.shards[shard_index].submit_session(
+            response = await self.shards[shard_index].submit_session(
                 session_id, deltas=deltas, method=method, params=params,
                 request_id=request_id, deadline=deadline,
             )
@@ -850,13 +849,12 @@ class ClusterRouter:
         return ClusterResponse(
             request_id=request_id,
             shard=shard_index,
-            result=payload["result"],
-            fingerprint=payload["fingerprint"],
-            cache_hit=payload["cache_hit"],
-            coalesced=payload["coalesced"],
+            result=response.result,
+            fingerprint=response.outcome.fingerprint,
+            cache_hit=response.cache_hit,
+            coalesced=response.coalesced,
             latency=latency,
-            batch_size=payload["batch_size"],
-            served=payload["served"],
+            batch_size=response.batch_size,
             session_id=session_id,
         )
 
@@ -1023,9 +1021,6 @@ class ClusterRouter:
             ),
             deadline_exceeded=self._deadline_exceeded
             + sum(stats.deadline_exceeded for stats in per_shard),
-            incremental=_sum_numeric(
-                [stats.incremental for stats in per_shard]
-            ),
         )
         return ClusterStats(
             shards=self.options.num_shards,

@@ -8,11 +8,9 @@ which is what the bitwise-parity tests want.  Crashes are simulated
 (:meth:`InprocShard.inject_kill`), so the router's supervision, restart and
 session-replay machinery runs deterministically on one loop.
 
-Every shard method that performs work returns the same payload shape::
-
-    {"result": SynthesisResult, "fingerprint": str, "cache_hit": bool,
-     "coalesced": bool, "latency": float, "batch_size": int,
-     "served": str | None}
+The solving calls (:meth:`InprocShard.submit` and
+:meth:`InprocShard.submit_session`) return the server's
+:class:`~repro.service.server.QueryResponse` as is.
 """
 
 from __future__ import annotations
@@ -20,7 +18,12 @@ from __future__ import annotations
 import asyncio
 
 from repro.chaos import ChaosError
-from repro.service.server import QueryServer, QueryServerOptions, ServiceStats
+from repro.service.server import (
+    QueryResponse,
+    QueryServer,
+    QueryServerOptions,
+    ServiceStats,
+)
 
 __all__ = ["InprocShard", "ShardDeadError"]
 
@@ -58,19 +61,6 @@ async def _apply_pipe_fault(shard) -> None:
         await asyncio.sleep(fault.seconds)
     else:  # drop_message
         raise ChaosError(f"message to shard {shard.index} dropped (injected)")
-
-
-def _query_response_payload(response) -> dict:
-    """Uniform shard payload from a :class:`QueryResponse` (live objects)."""
-    return {
-        "result": response.result,
-        "fingerprint": response.outcome.fingerprint,
-        "cache_hit": response.cache_hit,
-        "coalesced": response.coalesced,
-        "latency": response.latency,
-        "batch_size": response.batch_size,
-        "served": response.outcome.served,
-    }
 
 
 class InprocShard:
@@ -128,14 +118,14 @@ class InprocShard:
         params: dict | None,
         request_id: str | None = None,
         deadline: float | None = None,
-    ) -> dict:
+    ) -> QueryResponse:
         self._check_alive()
         await _apply_pipe_fault(self)
         response = await self.server.submit(
             problem, method, params, request_id=request_id, deadline=deadline
         )
         self._check_alive()
-        return _query_response_payload(response)
+        return response
 
     async def open_session(
         self,
@@ -157,7 +147,7 @@ class InprocShard:
         params: dict | None = None,
         request_id: str | None = None,
         deadline: float | None = None,
-    ) -> dict:
+    ) -> QueryResponse:
         self._check_alive()
         await _apply_pipe_fault(self)
         response = await self.server.submit_session(
@@ -165,7 +155,7 @@ class InprocShard:
             request_id=request_id, deadline=deadline,
         )
         self._check_alive()
-        return _query_response_payload(response)
+        return response
 
     async def export_session(self, session_id: str) -> dict:
         self._check_alive()

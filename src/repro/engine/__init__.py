@@ -13,11 +13,12 @@ throughput.  It sits between :mod:`repro.core` (the algorithms) and
   by cost x frequency score, an optional on-disk JSON tier, and hot-set
   persistence;
 * :mod:`repro.engine.engine` -- :class:`SolveEngine`, the cached, batched,
-  parallel request executor everything above builds on.
+  parallel request executor everything above builds on (stateless queries
+  and session edits take the same ``solve_batch`` path).
 """
 
 from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.engine import IncrementalStats, SolveEngine, SolveOutcome, SolveRequest
+from repro.engine.engine import SolveEngine, SolveOutcome, SolveRequest
 from repro.engine.executor import (
     BACKEND_NAMES,
     Executor,
@@ -34,13 +35,7 @@ from repro.engine.fingerprint import (
     fingerprint_options,
     fingerprint_problem,
 )
-from repro.engine.tasks import (
-    SOLVE_METHODS,
-    build_solver,
-    effective_params,
-    solve_request_task,
-    validate_params,
-)
+from repro.engine.tasks import solve_request_task
 
 __all__ = [
     "BACKEND_NAMES",
@@ -49,17 +44,12 @@ __all__ = [
     "ExecutorStats",
     "ProcessExecutor",
     "ResultCache",
-    "SOLVE_METHODS",
     "SerialExecutor",
-    "IncrementalStats",
     "SolveEngine",
     "SolveOutcome",
     "SolveRequest",
     "available_cpu_count",
-    "build_solver",
     "canonical_json",
-    "effective_params",
-    "validate_params",
     "fingerprint",
     "fingerprint_cell",
     "fingerprint_options",

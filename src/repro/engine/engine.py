@@ -2,13 +2,13 @@
 
 :class:`SolveEngine` is what the query service (and any batch caller) talks
 to.  It owns an executor backend and a :class:`~repro.engine.cache.ResultCache`
-and exposes three operations:
+and exposes two operations:
 
 * ``solve`` / ``solve_batch`` -- answer how-to-rank requests, deduplicating
   identical requests inside a batch, serving repeats from the cache, and
-  fanning the remaining distinct solves out over the executor;
-* ``solve_incremental`` -- the session path: an exact cache hit on the
-  request's composed fingerprint, else a cold in-process solve;
+  fanning the remaining distinct solves out over the executor.  Stateless
+  queries and session edits alike take this path: an edit chain's requests
+  carry composed fingerprints, so a revisited head is a plain cache hit;
 * ``multi_seed_symgd`` -- the parallel multi-seed SYM-GD entry point used by
   the scaling benchmark.
 """
@@ -31,7 +31,7 @@ from repro.engine.executor import Executor, ExecutorStats, get_executor
 from repro.engine.tasks import solve_request_task
 from repro.obs.trace import adopt_results, pack_tasks, run_packed_task
 
-__all__ = ["SolveRequest", "SolveOutcome", "IncrementalStats", "SolveEngine"]
+__all__ = ["SolveRequest", "SolveOutcome", "SolveEngine"]
 
 #: The engine-level name for one how-to-rank request.  There is exactly one
 #: implementation of the request contract (problem + method + wire options,
@@ -43,47 +43,19 @@ SolveRequest = SynthesisRequest
 
 @dataclass
 class SolveOutcome:
-    """A solved request plus how it was served.
-
-    ``served`` is set by the incremental path only: ``"exact"`` (cache hit
-    on the request fingerprint) or ``"cold"`` (solved from scratch).
-    Batch-path outcomes leave it ``None``, keeping their wire format
-    unchanged.
-    """
+    """A solved request plus whether the result cache answered it."""
 
     result: SynthesisResult
     fingerprint: str
     cache_hit: bool
     wall_time: float
-    served: str | None = None
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "result": self.result.to_dict(),
             "fingerprint": self.fingerprint,
             "cache_hit": self.cache_hit,
             "wall_time": self.wall_time,
-        }
-        if self.served is not None:
-            payload["served"] = self.served
-        return payload
-
-
-@dataclass
-class IncrementalStats:
-    """Counters for the delta-aware solve path (exposed in engine stats)."""
-
-    exact_hits: int = 0
-    cold_solves: int = 0
-
-    @property
-    def solves(self) -> int:
-        return self.exact_hits + self.cold_solves
-
-    def as_dict(self) -> dict:
-        return {
-            "exact_hits": self.exact_hits,
-            "cold_solves": self.cold_solves,
         }
 
 
@@ -123,10 +95,10 @@ class SolveEngine:
         )
         self.solver_invocations = 0
         self.pruned_tuples_total = 0
-        self.incremental_stats = IncrementalStats()
-        # Counter increments take this lock: the query server runs batch and
-        # session solves concurrently on its event loop's default-pool
-        # threads, and an unsynchronized '+=' would silently drop telemetry.
+        # Counter increments take this lock: the query server solves its
+        # batches on its event loop's default-pool threads, other callers may
+        # share the engine, and an unsynchronized '+=' would silently drop
+        # telemetry.
         self._stats_lock = threading.Lock()
         self.obs = None
         if obs is not None:
@@ -138,7 +110,7 @@ class SolveEngine:
         """Attach an :class:`~repro.obs.Observability` bundle (idempotent).
 
         Registers the engine's collector on the bundle's metrics registry so
-        cache / executor / incremental counters appear in every export
+        cache / executor / data-plane counters appear in every export
         without double bookkeeping.  A server sharing its bundle with an
         existing engine calls this instead of rebuilding the engine.
         """
@@ -152,7 +124,6 @@ class SolveEngine:
         """Engine counters as export-time metric series (see MetricsRegistry)."""
         cache = self.cache.stats
         executor = self.executor.stats
-        incremental = self.incremental_stats
         dataplane = chunking.counters()
         return {
             "repro_engine_solver_invocations_total": (
@@ -185,15 +156,6 @@ class SolveEngine:
             ),
             "repro_engine_executor_batches_total": (
                 "counter", "Executor map batches", float(executor.batches),
-            ),
-            "repro_engine_incremental_served_total": (
-                "counter",
-                "Incremental solves by fallback tier",
-                {
-                    ("exact",): float(incremental.exact_hits),
-                    ("cold",): float(incremental.cold_solves),
-                },
-                ("tier",),
             ),
             "repro_engine_pruned_tuples_total": (
                 "counter",
@@ -242,7 +204,6 @@ class SolveEngine:
         with self._stats_lock:
             self.solver_invocations = 0
             self.pruned_tuples_total = 0
-            self.incremental_stats = IncrementalStats()
         self.executor.stats = ExecutorStats()
         self.cache.stats = CacheStats()
         chunking.reset_counters()
@@ -379,69 +340,6 @@ class SolveEngine:
             )
         return outcomes
 
-    # -- delta-aware incremental solving --------------------------------------
-
-    def solve_incremental(self, request: SolveRequest) -> SolveOutcome:
-        """Solve one request of an edit chain: exact cache hit, else cold.
-
-        When tracing is on, the solve runs inside an
-        ``engine.solve_incremental`` span recording which tier served it
-        (``exact``/``cold``); the solver's own spans nest under it because
-        incremental solves run in-process.
-
-        An edit chain's requests carry composed fingerprints (a pure
-        function of base problem and delta chain), so a revisited state --
-        a replayed or undone chain prefix -- is an **exact hit** and no
-        solver runs.  Anything else is solved **cold**, exactly as
-        :meth:`solve` would, so every outcome is byte-identical to a cold
-        solve of the same request (the differential oracle's
-        ``incremental_parity`` invariant checks this per scenario family).
-        The solve runs in-process (not on the executor): an interactive
-        session's latency is dominated by the solver, not by dispatch.
-        """
-        tracer = self._tracer()
-        if tracer is None:
-            return self._solve_incremental(request)
-        with tracer.span(
-            "engine.solve_incremental",
-            method=request.method,
-            fingerprint=request.fingerprint,
-        ) as span:
-            outcome = self._solve_incremental(request)
-            span.set_attributes(served=outcome.served, cache_hit=outcome.cache_hit)
-            return outcome
-
-    def _solve_incremental(self, request: SolveRequest) -> SolveOutcome:
-        start = time.perf_counter()
-        key = request.fingerprint
-        cached = self.cache.get(key)
-        if cached is not None:
-            with self._stats_lock:
-                self.incremental_stats.exact_hits += 1
-            return SolveOutcome(
-                result=cached,
-                fingerprint=key,
-                cache_hit=True,
-                wall_time=time.perf_counter() - start,
-                served="exact",
-            )
-
-        method = get_method(request.method)
-        with self._stats_lock:
-            self.solver_invocations += 1
-        result = method.synthesize_resolved(request.problem, request.effective)
-        self._harvest_dataplane(result)
-        self.cache.put(key, result, cost=time.perf_counter() - start)
-        with self._stats_lock:
-            self.incremental_stats.cold_solves += 1
-        return SolveOutcome(
-            result=result,
-            fingerprint=key,
-            cache_hit=False,
-            wall_time=time.perf_counter() - start,
-            served="cold",
-        )
-
     # -- parallel primitives --------------------------------------------------
 
     def multi_seed_symgd(
@@ -470,7 +368,6 @@ class SolveEngine:
             "solver_invocations": self.solver_invocations,
             "executor": self.executor.stats.as_dict(),
             "cache": self.cache.stats.as_dict(),
-            "incremental": self.incremental_stats.as_dict(),
             "dataplane": {
                 "pruned_tuples_total": self.pruned_tuples_total,
                 **chunking.counters(),

@@ -41,7 +41,6 @@ from repro.loadgen.users import (
     SessionEditUser,
     build_plan,
 )
-from repro.service.server import QueryServerOptions
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -123,7 +122,6 @@ async def run(args: argparse.Namespace) -> dict:
         num_shards=args.shards,
         queue_limit=args.queue_limit,
         cache_dir=args.cache_dir,
-        server=QueryServerOptions(batch_window=args.batch_window),
     )
     async with ClusterRouter(options, chaos=chaos) as cluster:
         if args.mode == "open":
@@ -191,8 +189,6 @@ def main(argv: list[str] | None = None) -> int:
                         "the stochastic mix")
     parser.add_argument("--queue-limit", type=int, default=32,
                         help="per-shard admission limit (default: 32)")
-    parser.add_argument("--batch-window", type=float, default=0.0,
-                        help="per-shard micro-batch window, seconds")
     parser.add_argument("--cache-dir", default=None,
                         help="shared disk cache tier directory")
     parser.add_argument("--deadline", type=float, default=None,

@@ -65,7 +65,6 @@ class OperationResult:
     cache_hit: bool = False
     coalesced: bool = False
     failover: bool = False
-    served: str | None = None
     fingerprint: str = ""
     digest: str = ""
     error: str | None = None
@@ -84,7 +83,6 @@ def _normalize(response) -> dict:
             "fingerprint": response.outcome.fingerprint,
             "cache_hit": response.cache_hit,
             "coalesced": response.coalesced,
-            "served": response.outcome.served,
             "shard": 0,
             "failover": False,
         }
@@ -93,7 +91,6 @@ def _normalize(response) -> dict:
         "fingerprint": response.fingerprint,
         "cache_hit": response.cache_hit,
         "coalesced": response.coalesced,
-        "served": response.served,
         "shard": response.shard,
         "failover": getattr(response, "failover", False),
     }
@@ -142,7 +139,9 @@ async def _execute(
     ``retry`` governs every *retryable* failure uniformly: busy shards,
     crashed/restarting shards, dropped messages and other injected chaos
     faults, and expired deadlines (each attempt gets a fresh relative
-    deadline budget; misses are counted).  A non-retryable error -- or a
+    deadline budget; misses are counted).  A failed session edit committed
+    nothing (the server rolls its edits back), so the retry re-sends the
+    same deltas.  A non-retryable error -- or a
     retryable one past the budget -- is recorded, with
     :class:`~repro.cluster.ShardBusyError` keeping its distinct ``shed``
     accounting (that is the open loop's overload signal).
@@ -209,7 +208,6 @@ async def _execute(
             cache_hit=payload["cache_hit"],
             coalesced=payload["coalesced"],
             failover=payload["failover"],
-            served=payload["served"],
             fingerprint=payload["fingerprint"],
             digest=answer_digest(payload["result"]),
         )

@@ -56,7 +56,6 @@ from repro.obs.trace import (
     current_tracer,
     get_global_tracer,
     pack_tasks,
-    run_in_context,
     run_packed_task,
     set_global_tracer,
     span,
@@ -75,7 +74,6 @@ __all__ = [
     "current_tracer",
     "set_global_tracer",
     "get_global_tracer",
-    "run_in_context",
     "pack_tasks",
     "run_packed_task",
     "adopt_results",

@@ -361,9 +361,9 @@ class MetricsRegistry:
         number}`` mapping for labeled series, e.g.::
 
             {"repro_engine_cache_hits_total": ("counter", "Cache hits", 42),
-             "repro_incremental_served_total": (
-                 "counter", "Served by tier",
-                 {("exact",): 3, ("cold",): 1}, ("tier",))}
+             "repro_cluster_shed_total": (
+                 "counter", "Shed by shard",
+                 {("0",): 3, ("1",): 1}, ("shard",))}
         """
         self._collectors.append(collector)
 

@@ -3,7 +3,7 @@
 Every served request becomes one :class:`ProfileRecord` -- request identity
 (fingerprint, method), the session edit kinds that produced it, its
 inter-arrival gap, what it cost to (re)compute, and how it was served
-(hit/miss/coalesced/tier): *what* arrives, *how often*, and *what a miss
+(cache hit or coalesced): *what* arrives, *how often*, and *what a miss
 costs*.  The load harness replays it (:class:`repro.loadgen.ReplayUser`).
 
 Records write as JSON Lines (one object per line) so a long-running service
@@ -45,8 +45,9 @@ class ProfileRecord:
             wall time; near zero for cache hits.
         cache_hit: Served from the result cache.
         coalesced: Attached to an in-flight identical request.
-        served: Incremental tier (``"exact"``/``"cold"``) or ``None`` on
-            the stateless path.
+
+    :meth:`from_dict` ignores keys it does not read, so JSONL lines written
+    by older versions still load.
     """
 
     timestamp: float
@@ -59,7 +60,6 @@ class ProfileRecord:
     cost: float = 0.0
     cache_hit: bool = False
     coalesced: bool = False
-    served: str | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -77,7 +77,6 @@ class ProfileRecord:
             cost=float(data.get("cost", 0.0)),
             cache_hit=bool(data.get("cache_hit", False)),
             coalesced=bool(data.get("coalesced", False)),
-            served=data.get("served"),
         )
 
     @property
@@ -119,7 +118,6 @@ class WorkloadRecorder:
         cache_hit: bool,
         coalesced: bool,
         delta_kinds=(),
-        served: str | None = None,
         timestamp: float | None = None,
     ) -> ProfileRecord:
         """Append one request observation (inter-arrival gap is derived)."""
@@ -138,7 +136,6 @@ class WorkloadRecorder:
                 cost=float(cost),
                 cache_hit=bool(cache_hit),
                 coalesced=bool(coalesced),
-                served=served,
             )
             self._records.append(record)
             if len(self._records) > self.max_records:

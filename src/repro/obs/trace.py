@@ -47,7 +47,6 @@ __all__ = [
     "current_tracer",
     "set_global_tracer",
     "get_global_tracer",
-    "run_in_context",
     "pack_tasks",
     "run_packed_task",
     "adopt_results",
@@ -204,28 +203,8 @@ class Span:
         return f"<Span {self.name!r} trace={self.trace_id} id={self.span_id}>"
 
 
-class _Anchor:
-    """Non-recorded stand-in for a remote parent span.
-
-    Activating an anchor (see :func:`run_in_context`) makes spans created in
-    this thread attach to ``(trace_id, span_id)`` without re-opening -- or
-    re-recording -- the remote span itself.
-    """
-
-    __slots__ = ("trace_id", "span_id", "_tracer")
-
-    def __init__(self, tracer: "Tracer", trace_id: str, span_id: str) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self._tracer = tracer
-
-    @property
-    def tracer(self) -> "Tracer":
-        return self._tracer
-
-
-#: The innermost active span (or anchor) of the calling context.
-_CURRENT: ContextVar[Span | _Anchor | None] = ContextVar("repro_obs_span", default=None)
+#: The innermost active span of the calling context.
+_CURRENT: ContextVar[Span | None] = ContextVar("repro_obs_span", default=None)
 
 #: Process-wide fallback tracer used when no span is active yet.
 _GLOBAL_TRACER: "Tracer | None" = None
@@ -351,8 +330,8 @@ def set_global_tracer(tracer: Tracer | None) -> Tracer | None:
     """Install (or clear, with ``None``) the process-wide fallback tracer.
 
     Returns the previous tracer so callers can restore it; prefer scoping
-    tracers to a server/engine and using :func:`run_in_context` where
-    possible -- the global hook exists for CLI entry points and notebooks.
+    tracers to a server/engine where possible -- the global hook exists for
+    CLI entry points and notebooks.
     """
     global _GLOBAL_TRACER
     previous = _GLOBAL_TRACER
@@ -365,13 +344,12 @@ def get_global_tracer() -> Tracer | None:
 
 
 def current_span() -> Span | None:
-    """The innermost active real span of this context (``None`` otherwise)."""
-    current = _CURRENT.get()
-    return current if isinstance(current, Span) else None
+    """The innermost active span of this context (``None`` otherwise)."""
+    return _CURRENT.get()
 
 
 def current_context() -> SpanContext | None:
-    """Picklable context of the innermost active span or anchor."""
+    """Picklable context of the innermost active span."""
     current = _CURRENT.get()
     if current is None:
         return None
@@ -410,47 +388,6 @@ def span(name: str, **attributes):
     if _GLOBAL_TRACER is not None and _GLOBAL_TRACER.enabled:
         return Span(_GLOBAL_TRACER, name, _new_id(), None, attributes)
     return NOOP_SPAN
-
-
-class run_in_context:
-    """Context manager parenting this thread's spans under a remote span.
-
-    The service's request handler runs engine work on the event loop's
-    default-pool threads (via ``loop.run_in_executor``), which do not
-    inherit the request context;
-    wrapping the work in ``run_in_context(tracer, ctx)`` reconnects it::
-
-        await loop.run_in_executor(
-            None, lambda: obs.run_in_context(tracer, ctx)(work))
-
-    ``tracer``/``ctx`` may be ``None`` (tracing off) -- the manager is then a
-    transparent no-op.
-    """
-
-    __slots__ = ("_anchor", "_token")
-
-    def __init__(self, tracer: Tracer | None, context: SpanContext | None) -> None:
-        self._anchor = (
-            _Anchor(tracer, context.trace_id, context.span_id)
-            if tracer is not None and tracer.enabled and context is not None
-            else None
-        )
-        self._token = None
-
-    def __enter__(self) -> "run_in_context":
-        if self._anchor is not None:
-            self._token = _CURRENT.set(self._anchor)
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        if self._token is not None:
-            _CURRENT.reset(self._token)
-            self._token = None
-        return False
-
-    def __call__(self, fn, *args, **kwargs):
-        with self:
-            return fn(*args, **kwargs)
 
 
 # -- executor-boundary propagation --------------------------------------------

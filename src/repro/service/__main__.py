@@ -9,8 +9,8 @@ With ``--session`` the demo runs the *stateful* path instead: it opens one
 edit session, drives a chain of ``scenarios.mutate()`` edits through
 :meth:`~repro.service.server.QueryServer.submit_session` (tolerance
 tightening, attribute jitter, an undo via session export/resume), and prints
-how each step was served -- ``cold`` / ``exact`` -- plus the
-engine's incremental counters.
+whether each step was a cache hit -- a miss for the base and every edit, a
+hit for the resumed head.
 
 Observability flags: ``--trace`` turns on end-to-end span tracing,
 ``--trace-out trace.json`` dumps the slowest trace as a JSON span tree,
@@ -127,8 +127,6 @@ def server_options(args: argparse.Namespace) -> QueryServerOptions:
     return QueryServerOptions(
         backend=args.backend,
         max_workers=args.executor_workers,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
         cache_dir=args.cache_dir,
         allowed_methods=args.allowed_methods,
         hot_set_path=args.hot_set,
@@ -206,15 +204,7 @@ async def run_session_demo(args: argparse.Namespace) -> tuple[QueryServer, list]
     )
     base = problems[0]
     params = method_params(args)
-    options = QueryServerOptions(
-        backend=args.backend,
-        max_workers=args.executor_workers,
-        cache_dir=args.cache_dir,
-        allowed_methods=args.allowed_methods,
-        hot_set_path=args.hot_set,
-        memory_budget_mb=args.memory_budget_mb,
-    )
-    server = QueryServer(options=options, obs=args.obs)
+    server = QueryServer(options=server_options(args), obs=args.obs)
     steps = []
     kinds = ("tighten_tolerance", "jitter", "permute", "rescale")
     async with server:
@@ -306,8 +296,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: 32)")
     parser.add_argument("--executor-workers", type=int, default=None,
                         help="worker cap for each engine's executor pool")
-    parser.add_argument("--batch-window", type=float, default=0.005)
-    parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--cache-dir", default=None,
                         help="optional on-disk result cache directory")
     parser.add_argument("--memory-budget-mb", type=float, default=None,
@@ -438,14 +426,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.session:
         server, steps = asyncio.run(run_session_demo(args))
         stats = server.stats()
-        incremental = stats.incremental
         if args.json:
             payload = {
                 "session_demo": [
-                    {"edit": label, **response.to_dict(), "served": response.outcome.served}
+                    {"edit": label, **response.to_dict()}
                     for label, response in steps
                 ],
-                "incremental": incremental,
+                "cache": stats.cache,
                 "sessions_opened": stats.sessions_opened,
             }
             json.dump(payload, sys.stdout, indent=2)
@@ -456,10 +443,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"{args.method} on {source} ==")
             for label, response in steps:
                 result = response.result
-                print(f"  {label:>18s}: served={response.outcome.served:<5s} "
+                print(f"  {label:>18s}: cache_hit={response.cache_hit!s:<5s} "
                       f"error={result.error} "
                       f"latency={response.latency * 1e3:.1f}ms")
-            print(f"  incremental counters: {incremental} | "
+            print(f"  cache: hits={stats.cache['hits']} "
+                  f"misses={stats.cache['misses']} | "
                   f"sessions opened: {stats.sessions_opened}")
         emit_observability(args, server)
         return 0

@@ -7,10 +7,11 @@ into efficient work for a :class:`~repro.engine.engine.SolveEngine`:
 * **Coalescing** -- a query whose fingerprint matches one already in flight
   attaches to the in-flight future instead of enqueueing new work, so a
   thundering herd of identical queries costs one solve.
-* **Micro-batching** -- queued queries are collected for a short window (or
-  until the batch is full) and handed to the engine as one batch, which
-  dedups them, serves repeats from the result cache, and fans the distinct
-  misses out over the executor backend.
+* **Micro-batching** -- the batch loop hands whatever is queued (up to
+  :data:`BATCH_LIMIT` requests) to the engine as one batch, with no waiting
+  window: a batch forms from the requests that arrived while the previous
+  one was solving.  The engine dedups them, serves repeats from the result
+  cache, and fans the distinct misses out over the executor backend.
 * **Telemetry** -- every request is recorded (latency, cache hit, coalesced,
   batch size) and aggregated by :meth:`QueryServer.stats`; full-run latency
   percentiles come from a bounded streaming histogram, counters flow into a
@@ -18,11 +19,13 @@ into efficient work for a :class:`~repro.engine.engine.SolveEngine`:
   :class:`~repro.obs.Observability` bundle attached every request carries a
   trace from service intake through engine dispatch down to the solver,
   plus an append-only workload profile (JSONL) for replay.
-* **Stateful sessions** -- the incremental-synthesis path: a session pins a
-  base problem server-side, clients ship only :class:`ProblemDelta` edits
-  (:meth:`QueryServer.submit_session`), solves run through the engine's
-  incremental path (exact cache hit, else cold), and sessions LRU-evict
-  beyond ``max_sessions`` / export+resume via their serialized delta chain.
+* **Stateful sessions** -- a session pins a base problem server-side,
+  clients ship only :class:`ProblemDelta` edits
+  (:meth:`QueryServer.submit_session`), and the edited head takes the same
+  path as a query: one in-flight table, one batch queue, one engine batch
+  (an exact cache hit on its composed fingerprint, else a cold solve).
+  Sessions LRU-evict beyond ``max_sessions`` and export/resume via their
+  serialized delta chain.
 
 The server is an in-process asyncio component rather than a network daemon:
 the network layer of a production deployment (HTTP, gRPC, ...) would sit in
@@ -42,7 +45,7 @@ from repro.core.problem import RankingProblem
 from repro.engine.engine import SolveEngine, SolveOutcome, SolveRequest
 from repro.obs import Observability
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import NOOP_SPAN, run_in_context
+from repro.obs.trace import NOOP_SPAN
 from repro.service.errors import DeadlineExceededError
 
 __all__ = [
@@ -56,19 +59,18 @@ __all__ = [
 
 _SHUTDOWN = object()
 
+#: Most requests the batch loop hands to the engine in one batch.
+BATCH_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class QueryServerOptions:
-    """Tuning knobs of the front-end.
+    """Settings of the front-end.
 
     Attributes:
         backend: Executor backend for the owned engine (``serial`` /
             ``process`` / ``auto``); ignored when an engine is passed in.
         max_workers: Worker cap for the owned engine's executor.
-        batch_window: Seconds to keep collecting queries after the first one
-            of a batch arrives.  Zero still batches whatever is already
-            queued (pure opportunistic batching).
-        max_batch: Hard cap on queries per engine batch.
         cache_capacity: In-memory entry capacity of the owned engine's
             result cache.
         cache_dir: Optional on-disk cache directory of the owned engine.
@@ -95,8 +97,6 @@ class QueryServerOptions:
 
     backend: str = "serial"
     max_workers: int | None = None
-    batch_window: float = 0.005
-    max_batch: int = 16
     cache_capacity: int = 512
     cache_dir: str | None = None
     history_limit: int = 10000
@@ -227,7 +227,6 @@ class ServiceStats:
     sessions_open: int = 0
     sessions_opened: int = 0
     sessions_evicted: int = 0
-    incremental: dict = field(default_factory=dict)
 
     def describe(self) -> str:
         return (
@@ -313,7 +312,6 @@ class QueryServer:
         self._session_counter = 0
         self._sessions_opened = 0
         self._sessions_evicted = 0
-        self._session_tasks: set[asyncio.Task] = set()
         self._hot_set_loaded = 0
         self._records: deque[RequestRecord] = deque(
             maxlen=max(self.options.history_limit, 1)
@@ -420,15 +418,14 @@ class QueryServer:
         """Wait until every admitted request has been answered, then flush.
 
         Unlike :meth:`stop`, the server keeps serving afterwards: the queue
-        is emptied, every in-flight future (query *and* session path)
-        resolves, session solve tasks finish, and the workload profile sink
-        -- if one is attached -- is flushed to disk so a consumer tailing
-        the JSONL sees the drained requests.  The cluster front-end calls
-        this per shard on graceful shutdown; the CLI calls it before
-        emitting post-run reports.
+        is emptied, every in-flight future (queries and session edits)
+        resolves, and the workload profile sink -- if one is attached -- is
+        flushed to disk so a consumer tailing the JSONL sees the drained
+        requests.  The cluster front-end calls this per shard on graceful
+        shutdown; the CLI calls it before emitting post-run reports.
         """
         while True:
-            waiters = list(self._inflight.values()) + list(self._session_tasks)
+            waiters = list(self._inflight.values())
             queue_busy = self._queue is not None and not self._queue.empty()
             if not waiters and not queue_busy:
                 break
@@ -476,11 +473,6 @@ class QueryServer:
                 pass
             self._loop_task = None
             self._queue = None
-        if self._session_tasks:
-            # Session solves run as standalone tasks (not through the batch
-            # queue); anything already submitted is still answered.
-            await asyncio.gather(*self._session_tasks, return_exceptions=True)
-            self._session_tasks.clear()
         # Nothing should be pending at this point; if the loop died early,
         # waiters get a loud error instead of hanging forever.
         self._fail_inflight(RuntimeError("QueryServer stopped"))
@@ -520,12 +512,13 @@ class QueryServer:
     ) -> QueryResponse:
         """Submit one how-to-rank query and await its response.
 
-        Identical queries already in flight are coalesced: this call attaches
-        to the pending solve instead of enqueueing a duplicate.  With tracing
-        on, each request roots a ``service.request`` span; the engine's
-        dispatch/task/solver spans nest under the *primary* request's trace
-        (exactly once per solve), and a coalesced waiter's span points at it
-        via its ``primary_trace`` attribute.
+        Identical requests already in flight -- queries or session edits --
+        are coalesced: this call attaches to the pending solve instead of
+        enqueueing a duplicate.  With tracing on, each request roots a
+        ``service.request`` span; the engine's dispatch/task/solver spans
+        nest under the *primary* request's trace (exactly once per solve),
+        and a coalesced waiter's span points at it via its ``primary_trace``
+        attribute.
 
         ``deadline`` is a relative budget in seconds.  Enforcement is
         pre-solve only (intake here, batch pickup in ``_run_batch``): an
@@ -538,13 +531,29 @@ class QueryServer:
             raise RuntimeError("QueryServer is not running; call start() first")
         self._check_method_allowed(method)
         self._check_deadline(deadline)
+        request = SolveRequest(problem, method, dict(params or {}))
+        return await self._serve(request, request_id, deadline)
+
+    async def _serve(
+        self,
+        request: SolveRequest,
+        request_id: str | None,
+        deadline: float | None,
+        delta_kinds=(),
+        **span_attributes,
+    ) -> QueryResponse:
+        """The one request path: coalesce onto an in-flight solve or queue one.
+
+        Queries and session edits share the in-flight table and the batch
+        queue, so equal requests coalesce whichever path they came from and
+        every solve rides an engine batch.  ``deadline`` (relative seconds,
+        or ``None``) is re-checked when the batch loop picks the request up.
+        """
         assert self._queue is not None
         self._request_counter += 1
         if request_id is None:
             request_id = f"q{self._request_counter}"
-        request = SolveRequest(problem, method, dict(params or {}))
         key = request.fingerprint
-
         arrived = time.perf_counter()
         if self._started_at is None:
             self._started_at = arrived
@@ -552,8 +561,9 @@ class QueryServer:
         with self._request_span(
             "service.request",
             request_id=request_id,
-            method=method,
+            method=request.method,
             fingerprint=key,
+            **span_attributes,
         ) as span:
             future = self._inflight.get(key)
             coalesced = future is not None
@@ -576,7 +586,14 @@ class QueryServer:
 
             outcome, batch_size = await future
             response = self._finalize_response(
-                request_id, key, method, outcome, arrived, coalesced, batch_size
+                request_id,
+                key,
+                request.method,
+                outcome,
+                arrived,
+                coalesced,
+                batch_size,
+                delta_kinds,
             )
             if span:
                 span.set_attributes(
@@ -595,9 +612,9 @@ class QueryServer:
         arrived: float,
         coalesced: bool,
         batch_size: int,
-        delta_kinds=(),
+        delta_kinds,
     ) -> QueryResponse:
-        """Shared telemetry + response assembly for query and session paths."""
+        """Telemetry + response assembly for one answered request."""
         if coalesced:
             # Every waiter on a coalesced solve gets a private result copy,
             # matching the cache's and the engine's no-aliasing guarantee.
@@ -642,7 +659,6 @@ class QueryServer:
                 cache_hit=outcome.cache_hit,
                 coalesced=coalesced,
                 delta_kinds=delta_kinds,
-                served=outcome.served,
             )
         return response
 
@@ -718,37 +734,38 @@ class QueryServer:
         request_id: str | None = None,
         deadline: float | None = None,
     ) -> QueryResponse:
-        """Apply edits to a session and solve its head incrementally.
+        """Apply edits to a session and solve its head.
 
         ``deltas`` is a list of :class:`~repro.core.delta.ProblemDelta`
         objects or their wire dicts, applied in order to the session's
         current head.  Delta application is atomic on the event loop, so
-        concurrent edits to one session serialize in arrival order; solves
-        whose edited problem matches one already in flight coalesce onto it
-        (the same in-flight table the query path uses).  The solve itself
-        goes through the engine's incremental path: an exact cache hit on
-        the head's composed fingerprint, else a cold solve.
+        concurrent edits to one session serialize in arrival order.  The
+        edited head then takes the query path (:meth:`submit`): it
+        coalesces onto an in-flight equal request, or joins the batch queue
+        and is answered by the engine -- an exact cache hit on the head's
+        composed fingerprint, else a cold solve.
 
-        Failure semantics: invalid input (malformed delta, unknown method or
-        option) fails *before* anything is committed -- retrying the same
-        call is safe.  A failure in the solve itself happens *after* the
-        edits committed (they must: concurrent calls coalesce on the edited
-        head's fingerprint), so on a solver-side error re-submit with
-        ``deltas=None`` rather than re-sending the deltas;
+        ``deadline`` is checked at intake only.  Once the edits are
+        committed the solve is never shed from the queue: a client retrying
+        a shed call would apply its deltas twice.
+
+        Failure semantics: retry with the same deltas.  Invalid input
+        (malformed delta, unknown method or option, an expired deadline)
+        fails before anything is committed.  If the solve itself fails, the
+        edits are rolled back -- as long as the session's head is still the
+        one this call produced -- before the error propagates.
         :meth:`session_info` reports the head's fingerprint and edit count
         for reconciliation.
         """
         if self._loop_task is None or self._closing:
             raise RuntimeError("QueryServer is not running; call start() first")
-        # Intake-only deadline check, BEFORE the session is touched: an
-        # expired call must not commit deltas (the client's retry re-sends
-        # them, and double-applied edits would corrupt the session head).
         self._check_deadline(deadline)
         session = self._session(session_id)
         solve_method = method or session.method
         self._check_method_allowed(solve_method)
         parsed = deltas_from_dicts(list(deltas or []))
-        head = session.problem.apply_delta(parsed) if parsed else session.problem
+        previous = session.problem
+        head = previous.apply_delta(parsed) if parsed else previous
         # Build (and thereby validate) the request BEFORE committing the
         # edits: a bad method/options pair must fail without advancing the
         # session, or a client retrying the "failed" call would double-apply
@@ -758,98 +775,28 @@ class QueryServer:
             solve_method,
             dict(params if params is not None else session.params),
         )
+        committed = len(session.deltas)
         if parsed:
             session.problem = head
             session.deltas.extend(delta.to_dict() for delta in parsed)
             session.edits += len(parsed)
-        key = request.fingerprint
         session.solves += 1
-
-        self._request_counter += 1
-        if request_id is None:
-            request_id = f"q{self._request_counter}"
-        arrived = time.perf_counter()
-        if self._started_at is None:
-            self._started_at = arrived
-
-        delta_kinds = tuple(delta.kind for delta in parsed)
-        with self._request_span(
-            "service.request",
-            request_id=request_id,
-            method=solve_method,
-            fingerprint=key,
-            session_id=session_id,
-            edits=len(parsed),
-        ) as span:
-            future = self._inflight.get(key)
-            coalesced = future is not None
-            if future is None:
-                loop = asyncio.get_running_loop()
-                future = loop.create_future()
-                self._inflight[key] = future
-                ctx = span.context
-                self._inflight_ctx[key] = ctx
-                task = loop.create_task(
-                    self._run_session_solve(key, request, ctx)
-                )
-                self._session_tasks.add(task)
-                task.add_done_callback(self._session_tasks.discard)
-            elif span:
-                primary = self._inflight_ctx.get(key)
-                span.set_attributes(
-                    coalesced=True,
-                    primary_trace=primary.trace_id if primary is not None else "",
-                )
-
-            outcome, batch_size = await future
-            if outcome.served is None:
-                # The session attached to a query-path (batch) future for the
-                # same fingerprint; those outcomes never set `served`, but every
-                # session response promises it.
-                outcome = replace(outcome, served="coalesced")
-            response = self._finalize_response(
-                request_id,
-                key,
-                solve_method,
-                outcome,
-                arrived,
-                coalesced,
-                batch_size,
-                delta_kinds=delta_kinds,
-            )
-            if span:
-                span.set_attributes(
-                    cache_hit=response.cache_hit,
-                    served=outcome.served,
-                    latency=response.latency,
-                )
-            return response
-
-    async def _run_session_solve(
-        self, key: str, request: SolveRequest, ctx=None
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        tracer = self._tracer()
         try:
-            # The default-pool thread does not inherit the request's
-            # contextvars; run_in_context re-parents the engine/solver spans
-            # under the submitting request span (a no-op when tracing is off).
-            outcome = await loop.run_in_executor(
+            # No pickup deadline: the edits above are already committed.
+            return await self._serve(
+                request,
+                request_id,
                 None,
-                lambda: run_in_context(tracer, ctx)(
-                    self.engine.solve_incremental, request
-                ),
+                tuple(delta.kind for delta in parsed),
+                session_id=session_id,
+                edits=len(parsed),
             )
-        except Exception as error:  # pragma: no cover - defensive
-            future = self._inflight.pop(key, None)
-            self._inflight_ctx.pop(key, None)
-            if future is not None and not future.done():
-                future.set_exception(error)
-            return
-        future = self._inflight.pop(key, None)
-        self._inflight_ctx.pop(key, None)
-        if future is not None and not future.done():
-            future.set_result((outcome, 1))
+        except BaseException:
+            if parsed and session.problem is head:
+                session.problem = previous
+                del session.deltas[committed:]
+                session.edits -= len(parsed)
+            raise
 
     def close_session(self, session_id: str) -> None:
         """Drop a session (its exported form can still be resumed later)."""
@@ -919,57 +866,25 @@ class QueryServer:
 
     async def _batch_loop_inner(self) -> None:
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
-            first = await self._queue.get()
-            if first is _SHUTDOWN:
-                # Drain requests that raced stop(): anything enqueued before
-                # the closing flag flipped must still be answered.
-                remainder = []
-                while not self._queue.empty():
-                    item = self._queue.get_nowait()
-                    if item is not _SHUTDOWN:
-                        remainder.append(item)
-                if remainder:
-                    await self._run_batch(remainder)
-                break
-            batch = [first]
-            requeue_shutdown = False
-            deadline = loop.time() + max(self.options.batch_window, 0.0)
-            while len(batch) < self.options.max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    # Window elapsed; still sweep anything already queued.
-                    while (
-                        len(batch) < self.options.max_batch
-                        and not self._queue.empty()
-                    ):
-                        item = self._queue.get_nowait()
-                        if item is _SHUTDOWN:
-                            requeue_shutdown = True
-                            break
-                        batch.append(item)
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
-                if item is _SHUTDOWN:
-                    requeue_shutdown = True
-                    break
-                batch.append(item)
-            if requeue_shutdown:
-                # Put the sentinel back so the next iteration runs the
-                # drain-and-exit path after this batch is served.
-                self._queue.put_nowait(_SHUTDOWN)
-            await self._run_batch(batch)
+            # No window: a batch is whatever queued while the previous one
+            # was solving.  stop() enqueues the sentinel behind every request
+            # it raced, so those are still answered before the loop exits.
+            batch = [await self._queue.get()]
+            while len(batch) < BATCH_LIMIT and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            live = [item for item in batch if item is not _SHUTDOWN]
+            if live:
+                await self._run_batch(live)
+            if len(live) < len(batch):
+                return
 
     async def _run_batch(self, batch: list) -> None:
         loop = asyncio.get_running_loop()
-        # Deadline check at batch pickup: a request whose budget expired
-        # while it sat in the queue is shed here, before any solver work --
-        # the last pre-solve enforcement point (running solves are never
-        # aborted; see submit()).
+        # Deadline check at batch pickup: a query whose budget expired while
+        # it sat in the queue is shed here, before any solver work -- the
+        # last pre-solve enforcement point (running solves are never
+        # aborted; see submit()).  Session edits carry no pickup deadline.
         now = loop.time()
         live = []
         for key, request, ctx, deadline_ts in batch:
@@ -997,7 +912,9 @@ class QueryServer:
             outcomes = await loop.run_in_executor(
                 None, lambda: self.engine.solve_batch(requests, contexts)
             )
-        except Exception as error:  # pragma: no cover - defensive
+        except Exception as error:
+            # A failed dispatch (say an injected solver fault) fails every
+            # request of the batch; clients retry.
             for key in keys:
                 future = self._inflight.pop(key, None)
                 self._inflight_ctx.pop(key, None)
@@ -1034,7 +951,6 @@ class QueryServer:
                 sessions_open=len(self._sessions),
                 sessions_opened=self._sessions_opened,
                 sessions_evicted=self._sessions_evicted,
-                incremental=self.engine.incremental_stats.as_dict(),
             )
         hist = self._latency_hist
         wall = (
@@ -1061,5 +977,4 @@ class QueryServer:
             sessions_open=len(self._sessions),
             sessions_opened=self._sessions_opened,
             sessions_evicted=self._sessions_evicted,
-            incremental=self.engine.incremental_stats.as_dict(),
         )

@@ -996,7 +996,7 @@ def check_incremental_parity(
                 cold = adapter.synthesize(cold_head, options)
                 if not results_equal(incremental.result, cold):
                     failures.append(
-                        f"step {step} ({applied}, served={incremental.served}): "
+                        f"step {step} ({applied}, cache_hit={incremental.cache_hit}): "
                         f"incremental error {incremental.result.error} vs cold "
                         f"{cold.error}, weights equal="
                         f"{np.array_equal(incremental.result.weights, cold.weights, equal_nan=True)}"
@@ -1004,8 +1004,8 @@ def check_incremental_parity(
             if failures:
                 checks.append(_fail(invariant, method, "; ".join(failures)))
             else:
-                served = [record.served for record in session.history]
+                hits = [record.cache_hit for record in session.history]
                 checks.append(
-                    _ok(invariant, method, f"{steps} edits, served={served}")
+                    _ok(invariant, method, f"{steps} edits, cache_hit={hits}")
                 )
     return checks

@@ -42,20 +42,21 @@ def test_session_edit_solve_loop(problem):
     with RankHowClient() as client:
         session = client.session(problem, method="symgd", options=SYMGD_OPTS)
         first = session.solve()
-        assert first.served == "cold"
+        assert not first.cache_hit
 
         session.tighten_tolerance()
         second = session.solve()
-        assert second.served == "cold"
+        assert not second.cache_hit
         assert len(session) == 1
 
         # Re-solving the unchanged head is an exact cache hit.
         third = session.solve()
-        assert third.served == "exact" and third.cache_hit
+        assert third.cache_hit
         assert third.result.error == second.result.error
 
-        assert [step.served for step in session.history] == ["cold", "cold", "exact"]
-        assert client.stats()["incremental"] == {"exact_hits": 1, "cold_solves": 2}
+        assert [step.cache_hit for step in session.history] == [False, False, True]
+        cache = client.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (1, 2)
 
 
 def test_session_convenience_edits_cover_every_kind(problem):
@@ -90,7 +91,7 @@ def test_session_rewind_revisits_cached_state(problem):
         assert len(session) == 0
         assert session.problem.fingerprint() == problem.fingerprint()
         again = session.solve()
-        assert again.served == "exact"
+        assert again.cache_hit
         assert again.fingerprint == base_outcome.fingerprint
 
         with pytest.raises(ValueError):
@@ -108,7 +109,7 @@ def test_session_serialization_resume_dedupes(problem):
         resumed = client.resume_session({**session.to_dict(), "retired_flag": True})
         assert resumed.problem.fingerprint() == session.problem.fingerprint()
         replay = resumed.solve()
-        assert replay.served == "exact"
+        assert replay.cache_hit
         assert replay.result.error == original.result.error
         assert np.array_equal(replay.result.weights, original.result.weights)
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import list_methods
 from repro.bench.harness import (
-    METHOD_NAMES,
     BenchmarkScale,
     MethodBudget,
     csrankings_problem,
@@ -97,7 +97,7 @@ def test_run_method_unknown_name():
 def test_method_names_are_all_dispatchable():
     problem = synthetic_problem("uniform", num_tuples=15, num_attributes=3, k=2, seed=3)
     budget = MethodBudget(time_limit=5.0, node_limit=20, samples=50)
-    for name in METHOD_NAMES:
+    for name in list_methods():
         result = run_method(name, problem, budget)
         assert result.error >= -1
 

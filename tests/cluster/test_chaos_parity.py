@@ -18,7 +18,7 @@ from repro.engine.engine import SolveRequest
 from repro.loadgen import build_report
 from repro.loadgen.runner import run_closed_loop
 from repro.loadgen.users import QueryMixUser, SessionEditUser, build_plan
-from repro.service import QueryServerOptions, RetryPolicy
+from repro.service import RetryPolicy
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -50,7 +50,6 @@ def build_load_plan() -> dict:
 def make_options() -> ClusterOptions:
     return ClusterOptions(
         num_shards=2,
-        server=QueryServerOptions(batch_window=0.0),
         health_interval=0.05,
         restart_backoff=0.01,
         restart_backoff_max=0.05,
@@ -132,7 +131,6 @@ def test_solver_fault_and_cache_corruption_still_preserve_parity(tmp_path):
     async def leg(plan, cache_dir):
         options = ClusterOptions(
             num_shards=2,
-            server=QueryServerOptions(batch_window=0.0),
             cache_dir=str(cache_dir),
             health_interval=0.05,
             restart_backoff=0.01,

@@ -12,7 +12,6 @@ from repro.cluster.metrics import aggregate_samples
 from repro.obs import MetricsRegistry
 from repro.obs.export import parse_prometheus, render_prometheus
 from repro.scenarios import scenario_problem
-from repro.service import QueryServerOptions
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -91,9 +90,7 @@ def test_cluster_export_equals_sum_of_shard_counters():
     stream = [problems[i % len(problems)] for i in range(10)]
 
     async def scenario():
-        options = ClusterOptions(
-            num_shards=2, server=QueryServerOptions(batch_window=0.0)
-        )
+        options = ClusterOptions(num_shards=2)
         async with ClusterRouter(options) as cluster:
             for problem in stream:
                 await cluster.submit(problem, "symgd", FAST_PARAMS)

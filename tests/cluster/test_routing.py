@@ -7,14 +7,16 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.api.registry import get_method
 from repro.cluster import ClusterOptions, ClusterRouter, ShardBusyError
+from repro.core.delta import RescaleDelta
 from repro.core.problem import RankingProblem
 from repro.data.rankings import ranking_from_scores
 from repro.data.synthetic import generate_uniform
 from repro.engine.engine import SolveRequest
 from repro.loadgen import answer_digest
 from repro.scenarios import scenario_problem
-from repro.service import QueryServer, QueryServerOptions
+from repro.service import QueryServer
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -34,12 +36,7 @@ def build_problem(k: int = 4, seed: int = 1) -> RankingProblem:
 
 
 def make_options(**overrides) -> ClusterOptions:
-    defaults = dict(
-        num_shards=2,
-        server=QueryServerOptions(batch_window=0.0),
-    )
-    defaults.update(overrides)
-    return ClusterOptions(**defaults)
+    return ClusterOptions(**{"num_shards": 2, **overrides})
 
 
 def test_routing_is_deterministic_and_stable():
@@ -74,8 +71,7 @@ def test_sharded_answers_match_single_server_bitwise():
         return responses, stats
 
     async def run_single():
-        options = QueryServerOptions(batch_window=0.0)
-        async with QueryServer(options=options) as server:
+        async with QueryServer() as server:
             return [await server.submit(p, "symgd", FAST_PARAMS) for p in stream]
 
     cluster_responses, stats = asyncio.run(run_cluster())
@@ -178,3 +174,44 @@ def test_session_lifecycle_export_resume_and_close():
     info, response = asyncio.run(scenario())
     assert info["solves"] == 1
     assert response.cache_hit  # the resumed head was solved before
+
+
+def test_failed_session_solve_commits_nothing(monkeypatch):
+    """A solve that raises leaves shard and journal without the edit."""
+    base = build_problem()
+    delta = RescaleDelta(factor=2.0).to_dict()
+    adapter = get_method("symgd")
+    synthesize = adapter.synthesize_resolved
+    failures = []
+
+    def raise_once(*args, **kwargs):
+        if not failures:
+            failures.append(True)
+            raise RuntimeError("injected solver failure")
+        return synthesize(*args, **kwargs)
+
+    async def scenario(fail: bool):
+        async with ClusterRouter(make_options()) as cluster:
+            session_id = await cluster.open_session(base, "symgd", FAST_PARAMS)
+            shard = cluster.shards[cluster.session_shard(session_id)]
+            committed = None
+            if fail:
+                monkeypatch.setattr(adapter, "synthesize_resolved", raise_once)
+                with pytest.raises(RuntimeError, match="injected"):
+                    await cluster.submit_session(session_id, deltas=[delta])
+                committed = (
+                    (await shard.session_info(session_id))["edits"],
+                    len(cluster._session_journal[session_id]["deltas"]),
+                )
+            # The client's retry re-sends the same deltas.
+            response = await cluster.submit_session(session_id, deltas=[delta])
+            return committed, response, await shard.session_info(session_id)
+
+    committed, retried, retried_info = asyncio.run(scenario(fail=True))
+    assert failures == [True]
+    assert committed == (0, 0)
+    _, clean, clean_info = asyncio.run(scenario(fail=False))
+    assert retried_info["edits"] == clean_info["edits"] == 1
+    assert retried_info["fingerprint"] == clean_info["fingerprint"]
+    assert retried.fingerprint == clean.fingerprint
+    assert answer_digest(retried.result) == answer_digest(clean.result)

@@ -18,7 +18,6 @@ from repro.data.rankings import ranking_from_scores
 from repro.data.synthetic import generate_uniform
 from repro.engine.engine import SolveRequest
 from repro.loadgen import answer_digest
-from repro.service import QueryServerOptions
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -40,7 +39,6 @@ def build_problem(k: int = 4, seed: int = 1) -> RankingProblem:
 def make_options(**overrides) -> ClusterOptions:
     defaults = dict(
         num_shards=2,
-        server=QueryServerOptions(batch_window=0.0),
         health_interval=0.05,
         restart_backoff=0.01,
         restart_backoff_max=0.05,

@@ -144,11 +144,14 @@ def test_cache_hits_do_not_alias_mutable_state():
         assert second.result.diagnostics["k"] != "corrupted"
 
 
-def test_build_solver_merges_partial_solver_options():
-    from repro.engine.tasks import build_solver
+def test_method_build_merges_partial_solver_options():
+    from repro.api.registry import get_method
 
-    solve = build_solver("symgd", {"solver_options": {"node_limit": 100}})
-    options = solve.__self__.options
+    adapter = get_method("symgd")
+    solver = adapter.build(
+        adapter.resolve_options({"solver_options": {"node_limit": 100}})
+    )
+    options = solver.options
     # Tweaking one nested knob must keep the service-friendly defaults.
     assert options.solver_options.node_limit == 100
     assert options.solver_options.verify is False
@@ -182,22 +185,24 @@ def test_outcome_wire_format():
     assert wire["result"]["method"] == outcome.result.method
 
 
-def test_build_solver_honors_rankhow_warm_start():
+def test_method_build_honors_rankhow_warm_start():
     """warm_start is part of the resolved options; the built solver must use it."""
-    from repro.engine.tasks import build_solver
+    from repro.api.registry import get_method
 
     problem = build_problem()
     warm = [0.4, 0.35, 0.25]
-    solve = build_solver(
-        "rankhow",
-        {
-            "node_limit": 0,
-            "verify": False,
-            "warm_start_strategy": "none",
-            "warm_start": warm,
-        },
+    adapter = get_method("rankhow")
+    solver = adapter.build(
+        adapter.resolve_options(
+            {
+                "node_limit": 0,
+                "verify": False,
+                "warm_start_strategy": "none",
+                "warm_start": warm,
+            }
+        )
     )
-    result = solve(problem)
+    result = solver.solve(problem)
     # With no nodes and no heuristic, the warm start is the only incumbent:
     # the result can never be worse than it.
     assert 0 <= result.error <= problem.error_of(np.asarray(warm))

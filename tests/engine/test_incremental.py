@@ -1,4 +1,4 @@
-"""Tests for the engine's incremental path: exact cache hit, else cold."""
+"""Edit chains through the engine: a revisited head is a cache hit, else cold."""
 
 from __future__ import annotations
 
@@ -35,35 +35,38 @@ def tighten(problem: RankingProblem) -> ToleranceDelta:
 def test_fallback_chain_exact_cold(problem):
     with SolveEngine() as engine:
         request = SolveRequest(problem, "symgd", dict(SYMGD_OPTS))
-        first = engine.solve_incremental(request)
-        assert first.served == "cold" and not first.cache_hit
+        first = engine.solve_batch([request])[0]
+        assert not first.cache_hit
 
         child = SolveRequest(
             problem.apply_delta(tighten(problem)), "symgd", dict(SYMGD_OPTS)
         )
-        second = engine.solve_incremental(child)
-        assert second.served == "cold" and not second.cache_hit
+        second = engine.solve_batch([child])[0]
+        assert not second.cache_hit
 
-        repeat = engine.solve_incremental(child)
-        assert repeat.served == "exact" and repeat.cache_hit
+        # A rebuilt edit chain composes the same fingerprint: a cache hit.
+        again = SolveRequest(
+            problem.apply_delta(tighten(problem)), "symgd", dict(SYMGD_OPTS)
+        )
+        repeat = engine.solve_batch([again])[0]
+        assert repeat.cache_hit
+        assert repeat.fingerprint == second.fingerprint
         assert repeat.result.error == second.result.error
 
-        stats = engine.stats()["incremental"]
-        assert stats == {"exact_hits": 1, "cold_solves": 2}
+        cache = engine.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (1, 2)
+        assert engine.stats()["solver_invocations"] == 2
 
 
 def test_incremental_results_match_batch_path_bitwise(problem):
-    """Incremental solves equal the stateless path."""
+    """A delta-built head solves bitwise like the same problem built from data."""
     child = problem.apply_delta(tighten(problem))
-    with SolveEngine() as incremental_engine, SolveEngine() as batch_engine:
-        one = incremental_engine.solve_incremental(
-            SolveRequest(problem, "symgd", dict(SYMGD_OPTS))
-        )
-        two = incremental_engine.solve_incremental(
-            SolveRequest(child, "symgd", dict(SYMGD_OPTS))
-        )
-        cold_one = batch_engine.solve(problem, "symgd", dict(SYMGD_OPTS))
-        cold_two = batch_engine.solve(child, "symgd", dict(SYMGD_OPTS))
+    rebuilt = RankingProblem.from_dict(child.to_dict())
+    with SolveEngine() as edit_engine, SolveEngine() as fresh_engine:
+        one = edit_engine.solve(problem, "symgd", dict(SYMGD_OPTS))
+        two = edit_engine.solve(child, "symgd", dict(SYMGD_OPTS))
+        cold_one = fresh_engine.solve(problem, "symgd", dict(SYMGD_OPTS))
+        cold_two = fresh_engine.solve(rebuilt, "symgd", dict(SYMGD_OPTS))
     assert np.array_equal(one.result.weights, cold_one.result.weights)
     assert np.array_equal(two.result.weights, cold_two.result.weights)
     assert one.result.error == cold_one.result.error

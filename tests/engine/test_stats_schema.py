@@ -27,7 +27,6 @@ TOP_LEVEL = {
     "solver_invocations": int,
     "executor": dict,
     "cache": dict,
-    "incremental": dict,
     "dataplane": dict,
 }
 EXECUTOR_KEYS = {"tasks", "batches"}
@@ -40,7 +39,6 @@ CACHE_KEYS = {
     "promotions",
     "hit_rate",
 }
-INCREMENTAL_KEYS = {"exact_hits", "cold_solves"}
 DATAPLANE_KEYS = {
     "pruned_tuples_total",
     "chunked_evals_total",
@@ -65,7 +63,6 @@ def assert_schema(stats: dict) -> None:
         assert isinstance(stats[key], expected_type), (key, stats[key])
     assert EXECUTOR_KEYS <= set(stats["executor"])
     assert CACHE_KEYS <= set(stats["cache"])
-    assert set(stats["incremental"]) == INCREMENTAL_KEYS
     assert set(stats["dataplane"]) == DATAPLANE_KEYS
 
 
@@ -73,7 +70,7 @@ def test_stats_schema_is_stable():
     engine = SolveEngine(backend="serial")
     assert_schema(engine.stats())
     engine.solve_batch([request(1)])
-    engine.solve_incremental(request(2))
+    engine.solve_batch([request(2), request(2)])
     after = engine.stats()
     assert_schema(after)
     engine.close()
@@ -91,15 +88,14 @@ def test_counters_are_monotonic_across_solves():
             stats["cache"]["hits"],
             stats["cache"]["misses"],
             stats["cache"]["stores"],
-            *[stats["incremental"][key] for key in sorted(INCREMENTAL_KEYS)],
         ]
 
     previous = counters()
     for step in (
         lambda: engine.solve_batch([request(1)]),
         lambda: engine.solve_batch([request(1)]),  # cache hit
-        lambda: engine.solve_incremental(request(3)),
-        lambda: engine.solve_incremental(request(3)),  # exact tier
+        lambda: engine.solve_batch([request(3)]),
+        lambda: engine.solve_batch([request(3)]),  # cache hit
     ):
         step()
         current = counters()
@@ -114,11 +110,11 @@ def test_counters_are_monotonic_across_solves():
 def test_reset_stats_zeroes_every_counter():
     engine = SolveEngine(backend="serial")
     engine.solve_batch([request(1), request(2)])
-    engine.solve_incremental(request(4))
-    engine.solve_incremental(request(4))
+    engine.solve_batch([request(4)])
+    engine.solve_batch([request(4)])
     before = engine.stats()
     assert before["solver_invocations"] == 3
-    assert before["incremental"]["exact_hits"] == 1
+    assert before["cache"]["hits"] == 1
 
     engine.reset_stats()
     stats = engine.stats()
@@ -128,7 +124,6 @@ def test_reset_stats_zeroes_every_counter():
     assert stats["executor"]["batches"] == 0
     assert stats["cache"]["hits"] == 0
     assert stats["cache"]["misses"] == 0
-    assert all(value == 0 for value in stats["incremental"].values())
     assert stats["dataplane"]["pruned_tuples_total"] == 0
     assert stats["dataplane"]["chunked_evals_total"] == 0
     assert stats["dataplane"]["peak_chunk_bytes"] == 0

@@ -20,7 +20,7 @@ from repro.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.service import QueryServer, QueryServerOptions
+from repro.service import QueryServer
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -97,18 +97,14 @@ def test_closed_loop_digests_match_single_server():
     plan = build_plan(small_users(), seed=13)
 
     async def against_cluster():
-        options = ClusterOptions(
-            num_shards=2, server=QueryServerOptions(batch_window=0.0)
-        )
+        options = ClusterOptions(num_shards=2)
         async with ClusterRouter(options) as cluster:
             results, wall = await run_closed_loop(cluster, plan)
             stats = await cluster.stats()
         return results, wall, stats
 
     async def against_single():
-        async with QueryServer(
-            options=QueryServerOptions(batch_window=0.0)
-        ) as server:
+        async with QueryServer() as server:
             results, wall = await run_closed_loop(server, plan)
         return results
 
@@ -141,7 +137,6 @@ def test_open_loop_overload_sheds_without_retrying():
             num_shards=2,
             queue_limit=1,
             retry_after=0.01,
-            server=QueryServerOptions(batch_window=0.0),
         )
         async with ClusterRouter(options) as cluster:
             results, wall = await run_open_loop(cluster, plan, rate=500.0)
@@ -205,9 +200,7 @@ def test_answer_digest_ignores_wall_clock_only():
     op = plan["queries-0"][0]
 
     async def solve():
-        async with QueryServer(
-            options=QueryServerOptions(batch_window=0.0)
-        ) as server:
+        async with QueryServer() as server:
             return await server.submit(op.problem, op.method, op.params)
 
     response = asyncio.run(solve())

@@ -47,7 +47,7 @@ def test_recorder_derives_gaps_and_appends_jsonl(tmp_path):
         recorder.record(
             request_id="q2", fingerprint="fp-a", method="symgd",
             latency=0.001, cost=0.0, cache_hit=True, coalesced=False,
-            delta_kinds=("tolerance",), served="exact", timestamp=100.5,
+            delta_kinds=("tolerance",), timestamp=100.5,
         )
         assert len(recorder) == 2
 
@@ -63,6 +63,11 @@ def test_recorder_derives_gaps_and_appends_jsonl(tmp_path):
     copy = tmp_path / "copy.jsonl"
     profile.dump(copy)
     assert copy.read_text() == path.read_text()
+
+    # Lines written by older versions may carry keys no longer recorded;
+    # loading ignores them.
+    old = ProfileRecord.from_dict(dict(lines[1], retired_field="exact"))
+    assert old.to_dict() == lines[1]
 
 
 def test_recorder_bounds_in_memory_tail():

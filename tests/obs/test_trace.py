@@ -12,11 +12,9 @@ from repro.obs.trace import (
     SpanContext,
     Tracer,
     adopt_results,
-    current_context,
     current_span,
     current_tracer,
     pack_tasks,
-    run_in_context,
     run_packed_task,
     set_global_tracer,
     span,
@@ -89,22 +87,6 @@ def test_finish_records_without_entering():
     assert records[0]["attributes"] == {"outcome": "miss", "fingerprint": "abc"}
     # finish() must not touch the ambient context.
     assert current_span() is None
-
-
-def test_run_in_context_anchors_worker_thread_spans():
-    tracer = Tracer()
-    with tracer.span("request") as request:
-        ctx = request.context
-
-    def worker():
-        with span("engine.work") as sp:
-            return sp
-
-    produced = run_in_context(tracer, ctx)(worker)
-    assert produced.trace_id == ctx.trace_id
-    assert produced.parent_id == ctx.span_id
-    # None tracer/context -> transparent no-op.
-    assert run_in_context(None, None)(lambda: current_context()) is None
 
 
 def test_trace_retention_is_lru_bounded():

@@ -14,7 +14,6 @@ def run_cli(extra: list[str], capsys) -> dict:
         "--queries", "4",
         "--distinct", "2",
         "--tuples", "25",
-        "--batch-window", "0.0",
         "--json",
     ] + extra
     assert main(argv) == 0

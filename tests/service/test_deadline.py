@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -12,11 +13,7 @@ from repro.core.problem import RankingProblem
 from repro.data.rankings import ranking_from_scores
 from repro.data.synthetic import generate_uniform
 from repro.obs.export import parse_prometheus
-from repro.service import (
-    DeadlineExceededError,
-    QueryServer,
-    QueryServerOptions,
-)
+from repro.service import DeadlineExceededError, QueryServer
 
 FAST_PARAMS = {
     "cell_size": 0.2,
@@ -35,13 +32,37 @@ def build_problem(k: int = 4, seed: int = 1) -> RankingProblem:
     return RankingProblem(relation, ranking_from_scores(scores, k=k))
 
 
+def hold_first_batch(server: QueryServer) -> threading.Event:
+    """Make the engine's first batch wait until the returned event is set.
+
+    The batch loop solves on a worker thread, so a held batch keeps the
+    loop busy while later requests queue up behind it.
+    """
+    release = threading.Event()
+    solve_batch = server.engine.solve_batch
+    calls = []
+
+    def held(requests, contexts=None):
+        calls.append(len(requests))
+        if len(calls) == 1:
+            release.wait(timeout=30)
+        return solve_batch(requests, contexts)
+
+    server.engine.solve_batch = held
+    return release
+
+
+async def until_solving(server: QueryServer) -> None:
+    """Wait until the batch loop has taken everything queued so far."""
+    while not server._queue.empty() or not server._inflight:
+        await asyncio.sleep(0.001)
+
+
 def test_expired_deadline_is_shed_before_solving():
     problem = build_problem()
 
     async def scenario():
-        async with QueryServer(
-            options=QueryServerOptions(batch_window=0.0)
-        ) as server:
+        async with QueryServer() as server:
             with pytest.raises(DeadlineExceededError) as excinfo:
                 await server.submit(problem, "symgd", FAST_PARAMS, deadline=0.0)
             assert excinfo.value.retryable is True
@@ -61,9 +82,7 @@ def test_generous_deadline_does_not_change_the_answer():
     problem = build_problem()
 
     async def scenario():
-        async with QueryServer(
-            options=QueryServerOptions(batch_window=0.0)
-        ) as server:
+        async with QueryServer() as server:
             free = await server.submit(problem, "symgd", FAST_PARAMS)
             bounded = await server.submit(
                 problem, "symgd", FAST_PARAMS, deadline=30.0
@@ -78,32 +97,68 @@ def test_generous_deadline_does_not_change_the_answer():
     assert stats.deadline_exceeded == 0
 
 
-def test_deadline_expires_while_queued_in_the_batch_window():
-    problem = build_problem()
+def test_deadline_expires_while_queued_behind_a_solving_batch():
+    blocker, problem = build_problem(seed=1), build_problem(seed=2)
 
     async def scenario():
-        # A wide batch window: the request sits queued long enough for a
-        # tiny deadline to lapse before the batch is picked up.
-        options = QueryServerOptions(batch_window=0.2, max_batch=8)
-        async with QueryServer(options=options) as server:
-            doomed = asyncio.ensure_future(
-                server.submit(problem, "symgd", FAST_PARAMS, deadline=0.001)
+        async with QueryServer() as server:
+            release = hold_first_batch(server)
+            first = asyncio.ensure_future(
+                server.submit(blocker, "symgd", FAST_PARAMS)
             )
+            await until_solving(server)
+            doomed = asyncio.ensure_future(
+                server.submit(problem, "symgd", FAST_PARAMS, deadline=0.01)
+            )
+            # The deadline lapses while the request waits for the loop.
+            await asyncio.sleep(0.05)
+            release.set()
             with pytest.raises(DeadlineExceededError):
                 await doomed
+            await first
             return server.stats()
 
     stats = asyncio.run(scenario())
     assert stats.deadline_exceeded == 1
+    assert stats.solver_invocations == 1  # only the blocker was solved
+
+
+def test_session_edit_is_answered_after_its_deadline_lapses_in_the_queue():
+    """Committed edits are never shed: the queue has no session deadline."""
+    blocker, problem = build_problem(seed=1), build_problem(seed=2)
+
+    async def scenario():
+        async with QueryServer() as server:
+            session_id = await server.open_session(problem, "symgd", FAST_PARAMS)
+            release = hold_first_batch(server)
+            first = asyncio.ensure_future(
+                server.submit(blocker, "symgd", FAST_PARAMS)
+            )
+            await until_solving(server)
+            edit = asyncio.ensure_future(
+                server.submit_session(
+                    session_id,
+                    deltas=[RescaleDelta(factor=2.0).to_dict()],
+                    deadline=0.01,
+                )
+            )
+            await asyncio.sleep(0.05)
+            release.set()
+            response = await edit
+            await first
+            return response, server.session_info(session_id), server.stats()
+
+    response, info, stats = asyncio.run(scenario())
+    assert response.result is not None
+    assert info["edits"] == 1
+    assert stats.deadline_exceeded == 0
 
 
 def test_session_deadline_sheds_before_committing_deltas():
     problem = build_problem()
 
     async def scenario():
-        async with QueryServer(
-            options=QueryServerOptions(batch_window=0.0)
-        ) as server:
+        async with QueryServer() as server:
             session_id = await server.open_session(problem, "symgd", FAST_PARAMS)
             delta = RescaleDelta(factor=2.0).to_dict()
             with pytest.raises(DeadlineExceededError):

@@ -35,8 +35,7 @@ def test_drain_waits_for_inflight_and_keeps_serving():
     problems = [build_problem(k=k) for k in (3, 4, 5)]
 
     async def scenario():
-        options = QueryServerOptions(batch_window=0.02, max_batch=8)
-        async with QueryServer(options=options) as server:
+        async with QueryServer() as server:
             tasks = [
                 asyncio.ensure_future(server.submit(p, "symgd", FAST_PARAMS))
                 for p in problems

@@ -99,8 +99,7 @@ def test_coalesced_requests_share_one_solve_trace():
     obs = Observability.enabled()
 
     async def scenario():
-        options = QueryServerOptions(batch_window=0.02, max_batch=8)
-        async with QueryServer(options=options, obs=obs) as server:
+        async with QueryServer(obs=obs) as server:
             return await asyncio.gather(
                 *[server.submit(problem, "symgd", FAST_PARAMS) for _ in range(4)]
             )
@@ -135,18 +134,24 @@ def test_session_requests_trace_incremental_tiers():
             session = await server.open_session(problem, "symgd", FAST_PARAMS)
             first = await server.submit_session(session)
             again = await server.submit_session(session)
-            return first, again
+            return session, first, again
 
-    first, again = asyncio.run(scenario())
-    assert first.outcome.served == "cold"
-    assert again.outcome.served == "exact"
+    session, first, again = asyncio.run(scenario())
+    assert (first.cache_hit, again.cache_hit) == (False, True)
 
-    served = []
+    # Session requests reach the engine with their span context, so each
+    # request's own trace records its cache decision.
+    traced = []
     for tid in obs.tracer.trace_ids():
-        for record in obs.tracer.spans(tid):
-            if record["name"] == "engine.solve_incremental":
-                served.append(record["attributes"]["served"])
-    assert sorted(served) == ["cold", "exact"]
+        records = obs.tracer.spans(tid)
+        [request] = [r for r in records if r["name"] == "service.request"]
+        outcomes = [
+            r["attributes"]["outcome"]
+            for r in records
+            if r["name"] == "engine.dispatch"
+        ]
+        traced.append((request["attributes"]["session_id"], outcomes))
+    assert traced == [(session, ["miss"]), (session, ["hit"])]
 
 
 def test_metrics_export_covers_every_layer():
@@ -154,8 +159,7 @@ def test_metrics_export_covers_every_layer():
     obs = Observability.enabled()
 
     async def scenario():
-        options = QueryServerOptions(batch_window=0.01)
-        async with QueryServer(options=options, obs=obs) as server:
+        async with QueryServer(obs=obs) as server:
             await asyncio.gather(
                 server.submit(problem, "symgd", FAST_PARAMS),
                 server.submit(problem, "symgd", FAST_PARAMS),
@@ -232,7 +236,7 @@ def test_profile_records_round_trip_and_replay(tmp_path):
     assert len(profile) == 4
     assert profile.hit_sequence() == [False, False, True, False]
     assert profile.records[3].delta_kinds == ["tolerance"]
-    assert profile.records[3].served == "cold"
+    assert not profile.records[3].cache_hit
     assert all(r.gap >= 0.0 for r in profile.records)
     # Misses record their recompute cost; the hit costs (near) nothing.
     assert profile.records[0].cost > 0.0

@@ -35,8 +35,7 @@ def test_duplicate_inflight_queries_are_coalesced():
     problem = build_problem()
 
     async def scenario():
-        options = QueryServerOptions(batch_window=0.02, max_batch=8)
-        async with QueryServer(options=options) as server:
+        async with QueryServer() as server:
             responses = await asyncio.gather(
                 *[server.submit(problem, "symgd", FAST_PARAMS) for _ in range(6)]
             )
@@ -54,8 +53,7 @@ def test_distinct_queries_share_a_batch():
     problems = [build_problem(k=k) for k in (3, 4, 5)]
 
     async def scenario():
-        options = QueryServerOptions(batch_window=0.05, max_batch=8)
-        async with QueryServer(options=options) as server:
+        async with QueryServer() as server:
             responses = await asyncio.gather(
                 *[server.submit(p, "symgd", FAST_PARAMS) for p in problems]
             )
@@ -65,7 +63,7 @@ def test_distinct_queries_share_a_batch():
     assert stats.requests == 3
     assert stats.coalesced == 0
     assert stats.solver_invocations == 3
-    # All three arrived inside one batching window.
+    # All three queued before the batch loop woke up: one batch.
     assert stats.batches == 1
     assert all(response.batch_size == 3 for response in responses)
 
@@ -74,9 +72,7 @@ def test_repeated_query_served_from_cache_without_solver():
     problem = build_problem()
 
     async def scenario():
-        async with QueryServer(
-            options=QueryServerOptions(batch_window=0.0)
-        ) as server:
+        async with QueryServer() as server:
             first = await server.submit(problem, "symgd", FAST_PARAMS)
             second = await server.submit(problem, "symgd", FAST_PARAMS)
             return server.engine.solver_invocations, first, second
@@ -108,8 +104,7 @@ def test_coalesced_responses_do_not_alias_each_other():
     problem = build_problem()
 
     async def scenario():
-        options = QueryServerOptions(batch_window=0.02, max_batch=8)
-        async with QueryServer(options=options) as server:
+        async with QueryServer() as server:
             return await asyncio.gather(
                 *[server.submit(problem, "symgd", FAST_PARAMS) for _ in range(3)]
             )
@@ -124,7 +119,7 @@ def test_submit_racing_stop_is_answered_not_hung():
     problems = [build_problem(k=k) for k in (3, 4, 5)]
 
     async def scenario():
-        server = QueryServer(options=QueryServerOptions(batch_window=0.05))
+        server = QueryServer()
         await server.start()
         loop = asyncio.get_running_loop()
         submits = [
@@ -160,9 +155,7 @@ def test_stats_shape_and_wire_format():
     problem = build_problem()
 
     async def scenario():
-        async with QueryServer(
-            options=QueryServerOptions(batch_window=0.0)
-        ) as server:
+        async with QueryServer() as server:
             response = await server.submit(problem, "symgd", FAST_PARAMS)
             return server.stats(), response
 
@@ -186,9 +179,7 @@ def test_any_registered_method_is_served_and_cached():
     problem = build_problem()
 
     async def scenario():
-        async with QueryServer(
-            options=QueryServerOptions(batch_window=0.0)
-        ) as server:
+        async with QueryServer() as server:
             first = await server.submit(problem, "linear_regression")
             second = await server.submit(problem, "linear_regression")
             other = await server.submit(problem, "adarank", {"num_rounds": 5})
@@ -206,7 +197,7 @@ def test_allowed_methods_restricts_the_endpoint():
 
     async def scenario():
         options = QueryServerOptions(
-            batch_window=0.0, allowed_methods=("symgd", "linear_regression")
+            allowed_methods=("symgd", "linear_regression")
         )
         async with QueryServer(options=options) as server:
             response = await server.submit(problem, "linear_regression")
@@ -236,7 +227,7 @@ def test_hot_set_survives_a_restart(tmp_path):
                 build_problem(), "symgd", FAST_PARAMS
             )
             response = await server.submit_session(session_id)
-            assert response.outcome.served == "cold"
+            assert not response.cache_hit
             return answer_digest(response.result)
 
     async def second_run():

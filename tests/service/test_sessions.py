@@ -98,7 +98,7 @@ def test_concurrent_identical_solves_coalesce():
             errors = {r.result.error for r in responses}
             assert len(errors) == 1
             # One underlying solve, private result copies per waiter.
-            assert server.engine.incremental_stats.solves == 1
+            assert server.engine.solver_invocations == 1
             results = [r.result for r in responses]
             assert len({id(r) for r in results}) == len(results)
 
@@ -153,7 +153,7 @@ def test_coalescing_still_correct_when_edits_collide():
             # across sessions, so the second submit coalesced onto the first.
             assert first.outcome.fingerprint == second.outcome.fingerprint
             assert sum((first.coalesced, second.coalesced)) == 1
-            assert server.engine.incremental_stats.solves == 1
+            assert server.engine.solver_invocations == 1
             assert np.array_equal(first.result.weights, second.result.weights)
 
     run(scenario())
@@ -188,8 +188,7 @@ def test_session_resume_after_serialization_of_delta_chain():
             replay = await server.submit_session(resumed)
             # The replayed chain composes the same fingerprints, so the
             # resume is answered from the cache without a new solve.
-            assert replay.outcome.served == "exact"
-            assert replay.cache_hit
+            assert replay.cache_hit and not replay.coalesced
             assert np.array_equal(replay.result.weights, solved.result.weights)
 
     run(scenario())
@@ -205,7 +204,7 @@ def test_resume_on_fresh_server_solves_cold_but_identically():
         async with QueryServer() as fresh:
             resumed = await fresh.resume_session(exported)
             replay = await fresh.submit_session(resumed)
-            assert replay.outcome.served == "cold"
+            assert not replay.cache_hit and not replay.coalesced
             assert np.array_equal(replay.result.weights, solved.result.weights)
 
     run(scenario())
@@ -220,29 +219,51 @@ def test_session_stats_reported():
             await server.submit_session(session_id, deltas=[tighten(problem)])
             stats = server.stats()
             assert stats.sessions_open == 1
-            assert stats.incremental == {"exact_hits": 0, "cold_solves": 2}
+            assert (stats.cache["hits"], stats.cache["misses"]) == (0, 2)
+            assert stats.solver_invocations == 2
             assert stats.requests == 2
 
     run(scenario())
 
 
-def test_session_coalescing_onto_query_path_normalizes_served():
-    """A session solve attaching to a query-path future still reports served."""
+def test_query_and_session_edit_share_one_engine_batch():
+    """Queries and session edits take one path: the same engine batch."""
+
+    async def scenario():
+        problem = make_problem()
+        other = make_problem(seed=4)
+        async with QueryServer() as server:
+            session_id = await server.open_session(other, "symgd", FAST)
+            query, edit = await asyncio.gather(
+                server.submit(problem, "symgd", dict(FAST)),
+                server.submit_session(session_id, deltas=[tighten(other)]),
+            )
+            return query, edit, server.stats()
+
+    query, edit, stats = run(scenario())
+    assert query.outcome.fingerprint != edit.outcome.fingerprint
+    assert stats.batches == 1
+    assert (query.batch_size, edit.batch_size) == (2, 2)
+    assert not query.coalesced and not edit.coalesced
+
+
+def test_session_edit_and_query_of_one_problem_coalesce():
+    """An in-flight equal request is joined whichever path submitted it."""
 
     async def scenario():
         problem = make_problem()
         async with QueryServer() as server:
             session_id = await server.open_session(problem, "symgd", FAST)
-            # Same fingerprint in flight on both paths: the query goes through
-            # the batch loop, the session attaches to whichever future exists.
-            query, session = await asyncio.gather(
+            query, edit = await asyncio.gather(
                 server.submit(problem, "symgd", dict(FAST)),
                 server.submit_session(session_id),
             )
-            assert session.outcome.served in ("cold", "exact", "coalesced")
-            assert np.array_equal(query.result.weights, session.result.weights)
+            return query, edit, server.engine.solver_invocations
 
-    run(scenario())
+    query, edit, invocations = run(scenario())
+    assert (query.coalesced, edit.coalesced) == (False, True)
+    assert invocations == 1
+    assert np.array_equal(query.result.weights, edit.result.weights)
 
 
 def test_failed_submit_does_not_advance_the_session():

@@ -10,7 +10,7 @@ from repro.cluster import ClusterOptions, ClusterRouter
 from repro.core.problem import RankingProblem
 from repro.core.ranking import Ranking
 from repro.data.relation import Relation
-from repro.service import QueryServer, QueryServerOptions
+from repro.service import QueryServer
 
 FAST = {
     "cell_size": 0.25,
@@ -34,7 +34,7 @@ def make_problem(seed: int = 3, n: int = 12) -> RankingProblem:
 def test_query_server_double_stop_is_idempotent():
     async def scenario():
         problem = make_problem()
-        server = QueryServer(options=QueryServerOptions(batch_window=0.0))
+        server = QueryServer()
         await server.start()
         await server.submit(problem, "symgd", FAST)
         await server.stop()
@@ -48,9 +48,7 @@ def test_query_server_double_stop_is_idempotent():
 def test_cluster_router_double_stop_is_idempotent():
     async def scenario():
         problem = make_problem()
-        options = ClusterOptions(
-            num_shards=2, server=QueryServerOptions(batch_window=0.0)
-        )
+        options = ClusterOptions(num_shards=2)
         router = ClusterRouter(options)
         await router.start()
         await router.submit(problem, "symgd", FAST)
@@ -65,7 +63,6 @@ def test_cluster_stop_with_a_dead_shard_does_not_hang():
         problem = make_problem()
         options = ClusterOptions(
             num_shards=2,
-            server=QueryServerOptions(batch_window=0.0),
             health_interval=0.05,
             restart_backoff=0.5,  # restart still pending at stop() time
         )
