@@ -8,13 +8,13 @@ through three two-shard cluster legs and writes the numbers to
   hot-set persistence; stops cleanly, leaving the tier populated and the
   hot sets saved.  Doubles as the parity reference.
 * ``chaos/warm`` -- same plan, same directories, plus a fault plan that
-  kills the session-owning shard mid-run.  The supervisor restarts it; the
+  kills the session-owning shard mid-run.  The router restarts it; the
   fresh worker reloads its persisted hot set from the shared tier and the
   journal replays its session.
 * ``chaos/cold`` -- the same fault plan with no disk tier and no hot set:
   the restarted shard comes back empty-handed.
 
-Recorded per chaos leg: supervisor recovery time (abort -> serving again,
+Recorded per chaos leg: recovery time (abort -> serving again,
 from the router's restart log), sessions replayed, failovers, retries, and
 the restarted shard's post-restart cache hit rate -- the number that shows
 what hot-set reload buys over a cold restart.  Wall-clock values are
@@ -91,9 +91,6 @@ def _options(cache_dir=None, hot_set_path=None) -> ClusterOptions:
         server=QueryServerOptions(
             hot_set_path=str(hot_set_path) if hot_set_path else None,
         ),
-        health_interval=0.05,
-        restart_backoff=0.01,
-        restart_backoff_max=0.05,
     )
 
 

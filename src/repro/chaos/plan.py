@@ -10,10 +10,8 @@ hooks:
 * the :class:`~repro.cluster.ClusterRouter` steps the injector's **op
   counter** once per routed operation (:meth:`ChaosInjector.step`) and
   executes the router-level faults it returns (``kill_shard``,
-  ``corrupt_cache``);
-* :class:`~repro.cluster.shard.InprocShard` consults
-  :meth:`ChaosInjector.take_pipe_fault` before each data call
-  (``delay_pipe``, ``drop_message``);
+  ``corrupt_cache``), and consults :meth:`ChaosInjector.take_pipe_fault`
+  just before each shard data call (``delay_pipe``, ``drop_message``);
 * the engine's :class:`~repro.engine.executor.Executor` calls the
   installed :attr:`fault_hook <ChaosInjector.executor_hook>` before each
   dispatch (``solver_error``);
@@ -242,14 +240,14 @@ class ChaosInjector:
             FaultRecord(op=self._op, kind=kind, shard=shard, detail=detail)
         )
 
-    # -- shard hook -----------------------------------------------------------
+    # -- pipe hook ------------------------------------------------------------
 
     def take_pipe_fault(self, shard: int) -> FaultSpec | None:
         """Pop an armed pipe fault for ``shard`` (``None`` when clean).
 
-        The caller (the shard) applies the fault -- sleep for
-        ``delay_pipe``, raise :class:`ChaosError` for ``drop_message`` --
-        and this method records it.
+        The caller (the router, just before a shard data call) applies the
+        fault -- sleep for ``delay_pipe``, raise :class:`ChaosError` for
+        ``drop_message`` -- and this method records it.
         """
         armed = self._pipe_armed.get(shard)
         if not armed:

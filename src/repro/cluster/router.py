@@ -24,20 +24,22 @@ The router adds the cluster-level behaviors a single server cannot provide:
 * **Graceful drain** -- :meth:`drain` waits until every admitted request on
   every shard has been answered and profile sinks are flushed;
   :meth:`stop` drains, then tears the shards down.
-* **Supervision & failover** -- a supervisor loop probes shard health on an
-  interval; a dead shard (injected crash, probe timeout) is restarted with
-  exponential backoff up to ``max_restarts`` times, its hot set reloads
-  from the per-shard hot-set file, and every session pinned to it is
-  replayed from the router's append-only **session journal** (base + delta
-  chain, the :meth:`ServerSession.to_dict` wire format).  While the shard
-  is down, its *stateless* query traffic fails over to the next live shard
-  -- any shard computes the same bitwise answer, so failover is
-  correctness-free -- and session traffic fails with a retryable
-  :class:`ShardCrashedError` until the replay finishes.
+* **Restart & failover** -- the router is the only place a shard dies
+  (:meth:`kill_shard`, which the chaos ``kill_shard`` fault calls).  A
+  killed shard is stopped and restarted after a backoff of
+  ``RESTART_BACKOFF`` seconds, doubling per restart, up to
+  ``MAX_RESTARTS`` times; its hot set reloads from the per-shard hot-set
+  file, and every session pinned to it is replayed from the router's
+  append-only **session journal** (base + delta chain, the
+  :meth:`ServerSession.to_dict` wire format).  While the shard is down,
+  its *stateless* query traffic fails over to the next live shard -- any
+  shard computes the same bitwise answer, so failover is correctness-free
+  -- and session traffic fails with a retryable :class:`ShardCrashedError`
+  until the replay finishes.
 * **One metrics surface** -- :meth:`export_metrics_prometheus` sums the
-  per-shard expositions (:func:`repro.cluster.metrics.aggregate_prometheus`)
-  and appends the router's own ``repro_cluster_*`` series; the result
-  parses like a single server's export.
+  live shards' registry snapshots with the router's own ``repro_cluster_*``
+  series (:func:`repro.obs.export.merge_snapshots`) and renders them once;
+  the result parses like a single server's export.
 """
 
 from __future__ import annotations
@@ -46,16 +48,13 @@ import asyncio
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.chaos import ChaosInjector, FaultPlan
+from repro.chaos import ChaosError, ChaosInjector, FaultPlan
 from repro.core.problem import RankingProblem
 from repro.engine.engine import SolveRequest
-from repro.obs.export import render_prometheus
+from repro.obs.export import merge_snapshots, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.service.errors import DeadlineExceededError
-from repro.service.server import QueryServerOptions, ServiceStats
-
-from repro.cluster.metrics import aggregate_prometheus
-from repro.cluster.shard import InprocShard, ShardDeadError
+from repro.service.server import QueryServer, QueryServerOptions, ServiceStats
 
 __all__ = [
     "ClusterOptions",
@@ -67,6 +66,10 @@ __all__ = [
 ]
 
 _ROUTE_HEX_DIGITS = 16  # leading fingerprint digits used for shard routing
+#: Restarts allowed per shard; the next death leaves it terminal.
+MAX_RESTARTS = 3
+#: Seconds before a shard's first restart; doubles with each restart.
+RESTART_BACKOFF = 0.05
 
 
 class ShardBusyError(RuntimeError):
@@ -95,7 +98,7 @@ class ShardCrashedError(RuntimeError):
     Raised when a request cannot be served because its shard died:
     session traffic while the owning shard restarts (session state lives on
     exactly one shard, so there is nowhere to fail over to), or stateless
-    traffic when *no* live shard remains.  ``retryable`` is the supervision
+    traffic when *no* live shard remains.  ``retryable`` is the restart
     verdict: ``True`` while a restart is pending or in progress (back off
     ``retry_after`` seconds and reissue), ``False`` once the shard's
     restart budget is exhausted -- the terminal state, surfaced instead of
@@ -133,16 +136,6 @@ class ClusterOptions:
             overrides the copy each shard receives, and a ``hot_set_path``
             is suffixed ``.s<index>`` per shard so hot-set files never
             collide.
-        supervise: Run the supervisor: health probing, automatic restarts,
-            session replay.  ``False`` leaves a dead shard dead (stateless
-            traffic still fails over; sessions fail terminally).
-        health_interval: Seconds between supervisor health probe rounds.
-        health_timeout: Seconds a probe may hang before the shard is
-            declared dead (covers a live-but-wedged shard).
-        max_restarts: Restarts allowed per shard before it is terminal.
-        restart_backoff: Base restart delay; doubles per prior restart of
-            that shard (exponential backoff).
-        restart_backoff_max: Ceiling on the restart delay.
     """
 
     num_shards: int = 2
@@ -150,26 +143,12 @@ class ClusterOptions:
     retry_after: float = 0.05
     cache_dir: str | None = None
     server: QueryServerOptions = field(default_factory=QueryServerOptions)
-    supervise: bool = True
-    health_interval: float = 0.25
-    health_timeout: float = 5.0
-    max_restarts: int = 3
-    restart_backoff: float = 0.05
-    restart_backoff_max: float = 2.0
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.health_interval <= 0:
-            raise ValueError("health_interval must be > 0")
-        if self.health_timeout <= 0:
-            raise ValueError("health_timeout must be > 0")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
-        if self.restart_backoff < 0 or self.restart_backoff_max < 0:
-            raise ValueError("restart backoff values must be >= 0")
 
 
 @dataclass
@@ -250,7 +229,7 @@ def _sum_numeric(dicts: list) -> dict:
 
 
 class ClusterRouter:
-    """Shard-by-fingerprint front-end over N serving cores.
+    """Shard-by-fingerprint front-end over N :class:`QueryServer` shards.
 
     Use as an async context manager::
 
@@ -277,24 +256,22 @@ class ClusterRouter:
         self.chaos: ChaosInjector | None = (
             chaos.injector() if isinstance(chaos, FaultPlan) else chaos
         )
-        self.shards: list = []
+        self.shards: list[QueryServer] = []
         self._started = False
         self._closing = False
         self._pending = [0] * self.options.num_shards
         self._peak_pending = [0] * self.options.num_shards
         self._routed = [0] * self.options.num_shards
         self._shed = [0] * self.options.num_shards
-        # Supervision state, all indexed by shard: a shard is routable iff
-        # neither dead nor terminal.  `dead` flips on at death and off when
-        # a restart completes; `terminal` is one-way (budget exhausted or
-        # supervision disabled).
+        # Liveness, all indexed by shard: a shard is routable iff neither
+        # dead nor terminal.  `dead` flips on at death and off when a restart
+        # completes; `terminal` is one-way (restart budget exhausted).
         self._dead = [False] * self.options.num_shards
         self._terminal = [False] * self.options.num_shards
         self._restarts = [0] * self.options.num_shards
         self._failovers = [0] * self.options.num_shards
         self._restart_log: list[dict] = []
         self._restart_tasks: dict[int, asyncio.Task] = {}
-        self._supervisor_task: asyncio.Task | None = None
         self._deadline_exceeded = 0
         # Append-only session journal: session_id -> {base, method, params,
         # deltas}.  Deltas are appended only AFTER the owning shard
@@ -318,8 +295,8 @@ class ClusterRouter:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _build_shard(self, index: int):
-        """One shard, with its per-shard hot-set path resolved."""
+    def _build_shard(self, index: int) -> QueryServer:
+        """One shard's server, with its per-shard hot-set path resolved."""
         shard_options = self._server_options
         if shard_options.hot_set_path is not None:
             from dataclasses import replace
@@ -331,24 +308,20 @@ class ClusterRouter:
                 shard_options,
                 hot_set_path=f"{shard_options.hot_set_path}.s{index}",
             )
-        return InprocShard(index, shard_options)
+        return QueryServer(options=shard_options)
 
-    def _attach_chaos(self, shard) -> None:
-        """Point a (re)started shard at the run's injector.
+    def _attach_chaos(self, server: QueryServer) -> None:
+        """Wire the run's injector into a (re)started shard's engine hooks.
 
-        Besides the shard-level faults (kill / delay / drop), the shard's
-        engine gets the executor and cache hooks wired (``solver_error`` and
-        targeted cache corruption).
+        The executor hook fires ``solver_error``; the cache hook fires the
+        targeted cache corruption.  Kills and pipe faults stay at the router.
         """
-        shard.chaos = self.chaos
-        if self.chaos is None:
-            return
-        server = shard.server
-        server.engine.executor.fault_hook = self.chaos.executor_hook
-        server.engine.cache.fault_hook = self.chaos.cache_read_hook
+        if self.chaos is not None:
+            server.engine.executor.fault_hook = self.chaos.executor_hook
+            server.engine.cache.fault_hook = self.chaos.cache_read_hook
 
     async def start(self) -> "ClusterRouter":
-        """Build and start every shard (idempotent); start the supervisor."""
+        """Build and start every shard (idempotent)."""
         if self._started:
             return self
         for index in range(self.options.num_shards):
@@ -366,10 +339,6 @@ class ClusterRouter:
             self._attach_chaos(shard)
         self._started = True
         self._closing = False
-        if self.options.supervise:
-            self._supervisor_task = asyncio.get_running_loop().create_task(
-                self._supervise()
-            )
         return self
 
     async def drain(self) -> None:
@@ -387,7 +356,7 @@ class ClusterRouter:
             *(
                 shard.drain()
                 for index, shard in enumerate(self.shards)
-                if not self._dead[index] and not self._terminal[index]
+                if self._routable(index)
             )
         )
 
@@ -396,13 +365,6 @@ class ClusterRouter:
         if not self._started or self._closing:
             return
         self._closing = True
-        if self._supervisor_task is not None:
-            self._supervisor_task.cancel()
-            try:
-                await self._supervisor_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._supervisor_task = None
         if self._restart_tasks:
             # Let in-flight recoveries finish (bounded by backoff + start
             # cost) rather than cancelling them into a half-built shard.
@@ -411,7 +373,7 @@ class ClusterRouter:
             )
         await asyncio.gather(
             *(
-                shard.abort() if (self._dead[i] or self._terminal[i]) else shard.stop()
+                shard.stop() if self._routable(i) else self._abort(shard)
                 for i, shard in enumerate(self.shards)
             ),
             return_exceptions=True,
@@ -419,48 +381,20 @@ class ClusterRouter:
         self.shards.clear()
         self._started = False
 
-    # -- supervision ----------------------------------------------------------
+    # -- crash and restart ----------------------------------------------------
 
-    async def _supervise(self) -> None:
-        """Probe shard health on an interval; escalate unresponsive shards.
+    def kill_shard(self, index: int) -> None:
+        """Crash shard ``index`` now; its recovery starts at once.
 
-        Passive detection (a data-path call raising
-        :class:`~repro.cluster.shard.ShardDeadError`) usually wins the race;
-        this loop catches the quiet failure modes -- a shard with no traffic,
-        or one that is alive but wedged (probe timeout).
+        The shard's server, sessions and memory cache are as good as lost.
+        A call in flight on it loses its answer: queries fail over, session
+        calls raise a retryable :class:`ShardCrashedError`.  Killing a dead
+        or terminal shard does nothing.
         """
-        try:
-            while not self._closing:
-                await asyncio.sleep(self.options.health_interval)
-                for index, shard in enumerate(self.shards):
-                    if self._closing:
-                        return
-                    if (
-                        self._dead[index]
-                        or self._terminal[index]
-                        or index in self._restart_tasks
-                    ):
-                        continue
-                    try:
-                        await asyncio.wait_for(
-                            shard.health(), timeout=self.options.health_timeout
-                        )
-                    except (ShardDeadError, asyncio.TimeoutError):
-                        self._note_shard_death(index)
-                    except Exception:
-                        # App-level probe noise is not death: only a dead
-                        # shard or a timeout starts the restart machinery.
-                        continue
-        except asyncio.CancelledError:
-            raise
-
-    def _note_shard_death(self, index: int) -> None:
-        """Mark a shard dead and kick off its recovery task (once)."""
-        if self._dead[index] or self._terminal[index]:
+        self._require_running()
+        if not self._routable(index):
             return
         self._dead[index] = True
-        if self._closing:
-            return  # stop() aborts dead shards; no recovery mid-shutdown
         task = asyncio.get_running_loop().create_task(
             self._recover_shard(index)
         )
@@ -469,54 +403,53 @@ class ClusterRouter:
             lambda _task, i=index: self._restart_tasks.pop(i, None)
         )
 
-    async def _recover_shard(self, index: int) -> None:
-        """Abort the dead shard, then restart it (budget and backoff allowing).
+    @staticmethod
+    async def _abort(server: QueryServer) -> None:
+        """Stop a dead shard's server without drain semantics.
 
-        A successful restart reloads the shard's persisted hot set (the
-        fresh server's :meth:`start` promotes it from the shared disk tier)
-        and replays every journaled session pinned to the shard, so pinned
-        clients resume after a retryable error window instead of losing
-        state.
+        Stopping releases its engine and resolves its waiters; its sessions
+        and memory cache die with it, exactly like a killed process.
         """
-        started = time.perf_counter()
-        old = self.shards[index]
         try:
-            await old.abort()
+            await asyncio.wait_for(server.stop(), timeout=30)
         except Exception:  # pragma: no cover - defensive teardown
             pass
-        if (
-            not self.options.supervise
-            or self._restarts[index] >= self.options.max_restarts
-        ):
+
+    async def _recover_shard(self, index: int) -> None:
+        """Stop the dead shard, then restart it (budget and backoff allowing).
+
+        The ``n``-th restart waits ``RESTART_BACKOFF * 2**(n-1)`` seconds;
+        after ``MAX_RESTARTS`` restarts the shard is terminal.  A successful
+        restart reloads the shard's persisted hot set (the fresh server's
+        :meth:`start` promotes it from the shared disk tier) and replays
+        every journaled session pinned to the shard, so pinned clients
+        resume after a retryable error window instead of losing state.
+        """
+        started = time.perf_counter()
+        await self._abort(self.shards[index])
+        if self._restarts[index] >= MAX_RESTARTS:
             self._terminal[index] = True
             return
-        backoff = min(
-            self.options.restart_backoff * (2 ** self._restarts[index]),
-            self.options.restart_backoff_max,
-        )
+        backoff = RESTART_BACKOFF * 2 ** self._restarts[index]
         self._restarts[index] += 1
-        if backoff > 0:
-            await asyncio.sleep(backoff)
+        await asyncio.sleep(backoff)
         if self._closing:
             return
-        shard = self._build_shard(index)
+        server = self._build_shard(index)
         try:
-            await shard.start()
+            await server.start()
         except Exception:
             self._terminal[index] = True
-            try:
-                await shard.stop()
-            except Exception:  # pragma: no cover - defensive teardown
-                pass
+            await self._abort(server)
             return
-        self._attach_chaos(shard)
-        self.shards[index] = shard
+        self._attach_chaos(server)
+        self.shards[index] = server
         replayed = 0
         for session_id, journal in list(self._session_journal.items()):
             if self._session_shard.get(session_id) != index:
                 continue
             try:
-                await shard.resume_session(
+                await server.resume_session(
                     self._journal_payload(session_id, journal),
                     session_id=session_id,
                 )
@@ -548,6 +481,31 @@ class ClusterRouter:
     def _routable(self, index: int) -> bool:
         return not self._dead[index] and not self._terminal[index]
 
+    def _serving(self, index: int, server: QueryServer) -> bool:
+        """Whether ``server`` is still shard ``index``'s live server."""
+        return self.shards[index] is server and self._routable(index)
+
+    async def _call_shard(self, index: int, call):
+        """``await call(server)`` on shard ``index``; ``None`` if it was killed.
+
+        First consumes one armed chaos pipe fault for the shard:
+        ``delay_pipe`` sleeps the injected latency, ``drop_message`` raises
+        a retryable :class:`~repro.chaos.ChaosError` without calling (the
+        shard never saw the message, so reissuing it is safe).  A server
+        killed during the delay or the call loses its answer with its
+        state, so the caller gets ``None``.
+        """
+        server = self.shards[index]
+        fault = self.chaos.take_pipe_fault(index) if self.chaos else None
+        if fault is not None:
+            if fault.kind != "delay_pipe":
+                raise ChaosError(f"message to shard {index} dropped (injected)")
+            await asyncio.sleep(fault.seconds)
+            if not self._serving(index, server):
+                return None
+        response = await call(server)
+        return response if self._serving(index, server) else None
+
     def _pick_live_shard(self, owner: int, exclude=frozenset()) -> int | None:
         """The owner if routable, else the next live shard ring-wise."""
         n = self.options.num_shards
@@ -567,13 +525,8 @@ class ClusterRouter:
                 index = fault.shard
                 if index is None or not (0 <= index < len(self.shards)):
                     continue
-                kill = getattr(self.shards[index], "inject_kill", None)
-                if kill is not None:
-                    kill()
+                self.kill_shard(index)
                 self.chaos.record("kill_shard", shard=index)
-                # Don't wait for a probe or an unlucky caller: the router
-                # just killed it, so start recovery immediately.
-                self._note_shard_death(index)
             elif fault.kind == "corrupt_cache":
                 cache_dir = self.options.cache_dir
                 if cache_dir is None:
@@ -661,8 +614,8 @@ class ClusterRouter:
         live shard: routing only concentrates cache locality, so any shard
         computes the bitwise-identical answer (the response's ``failover``
         flag and the ``repro_cluster_failovers_total`` metric record the
-        detour).  A shard dying mid-call surfaces as a retry against the
-        next live shard; with no live shard left, a
+        detour).  A shard killed mid-call loses the answer, and the query
+        is retried on the next live shard; with no live shard left, a
         :class:`ShardCrashedError` is raised.
         """
         self._require_running()
@@ -690,21 +643,20 @@ class ClusterRouter:
                 )
             self._admit(target)
             try:
-                response = await self.shards[target].submit(
-                    problem, method, params,
-                    request_id=request_id, deadline=deadline,
+                response = await self._call_shard(
+                    target,
+                    lambda server: server.submit(
+                        problem, method, params,
+                        request_id=request_id, deadline=deadline,
+                    ),
                 )
-            except ShardDeadError:
-                # The shard died under this call; mark it (starting its
-                # recovery) and retry on the next live shard.  The request
-                # never started solving -- reissuing it cannot double-work
-                # thanks to coalescing/caching being content-addressed.
-                self._note_shard_death(target)
-                tried.add(target)
-                continue
             finally:
                 self._release(target)
-            break
+            if response is not None:
+                break
+            # The shard was killed under this call.  Any live shard
+            # computes the same answer, so retry on the next one.
+            tried.add(target)
         if target != owner:
             self._failovers[owner] += 1
         latency = self._observe(arrived)
@@ -782,11 +734,8 @@ class ClusterRouter:
             await self.shards[shard_index].open_session(
                 problem, method, params, session_id=session_id
             )
-        except BaseException as error:
+        except BaseException:
             self._session_shard.pop(session_id, None)
-            if isinstance(error, ShardDeadError):
-                self._note_shard_death(shard_index)
-                raise self._session_crash(shard_index) from error
             raise
         # Journal AFTER the shard acknowledged: the journal only ever holds
         # state the shard (and therefore the client) has seen.
@@ -814,10 +763,11 @@ class ClusterRouter:
         (the bound protects shards from stateless floods, which is also why
         this path still counts toward the shard's pending depth -- admission
         sees session load, it just cannot reject it).  While the shard is
-        down a retryable :class:`ShardCrashedError` is raised.  The delta
-        journal appends only on success, and the shard rolls back the edits
-        of a solve that failed, so journal and shard agree and a retried
-        call re-applies its edits exactly once.
+        down, or when it is killed under this call, a retryable
+        :class:`ShardCrashedError` is raised.  The delta journal appends
+        only on success, and the shard rolls back the edits of a solve that
+        failed, so journal and shard agree and a retried call re-applies
+        its edits exactly once.
         """
         self._require_running()
         await self._chaos_step()
@@ -829,15 +779,17 @@ class ClusterRouter:
         self._note_pending(shard_index)  # visible to admission, not bounded
         arrived = self._stamp_request()
         try:
-            response = await self.shards[shard_index].submit_session(
-                session_id, deltas=deltas, method=method, params=params,
-                request_id=request_id, deadline=deadline,
+            response = await self._call_shard(
+                shard_index,
+                lambda server: server.submit_session(
+                    session_id, deltas=deltas, method=method, params=params,
+                    request_id=request_id, deadline=deadline,
+                ),
             )
-        except ShardDeadError as error:
-            self._note_shard_death(shard_index)
-            raise self._session_crash(shard_index) from error
         finally:
             self._release(shard_index)
+        if response is None:
+            raise self._session_crash(shard_index)
         journal = self._session_journal.get(session_id)
         if journal is not None and deltas:
             journal["deltas"].extend(
@@ -861,11 +813,7 @@ class ClusterRouter:
     async def export_session(self, session_id: str) -> dict:
         self._require_running()
         shard_index = self._require_session_shard(session_id)
-        try:
-            return await self.shards[shard_index].export_session(session_id)
-        except ShardDeadError as error:
-            self._note_shard_death(shard_index)
-            raise self._session_crash(shard_index) from error
+        return self.shards[shard_index].export_session(session_id)
 
     async def resume_session(self, data: dict) -> str:
         """Resume an exported session, re-pinning by its *base* fingerprint.
@@ -889,11 +837,8 @@ class ClusterRouter:
             await self.shards[shard_index].resume_session(
                 payload, session_id=session_id
             )
-        except BaseException as error:
+        except BaseException:
             self._session_shard.pop(session_id, None)
-            if isinstance(error, ShardDeadError):
-                self._note_shard_death(shard_index)
-                raise self._session_crash(shard_index) from error
             raise
         self._session_journal[session_id] = {
             "base": data["base"],
@@ -906,26 +851,17 @@ class ClusterRouter:
     async def close_session(self, session_id: str) -> None:
         self._require_running()
         shard_index = self.session_shard(session_id)
+        # On a dead shard the state is gone already; dropping the journal
+        # entry below stops the replay from resurrecting it.
         if self._routable(shard_index):
-            try:
-                await self.shards[shard_index].close_session(session_id)
-            except ShardDeadError:
-                # Closing a session on a shard that just died is not an
-                # error for the caller: the state is gone either way.  The
-                # journal removal below also stops the replay from
-                # resurrecting it.
-                self._note_shard_death(shard_index)
+            self.shards[shard_index].close_session(session_id)
         self._session_shard.pop(session_id, None)
         self._session_journal.pop(session_id, None)
 
     async def session_info(self, session_id: str) -> dict:
         self._require_running()
         shard_index = self._require_session_shard(session_id)
-        try:
-            info = await self.shards[shard_index].session_info(session_id)
-        except ShardDeadError as error:
-            self._note_shard_death(shard_index)
-            raise self._session_crash(shard_index) from error
+        info = self.shards[shard_index].session_info(session_id)
         info["shard"] = shard_index
         return info
 
@@ -934,61 +870,40 @@ class ClusterRouter:
     async def health(self) -> dict:
         """Per-shard liveness payloads keyed by shard index.
 
-        Dead / terminal / unresponsive shards report ``ok: False`` with the
-        supervision state instead of failing the whole call -- this is the
-        endpoint an operator (or the supervisor's own tests) reads *during*
-        an outage.
+        Dead / terminal shards report ``ok: False`` with their restart state
+        instead of failing the whole call -- this is the endpoint an
+        operator reads *during* an outage.
         """
         self._require_running()
-
-        async def probe(index: int, shard) -> dict:
-            if not self._routable(index):
-                return {
+        per_shard = {}
+        for index, shard in enumerate(self.shards):
+            if self._routable(index):
+                stats = shard.stats()
+                per_shard[index] = {
+                    "requests": stats.requests,
+                    "sessions_open": stats.sessions_open,
+                    "ok": True,
+                    "restarts": self._restarts[index],
+                }
+            else:
+                per_shard[index] = {
                     "ok": False,
                     "dead": True,
                     "terminal": self._terminal[index],
                     "restarts": self._restarts[index],
                 }
-            try:
-                payload = dict(
-                    await asyncio.wait_for(
-                        shard.health(), timeout=self.options.health_timeout
-                    )
-                )
-            except Exception as error:
-                return {"ok": False, "error": str(error)}
-            payload["ok"] = True
-            payload["restarts"] = self._restarts[index]
-            return payload
-
-        payloads = await asyncio.gather(
-            *(probe(index, shard) for index, shard in enumerate(self.shards))
-        )
-        return {
-            "shards": self.options.num_shards,
-            "per_shard": {index: payload for index, payload in enumerate(payloads)},
-        }
-
-    async def _shard_stats(self, index: int, shard) -> ServiceStats:
-        """One shard's stats; a dead shard contributes an empty snapshot."""
-        if not self._routable(index):
-            return ServiceStats()
-        try:
-            return await shard.stats()
-        except Exception:
-            return ServiceStats()
+        return {"shards": self.options.num_shards, "per_shard": per_shard}
 
     async def stats(self) -> ClusterStats:
-        """Cluster-wide :class:`ClusterStats` (totals + per-shard views)."""
+        """Cluster-wide :class:`ClusterStats` (totals + per-shard views).
+
+        A dead shard contributes an empty :class:`ServiceStats`.
+        """
         self._require_running()
-        per_shard = list(
-            await asyncio.gather(
-                *(
-                    self._shard_stats(index, shard)
-                    for index, shard in enumerate(self.shards)
-                )
-            )
-        )
+        per_shard = [
+            shard.stats() if self._routable(index) else ServiceStats()
+            for index, shard in enumerate(self.shards)
+        ]
         hist = self._latency_hist
         requests = sum(stats.requests for stats in per_shard)
         wall = (
@@ -1073,7 +988,7 @@ class ClusterRouter:
                 len(self._session_shard),
             ),
             "repro_cluster_restarts_total": (
-                "counter", "Supervisor-driven shard restarts, by shard",
+                "counter", "Shard restarts after a crash, by shard",
                 {(str(i),): count for i, count in enumerate(self._restarts)},
                 shard_labels,
             ),
@@ -1101,18 +1016,15 @@ class ClusterRouter:
     async def export_metrics_prometheus(self) -> str:
         """One cluster-wide Prometheus exposition.
 
-        Per-shard samples are summed (:func:`aggregate_prometheus`) and the
-        router's own ``repro_cluster_*`` series are appended; the names are
-        disjoint, so the concatenation is a valid exposition.
+        The live shards' registry snapshots and the router's own
+        (``repro_cluster_*``) are summed series by series
+        (:func:`~repro.obs.export.merge_snapshots`) and rendered once.
         """
         self._require_running()
-        gathered = await asyncio.gather(
-            *(
-                shard.export_metrics_prometheus()
-                for index, shard in enumerate(self.shards)
-                if self._routable(index)
-            ),
-            return_exceptions=True,
-        )
-        texts = [text for text in gathered if isinstance(text, str)]
-        return aggregate_prometheus(texts) + render_prometheus(self.metrics)
+        snapshots = [
+            shard.obs.metrics.collect()
+            for index, shard in enumerate(self.shards)
+            if self._routable(index)
+        ]
+        snapshots.append(self.metrics.collect())
+        return render_prometheus(merge_snapshots(snapshots))

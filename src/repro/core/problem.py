@@ -244,8 +244,9 @@ class RankingProblem:
         One matrix program instead of ``num_candidates`` Python-level
         evaluations: a single score matmul, row-batched tie-tolerant ranking
         (:func:`~repro.core.scoring.induced_ranks_many`), and a vectorized
-        error reduction.  Used by the matrix SYM-GD multi-seed path and the
-        sampling baseline-style sweeps.
+        error reduction.  Its callers are the ``streaming_parity`` oracle
+        invariant (:mod:`repro.testing`) and the data-plane benchmark leg
+        (:mod:`repro.bench`); no solver uses it.
 
         When the ``(num_candidates, n)`` score transients would exceed the
         data-plane memory budget (:mod:`repro.core.chunking`) -- or when

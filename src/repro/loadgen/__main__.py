@@ -17,7 +17,7 @@ Examples::
 
 Chaos runs (``--chaos-kill SHARD@OP``, repeatable) install a seeded
 :class:`~repro.chaos.FaultPlan` on the router: the named shard is killed
-when the router sees its Nth operation, the supervisor restarts it, and the
+when the router sees its Nth operation, the router restarts it, and the
 closed loop's retry policy carries every lane through -- the payload then
 includes the fault log and the router's Prometheus exposition so CI can
 assert zero lost operations and digest parity against the fault-free run.

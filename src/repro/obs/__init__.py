@@ -9,7 +9,7 @@ engine dispatch -> executor task -> solver internals):
 * :mod:`repro.obs.metrics` -- named counters/gauges plus bounded streaming
   histograms (log-spaced buckets; full-run p50/p95/p99 in O(1) memory);
 * :mod:`repro.obs.export` -- Prometheus text exposition and structured JSON
-  over one registry snapshot;
+  over one registry snapshot, and the sum of several snapshots;
 * :mod:`repro.obs.profile` -- the workload profile recorder: the per-request
   JSONL stream (fingerprint, method, delta kinds, inter-arrival gap,
   recompute cost, hit/miss) that the load harness replays.
@@ -31,7 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.export import parse_prometheus, render_json, render_prometheus
+from repro.obs.export import (
+    merge_snapshots,
+    parse_prometheus,
+    render_json,
+    render_prometheus,
+)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -86,6 +91,7 @@ __all__ = [
     # export
     "render_prometheus",
     "render_json",
+    "merge_snapshots",
     "parse_prometheus",
     # profile
     "ProfileRecord",

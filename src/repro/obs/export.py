@@ -2,8 +2,10 @@
 
 Both renderers consume :meth:`repro.obs.metrics.MetricsRegistry.collect`
 output, so registered instruments and collector-supplied series export
-identically.  A small :func:`parse_prometheus` round-trips the text format
-back into ``{(name, labels): value}`` -- the CI metrics smoke step and the
+identically.  :func:`merge_snapshots` sums several such snapshots (the
+cluster's shards plus its router) into one that renders the same way.  A
+small :func:`parse_prometheus` round-trips the text format back into
+``{(name, labels): value}`` -- the CI metrics smoke step and the
 observability tests use it to assert the exposition actually parses.
 """
 
@@ -17,6 +19,7 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "render_prometheus",
     "render_json",
+    "merge_snapshots",
     "parse_prometheus",
 ]
 
@@ -62,10 +65,12 @@ def _histogram_lines(name: str, labels: dict, snapshot: dict) -> list[str]:
     return lines
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry (families + collectors) in Prometheus text exposition."""
+def render_prometheus(metrics: MetricsRegistry | dict) -> str:
+    """A registry (families + collectors), or its snapshot, as Prometheus text."""
+    if isinstance(metrics, MetricsRegistry):
+        metrics = metrics.collect()
     lines: list[str] = []
-    for name, family in sorted(registry.collect().items()):
+    for name, family in sorted(metrics.items()):
         kind = family["kind"]
         help_text = family.get("help", "")
         if help_text:
@@ -88,6 +93,70 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 def render_json(registry: MetricsRegistry, indent: int | None = None) -> str:
     """The registry as structured JSON (same content as the text format)."""
     return json.dumps(registry.collect(), indent=indent, sort_keys=True)
+
+
+def _add_values(kind: str, left, right):
+    if kind != "histogram":
+        return left + right
+    if left["buckets"]["bounds"] != right["buckets"]["bounds"]:
+        raise ValueError("cannot sum histograms with different bucket bounds")
+    return {
+        "count": left["count"] + right["count"],
+        "sum": left["sum"] + right["sum"],
+        "buckets": {
+            "bounds": left["buckets"]["bounds"],
+            "counts": [
+                a + b
+                for a, b in zip(left["buckets"]["counts"], right["buckets"]["counts"])
+            ],
+        },
+    }
+
+
+def merge_snapshots(snapshots) -> dict:
+    """Sum :meth:`MetricsRegistry.collect` snapshots into one snapshot.
+
+    Series match by name and label values.  Counters and gauges add (the
+    exported gauges are occupancy numbers); histogram bucket counts,
+    ``sum`` and ``count`` add, which is the exact merged distribution -- a
+    summed histogram keeps only those three.  Help text comes from the
+    first snapshot declaring a family; a name that appears with two kinds
+    raises ``ValueError``.  The result renders with
+    :func:`render_prometheus`.
+    """
+    merged: dict = {}
+    for snapshot in snapshots:
+        for name, family in snapshot.items():
+            kind = family["kind"]
+            into = merged.setdefault(
+                name, {"kind": kind, "help": family.get("help", ""), "series": {}}
+            )
+            if into["kind"] != kind:
+                raise ValueError(
+                    f"metric {name!r} has conflicting kinds "
+                    f"{into['kind']!r} and {kind!r}"
+                )
+            if "series" in family:
+                samples = family["series"]
+            else:
+                samples = [{"labels": {}, "value": family["value"]}]
+            for sample in samples:
+                labels, value = sample["labels"], sample["value"]
+                key = tuple(sorted(labels.items()))
+                if key in into["series"]:
+                    value = _add_values(kind, into["series"][key][1], value)
+                into["series"][key] = (labels, value)
+    return {
+        name: {
+            "kind": family["kind"],
+            "help": family["help"],
+            "series": [
+                {"labels": labels, "value": value}
+                for labels, value in family["series"].values()
+            ],
+        }
+        for name, family in merged.items()
+    }
 
 
 def parse_prometheus(text: str) -> dict:

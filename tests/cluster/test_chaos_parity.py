@@ -3,7 +3,7 @@
 A seeded load plan (query lanes + a session edit chain) runs twice through
 identical two-shard clusters -- once fault-free, once with a fault plan
 that kills the session-owning shard mid-run (plus pipe delay/drop faults).
-The supervisor restarts the victim, the journal replays its session, the
+The router restarts the victim, the journal replays its session, the
 retry policy carries every lane through, and the bar is absolute: **zero
 lost operations, every answer digest bitwise-equal to the fault-free run**.
 """
@@ -48,12 +48,7 @@ def build_load_plan() -> dict:
 
 
 def make_options() -> ClusterOptions:
-    return ClusterOptions(
-        num_shards=2,
-        health_interval=0.05,
-        restart_backoff=0.01,
-        restart_backoff_max=0.05,
-    )
+    return ClusterOptions(num_shards=2)
 
 
 async def run_leg(chaos: FaultPlan | None):
@@ -129,12 +124,7 @@ def test_solver_fault_and_cache_corruption_still_preserve_parity(tmp_path):
     )
 
     async def leg(plan, cache_dir):
-        options = ClusterOptions(
-            num_shards=2,
-            cache_dir=str(cache_dir),
-            health_interval=0.05,
-            restart_backoff=0.01,
-        )
+        options = ClusterOptions(num_shards=2, cache_dir=str(cache_dir))
         async with ClusterRouter(options, chaos=plan) as cluster:
             results, wall = await run_closed_loop(
                 cluster, build_load_plan(), retry=RETRY

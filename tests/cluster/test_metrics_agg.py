@@ -1,16 +1,14 @@
-"""Cross-shard metrics aggregation: sums, histograms, metadata, parsing."""
+"""Cross-shard metrics aggregation: summed snapshots, one render, parsing."""
 
 from __future__ import annotations
 
 import asyncio
-import math
 
 import pytest
 
-from repro.cluster import ClusterOptions, ClusterRouter, aggregate_prometheus
-from repro.cluster.metrics import aggregate_samples
+from repro.cluster import ClusterOptions, ClusterRouter
 from repro.obs import MetricsRegistry
-from repro.obs.export import parse_prometheus, render_prometheus
+from repro.obs.export import merge_snapshots, parse_prometheus, render_prometheus
 from repro.scenarios import scenario_problem
 
 FAST_PARAMS = {
@@ -39,11 +37,14 @@ def make_registry(requests: int, latencies) -> MetricsRegistry:
 
 
 def test_aggregate_sums_counters_labels_and_histograms():
-    texts = [
-        render_prometheus(make_registry(3, [0.05, 0.5])),
-        render_prometheus(make_registry(4, [0.5, 5.0, 0.01])),
-    ]
-    merged = aggregate_prometheus(texts)
+    merged = render_prometheus(
+        merge_snapshots(
+            [
+                make_registry(3, [0.05, 0.5]).collect(),
+                make_registry(4, [0.5, 5.0, 0.01]).collect(),
+            ]
+        )
+    )
     samples = parse_prometheus(merged)
     assert samples[("demo_requests_total", ())] == 7.0
     assert samples[("demo_by_kind_total", (("kind", "query"),))] == 7.0
@@ -53,25 +54,25 @@ def test_aggregate_sums_counters_labels_and_histograms():
     assert samples[("demo_latency_seconds_bucket", (("le", "+Inf"),))] == 5.0
     assert samples[("demo_latency_seconds_count", ())] == 5.0
     assert samples[("demo_latency_seconds_sum", ())] == pytest.approx(6.06)
-    # Metadata survives and buckets stay le-ordered within the family.
+    # Metadata survives the merge.
+    assert "# HELP demo_requests_total Requests" in merged
     assert "# TYPE demo_latency_seconds histogram" in merged
-    lines = [
-        line for line in merged.splitlines()
-        if line.startswith("demo_latency_seconds_bucket")
-    ]
-    bounds = [line[line.index('le="') + 4 : line.index('"}')] for line in lines]
-    parsed_bounds = [math.inf if b == "+Inf" else float(b) for b in bounds]
-    assert parsed_bounds == sorted(parsed_bounds)
 
 
 def test_aggregate_round_trips_through_its_own_parser():
-    texts = [render_prometheus(make_registry(2, [0.2]))] * 3
-    merged = aggregate_prometheus(texts)
-    assert parse_prometheus(merged) == aggregate_samples(texts)
-    # Idempotent shape: aggregating the aggregate parses identically.
-    assert parse_prometheus(aggregate_prometheus([merged])) == parse_prometheus(
-        merged
+    registries = [make_registry(2, [0.2]), make_registry(5, [0.02, 3.0])]
+    merged = parse_prometheus(
+        render_prometheus(merge_snapshots([r.collect() for r in registries]))
     )
+    # The render of the summed snapshots parses to the sum of the renders.
+    summed: dict = {}
+    for registry in registries:
+        for key, value in parse_prometheus(render_prometheus(registry)).items():
+            summed[key] = summed.get(key, 0.0) + value
+    assert merged == summed
+    # A merge of one snapshot renders like the registry itself.
+    alone = merge_snapshots([registries[0].collect()])
+    assert render_prometheus(alone) == render_prometheus(registries[0])
 
 
 def test_conflicting_type_declarations_raise():
@@ -79,10 +80,8 @@ def test_conflicting_type_declarations_raise():
     registry_a.counter("demo_metric", "A counter").inc()
     registry_b = MetricsRegistry()
     registry_b.gauge("demo_metric", "A gauge").set(1)
-    with pytest.raises(ValueError, match="conflicting types"):
-        aggregate_prometheus(
-            [render_prometheus(registry_a), render_prometheus(registry_b)]
-        )
+    with pytest.raises(ValueError, match="conflicting kinds"):
+        merge_snapshots([registry_a.collect(), registry_b.collect()])
 
 
 def test_cluster_export_equals_sum_of_shard_counters():
@@ -96,8 +95,7 @@ def test_cluster_export_equals_sum_of_shard_counters():
                 await cluster.submit(problem, "symgd", FAST_PARAMS)
             await cluster.drain()
             shard_texts = [
-                await shard.export_metrics_prometheus()
-                for shard in cluster.shards
+                shard.export_metrics_prometheus() for shard in cluster.shards
             ]
             merged_text = await cluster.export_metrics_prometheus()
             stats = await cluster.stats()

@@ -200,12 +200,12 @@ def test_failed_session_solve_commits_nothing(monkeypatch):
                 with pytest.raises(RuntimeError, match="injected"):
                     await cluster.submit_session(session_id, deltas=[delta])
                 committed = (
-                    (await shard.session_info(session_id))["edits"],
+                    shard.session_info(session_id)["edits"],
                     len(cluster._session_journal[session_id]["deltas"]),
                 )
             # The client's retry re-sends the same deltas.
             response = await cluster.submit_session(session_id, deltas=[delta])
-            return committed, response, await shard.session_info(session_id)
+            return committed, response, shard.session_info(session_id)
 
     committed, retried, retried_info = asyncio.run(scenario(fail=True))
     assert failures == [True]

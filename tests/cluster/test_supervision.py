@@ -1,12 +1,14 @@
-"""Shard supervision: death detection, restart, failover, session replay."""
+"""Shard crashes: restart, failover, session replay, the restart budget."""
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
+from repro.chaos import FaultPlan, FaultSpec
 from repro.cluster import (
     ClusterOptions,
     ClusterRouter,
@@ -37,14 +39,7 @@ def build_problem(k: int = 4, seed: int = 1) -> RankingProblem:
 
 
 def make_options(**overrides) -> ClusterOptions:
-    defaults = dict(
-        num_shards=2,
-        health_interval=0.05,
-        restart_backoff=0.01,
-        restart_backoff_max=0.05,
-    )
-    defaults.update(overrides)
-    return ClusterOptions(**defaults)
+    return ClusterOptions(**{"num_shards": 2, **overrides})
 
 
 async def wait_until(predicate, timeout: float = 20.0) -> None:
@@ -61,7 +56,7 @@ def owner_of(cluster, problem) -> int:
     )
 
 
-# -- supervised restart + stateless failover ----------------------------------
+# -- restart + stateless failover ----------------------------------------------
 
 
 def test_dead_shard_restarts_and_stateless_traffic_fails_over():
@@ -75,10 +70,10 @@ def test_dead_shard_restarts_and_stateless_traffic_fails_over():
                 baseline[owner_of(cluster, problem)] = None
                 baseline[problem.fingerprint()] = answer_digest(response.result)
             victim = owner_of(cluster, problems[0])
-            cluster.shards[victim].inject_kill()
+            cluster.kill_shard(victim)
             # Traffic owned by the dead shard is served by the survivor --
             # same answer, flagged as a failover -- with no caller-visible
-            # error (detection happens on the data path, not only probes).
+            # error.
             response = await cluster.submit(problems[0], "symgd", FAST_PARAMS)
             assert response.shard != victim
             assert response.failover
@@ -129,7 +124,7 @@ def test_pinned_session_survives_shard_crash_via_journal_replay():
             session_id = await cluster.open_session(base, "symgd", FAST_PARAMS)
             shard = cluster.session_shard(session_id)
             first = await cluster.submit_session(session_id, deltas=deltas)
-            cluster.shards[shard].inject_kill()
+            cluster.kill_shard(shard)
             # While the owner restarts there is nowhere to fail a pinned
             # session over to: the error says so, and says to retry.
             with pytest.raises(ShardCrashedError) as excinfo:
@@ -158,6 +153,89 @@ def test_pinned_session_survives_shard_crash_via_journal_replay():
     assert stats.restart_log[0]["sessions_replayed"] == 1
 
 
+# -- calls in flight on a killed shard -----------------------------------------
+
+
+def test_kill_under_in_flight_calls_loses_their_answers():
+    base = build_problem()
+    deltas = [RescaleDelta(factor=2.0).to_dict()]
+
+    async def reference():
+        async with ClusterRouter(make_options()) as cluster:
+            response = await cluster.submit(base, "symgd", FAST_PARAMS)
+            session_id = await cluster.open_session(base, "symgd", FAST_PARAMS)
+            edited = await cluster.submit_session(session_id, deltas=deltas)
+            return answer_digest(response.result), edited.fingerprint
+
+    async def scenario():
+        async with ClusterRouter(make_options()) as cluster:
+            owner = owner_of(cluster, base)
+            session_id = await cluster.open_session(base, "symgd", FAST_PARAMS)
+            assert cluster.session_shard(session_id) == owner
+            server = cluster.shards[owner]
+            held, release = threading.Event(), threading.Event()
+            solve_batch = server.engine.solve_batch
+
+            def hold_first_batch(*args):
+                if not held.is_set():
+                    held.set()
+                    release.wait(timeout=30)
+                return solve_batch(*args)
+
+            server.engine.solve_batch = hold_first_batch
+            query = asyncio.create_task(
+                cluster.submit(base, "symgd", FAST_PARAMS)
+            )
+            edit = asyncio.create_task(
+                cluster.submit_session(session_id, deltas=deltas)
+            )
+            # Both calls are inside the owner, its first batch is solving.
+            await wait_until(
+                lambda: held.is_set() and len(server._inflight) == 2
+            )
+            cluster.kill_shard(owner)
+            release.set()
+            # The killed server still answers both, and the router drops
+            # the answers: the query fails over, the edit fails retryably
+            # without touching the journal.
+            response = await query
+            with pytest.raises(ShardCrashedError) as excinfo:
+                await edit
+            journaled = list(cluster._session_journal[session_id]["deltas"])
+            await wait_until(lambda: cluster._routable(owner))
+            retried = await cluster.submit_session(session_id, deltas=deltas)
+            info = await cluster.session_info(session_id)
+            return owner, response, excinfo.value, journaled, retried, info
+
+    ref_digest, ref_head = asyncio.run(reference())
+    owner, response, error, journaled, retried, info = asyncio.run(scenario())
+    assert response.failover and response.shard != owner
+    assert answer_digest(response.result) == ref_digest
+    assert error.retryable is True and not error.terminal
+    assert journaled == []
+    assert retried.fingerprint == ref_head
+    assert info["edits"] == 1
+
+
+def test_kill_during_a_delayed_message_fails_the_query_over():
+    problem = build_problem()
+    victim = owner_of(ClusterRouter(make_options()), problem)
+    delay = FaultSpec(kind="delay_pipe", at_op=1, shard=victim, seconds=0.2)
+
+    async def scenario():
+        plan = FaultPlan([delay])
+        async with ClusterRouter(make_options(), chaos=plan) as cluster:
+            query = asyncio.create_task(
+                cluster.submit(problem, "symgd", FAST_PARAMS)
+            )
+            await asyncio.sleep(0.05)  # the query is waiting out its delay
+            cluster.kill_shard(victim)
+            return await query
+
+    response = asyncio.run(scenario())
+    assert response.failover and response.shard != victim
+
+
 # -- restart budget ------------------------------------------------------------
 
 
@@ -165,10 +243,13 @@ def test_restart_budget_exhaustion_is_a_clean_terminal_error():
     problem = build_problem()
 
     async def scenario():
-        options = make_options(num_shards=1, max_restarts=0)
-        async with ClusterRouter(options) as cluster:
-            await cluster.submit(problem, "symgd", FAST_PARAMS)
-            cluster.shards[0].inject_kill()
+        async with ClusterRouter(make_options(num_shards=1)) as cluster:
+            for _ in range(3):
+                cluster.kill_shard(0)
+                await wait_until(lambda: cluster._routable(0))
+                await cluster.submit(problem, "symgd", FAST_PARAMS)
+            # The fourth death finds the budget spent.
+            cluster.kill_shard(0)
             with pytest.raises(ShardCrashedError):
                 await cluster.submit(problem, "symgd", FAST_PARAMS)
             await wait_until(lambda: cluster._terminal[0])
@@ -183,31 +264,11 @@ def test_restart_budget_exhaustion_is_a_clean_terminal_error():
             return stats, health
 
     stats, health = asyncio.run(scenario())
-    assert stats.restarts[0] == 0
+    assert stats.restarts[0] == 3
+    assert [entry["backoff"] for entry in stats.restart_log] == [0.05, 0.1, 0.2]
     assert stats.dead[0]
     probe = health["per_shard"][0]
     assert probe["ok"] is False and probe["terminal"]
-
-
-def test_supervise_off_means_no_restart():
-    problem = build_problem()
-
-    async def scenario():
-        options = make_options(supervise=False)
-        async with ClusterRouter(options) as cluster:
-            victim = owner_of(cluster, problem)
-            cluster.shards[victim].inject_kill()
-            # Data-path detection still works and stateless traffic still
-            # fails over; the shard just stays down (terminal) forever.
-            response = await cluster.submit(problem, "symgd", FAST_PARAMS)
-            assert response.failover
-            await wait_until(lambda: cluster._terminal[victim])
-            stats = await cluster.stats()
-            return victim, stats
-
-    victim, stats = asyncio.run(scenario())
-    assert stats.restarts[victim] == 0
-    assert stats.dead[victim]
 
 
 # -- restart observability -----------------------------------------------------
@@ -221,7 +282,7 @@ def test_restarts_and_failovers_surface_in_prometheus():
     async def scenario():
         async with ClusterRouter(make_options()) as cluster:
             victim = owner_of(cluster, problem)
-            cluster.shards[victim].inject_kill()
+            cluster.kill_shard(victim)
             await cluster.submit(problem, "symgd", FAST_PARAMS)  # failover
             await wait_until(lambda: cluster._routable(victim))
             samples = parse_prometheus(await cluster.export_metrics_prometheus())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import ChaosError
-from repro.cluster import ShardBusyError, ShardCrashedError, ShardDeadError
+from repro.cluster import ShardBusyError, ShardCrashedError
 from repro.service import DeadlineExceededError, RetryPolicy
 
 
@@ -13,7 +13,6 @@ def test_retryable_is_duck_typed_on_the_error():
     policy = RetryPolicy()
     assert policy.retryable(ShardBusyError(shard=0, retry_after=0.05))
     assert policy.retryable(ShardCrashedError(shard=1, retry_after=0.05))
-    assert policy.retryable(ShardDeadError("shard 0 crashed (injected)"))
     assert policy.retryable(DeadlineExceededError("late", remaining=-0.1))
     assert policy.retryable(ChaosError("injected"))
     assert not policy.retryable(ValueError("bad input"))

@@ -61,22 +61,16 @@ def test_cluster_router_double_stop_is_idempotent():
 def test_cluster_stop_with_a_dead_shard_does_not_hang():
     async def scenario():
         problem = make_problem()
-        options = ClusterOptions(
-            num_shards=2,
-            health_interval=0.05,
-            restart_backoff=0.5,  # restart still pending at stop() time
-        )
-        router = ClusterRouter(options)
+        router = ClusterRouter(ClusterOptions(num_shards=2))
         await router.start()
         await router.submit(problem, "symgd", FAST)
-        router.shards[0].inject_kill()
-        try:
-            await router.submit(problem, "symgd", FAST)
-        except Exception:
-            pass  # owner may have been the victim; irrelevant here
+        router.kill_shard(0)
+        restart = router._restart_tasks[0]
+        assert not restart.done()  # the restart is still pending at stop()
         # stop() lets the bounded in-flight recovery settle, then tears
         # everything down -- no hang, and a second stop is a no-op.
         await asyncio.wait_for(router.stop(), timeout=15)
         await router.stop()
+        assert restart.done()
 
     asyncio.run(scenario())
