@@ -1,23 +1,23 @@
-"""Million-row data plane: streamed build, rank-dominance prune, chunked sweep.
+"""Million-row data plane: streamed build, rank-dominance prune, error sweep.
 
-Guards the data-plane rework (columnar/memmap relations, bounded-memory
-chunked evaluation, rank-dominance tuple pruning) end-to-end and writes the
+Guards the data-plane rework (columnar/memmap relations, rank-dominance
+tuple pruning, the ranked-only error evaluator) end-to-end and writes the
 measured numbers to ``.bench/BENCH_dataplane.json`` (see
 ``conftest.write_baseline``).
 
 Assertions are correctness- and memory-first, loose on wall-clock:
 
 * the ``massive`` scenario at **one million rows** must build, prune, and
-  sweep candidates through the chunked ``errors_of_many`` path with every
-  leg's ``tracemalloc`` peak under :data:`RSS_BUDGET_BYTES` -- the relation
+  sweep candidates through ``RankingProblem.error_of`` with every leg's
+  ``tracemalloc`` peak under :data:`RSS_BUDGET_BYTES` -- the relation
   itself lives in file-backed memmap pages, so resident transients are the
   whole story;
 * the hidden generator weights must evaluate to **near-zero error** at a
   million rows (float32 ties at the top-k boundary allow a position or
-  two), and the sweep's chunked errors must agree with the scalar path;
-* on every (non-heavy) scenario family, RankHow with pruning on must be
-  **bitwise-equal** (weights, error, node count) to pruning off, and the
-  chunked evaluation bitwise-equal to the single-shot reference;
+  two);
+* on every (non-heavy) scenario family, the MILP built on the pruned
+  problem must **equal the full MILP** (dominance elimination on), which
+  is why RankHow's always-on prune never changes an answer;
 * the presolve must **shrink the naive MILP**: fewer indicator variables
   than both the unpruned formulation and the ``k * (n - 1)`` worst case,
   with the reduction ratio recorded;
@@ -35,8 +35,9 @@ from repro.bench.reporting import ascii_table
 
 #: Stated resident-transient budget for the million-row legs.  The default
 #: data-plane chunking budget is 64 MB; the remaining headroom covers the
-#: float64 score/rank transients of the ranking build (a few n-length
-#: arrays) that are sized by ``n``, not by the chunk policy.
+#: float64 score/rank transients of the ranking build and of each
+#: ``error_of`` call (a few n-length arrays), which are sized by ``n``, not
+#: by the chunk policy.
 RSS_BUDGET_BYTES = 256 * 1024 * 1024
 
 
@@ -56,7 +57,7 @@ def test_dataplane(benchmark):
 
     # -- million rows, bounded resident transients ---------------------------
     massive = {r.method: r for r in _by_experiment(records, "dataplane_massive")}
-    build, prune, sweep = massive["build"], massive["prune"], massive["chunked_sweep"]
+    build, prune, sweep = massive["build"], massive["prune"], massive["error_sweep"]
     assert build.params["n"] >= 1_000_000
     assert build.extra["backend"] == "memmap"
     assert build.extra["dtype"] == "float32"
@@ -67,25 +68,18 @@ def test_dataplane(benchmark):
         )
     # Correlated data: the presolve must remove the clear majority.
     assert prune.extra["prune_ratio"] > 0.5
-    # The sweep actually took the chunked path, and the chunked evaluation
-    # of the hidden generator weights agrees exactly with the scalar path.
-    # The hidden error itself is near-zero rather than zero: at a million
-    # float32 rows a handful of scores tie within ``tie_eps`` around the
-    # top-k boundary, where the strict generator order and the tie-tolerant
-    # induced ranking can legitimately differ by a position.
-    assert sweep.extra["chunked_evals_total"] >= 1
+    # The hidden generator weights' error is near-zero rather than zero: at
+    # a million float32 rows a handful of scores tie within ``tie_eps``
+    # around the top-k boundary, where the strict generator order and the
+    # tie-tolerant induced ranking can legitimately differ by a position.
     assert sweep.extra["hidden_error"] <= 2
-    assert sweep.extra["hidden_error_matches"]
 
-    # -- bitwise parity on every family --------------------------------------
+    # -- the pruned model is the full model on every family ------------------
     parity = _by_experiment(records, "dataplane_parity")
     assert len(parity) >= 10
     for record in parity:
-        assert record.extra["bitwise_equal"], (
-            f"pruned solve diverged on family {record.dataset}"
-        )
-        assert record.extra["chunked_equal"], (
-            f"chunked errors diverged on family {record.dataset}"
+        assert record.extra["model_equal"], (
+            f"pruned MILP differs from the full MILP on family {record.dataset}"
         )
 
     # -- the presolve shrinks the naive MILP ---------------------------------

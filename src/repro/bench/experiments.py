@@ -1088,17 +1088,16 @@ def experiment_dataplane(
 
     * ``dataplane_massive`` -- the heavy ``massive`` scenario at
       ``num_tuples`` rows (float32 memmap columns, streamed generation):
-      build the relation and ranking, run the rank-dominance presolve, and
-      sweep ``sweep_candidates`` simplex weight vectors through the chunked
-      ``errors_of_many`` path.  Each leg records wall-clock and its
-      ``tracemalloc`` peak -- the resident-transient figure the bench
-      asserts stays bounded while the relation itself lives in file-backed
-      pages.
-    * ``dataplane_parity`` -- every (non-heavy) scenario family solved by
-      RankHow with pruning off and on under prune-invariant seeding;
-      ``extra["bitwise_equal"]`` records weight/node equality, alongside
-      each family's prune ratio and the chunked-vs-reference equality of
-      ``errors_of_many``.
+      build the relation and ranking, run the rank-dominance prune, and
+      sweep ``sweep_candidates`` simplex weight vectors through
+      :meth:`~repro.core.problem.RankingProblem.error_of`, one call per
+      candidate.  Each leg records wall-clock and its ``tracemalloc`` peak
+      -- the resident-transient figure the bench asserts stays bounded
+      while the relation itself lives in file-backed pages.
+    * ``dataplane_parity`` -- every (non-heavy) scenario family: the prune
+      ratio, and whether the MILP built on the pruned problem equals the
+      full one (``extra["model_equal"]``), which is what makes RankHow's
+      always-on prune answer-neutral.
     * ``dataplane_milp`` -- the naive (no dominance elimination) MILP at
       ``milp_tuples`` correlated rows, full vs. pruned: indicator/variable
       counts, the reduction ratio pruning buys before the solver ever
@@ -1107,20 +1106,17 @@ def experiment_dataplane(
     """
     import tracemalloc
 
-    from repro.core import chunking
     from repro.core.formulation import RankHowFormulation
     from repro.core.prune import prune_problem
-    from repro.core.rankhow import RankHow
     from repro.data.relation import Relation
     from repro.scenarios import generate_one, list_families
+    from repro.testing import model_differences
 
     records: list[ExperimentRecord] = []
     rng = np.random.default_rng(seed)
 
     # -- million-row end-to-end, bounded transients ---------------------------
-    chunking.reset_counters()
     index = 1 if num_tuples >= 1_000_000 else 0
-    massive_n = (200_000, 1_000_000)[index]
 
     def _timed(fn):
         tracemalloc.start()
@@ -1171,73 +1167,40 @@ def experiment_dataplane(
     candidates = np.vstack(
         [hidden, rng.dirichlet(np.ones(problem.num_attributes), sweep_candidates - 1)]
     )
-    (errors, hidden_error), sweep_wall, sweep_peak = _timed(
-        lambda: (
-            problem.errors_of_many(candidates),
-            problem.error_of(hidden),
-        ),
+    errors, sweep_wall, sweep_peak = _timed(
+        lambda: [problem.error_of(weights) for weights in candidates]
     )
     records.append(
         ExperimentRecord(
             experiment="dataplane_massive",
             dataset="massive",
-            method="chunked_sweep",
+            method="error_sweep",
             params={"n": problem.num_tuples, "candidates": len(candidates)},
-            error=float(errors.min()),
+            error=float(min(errors)),
             time_seconds=sweep_wall,
-            extra={
-                "peak_bytes": int(sweep_peak),
-                "hidden_error": int(hidden_error),
-                "hidden_error_matches": bool(int(errors[0]) == int(hidden_error)),
-                **chunking.counters(),
-            },
+            extra={"peak_bytes": int(sweep_peak), "hidden_error": int(errors[0])},
         )
     )
 
-    # -- pruning parity + chunked parity per family ---------------------------
-    invariant_options = RankHowOptions(
-        node_limit=150, verify=False, warm_start_strategy="uniform"
-    )
-    pruned_options = replace(invariant_options, extra={"prune": True})
+    # -- the pruned model is the full model, per family -----------------------
     for family in list_families():
         fam_problem = generate_one(family, 0, seed).problem
         start = time.perf_counter()
-        off = RankHow(invariant_options).solve(fam_problem)
-        off_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        on = RankHow(pruned_options).solve(fam_problem)
-        on_wall = time.perf_counter() - start
-        sweep = rng.dirichlet(np.ones(fam_problem.num_attributes), 8)
-        chunk_equal = bool(
-            np.array_equal(
-                fam_problem.errors_of_many(sweep),
-                fam_problem.errors_of_many(sweep, chunk_rows=1),
-            )
-        )
+        fam_info = prune_problem(fam_problem)
+        full = RankHowFormulation(fam_problem)
+        pruned = RankHowFormulation(fam_info.problem)
+        wall = time.perf_counter() - start
         records.append(
             ExperimentRecord(
                 experiment="dataplane_parity",
                 dataset=family,
-                method="rankhow[prune]",
+                method="prune",
                 params={"n": fam_problem.num_tuples, "k": fam_problem.k},
-                error=float(on.error),
-                time_seconds=on_wall,
+                time_seconds=wall,
                 extra={
-                    "time_unpruned": round(off_wall, 4),
-                    "bitwise_equal": bool(
-                        int(on.error) == int(off.error)
-                        and np.array_equal(
-                            np.asarray(on.weights, dtype=float),
-                            np.asarray(off.weights, dtype=float),
-                            equal_nan=True,
-                        )
-                        and on.nodes == off.nodes
-                    ),
-                    "chunked_equal": chunk_equal,
-                    "prune_ratio": round(
-                        float(on.diagnostics.get("prune_ratio", 0.0)), 6
-                    ),
-                    "pruned_tuples": int(on.diagnostics.get("pruned_tuples", 0)),
+                    "model_equal": not model_differences(full.model, pruned.model),
+                    "prune_ratio": round(fam_info.ratio, 6),
+                    "pruned_tuples": fam_info.num_pruned,
                 },
             )
         )

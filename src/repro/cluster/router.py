@@ -324,7 +324,13 @@ class ClusterRouter:
         """Build and start every shard (idempotent)."""
         if self._started:
             return self
-        for index in range(self.options.num_shards):
+        # Every shard gets a fresh server, so a shard killed before a stop()
+        # is alive again, with a full restart budget.
+        num_shards = self.options.num_shards
+        self._dead = [False] * num_shards
+        self._terminal = [False] * num_shards
+        self._restarts = [0] * num_shards
+        for index in range(num_shards):
             self.shards.append(self._build_shard(index))
         try:
             await asyncio.gather(*(shard.start() for shard in self.shards))

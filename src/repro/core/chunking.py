@@ -1,14 +1,14 @@
 """Bounded-memory chunking policy for the streaming data plane.
 
-One module-level memory budget governs every chunked evaluation path
-(:meth:`RankingProblem.errors_of_many
-<repro.core.problem.RankingProblem.errors_of_many>`,
-:func:`~repro.core.scoring.induced_ranks_many`, the streaming
-:class:`~repro.core.cells.CellBoundEvaluator`): callers describe the
-per-row transient footprint of the block they want to materialize and get
-back a row count that keeps that block under budget.  An explicit
-``chunk_rows`` always wins; the budget only shapes the *auto* choice, so
-small problems keep taking the single-shot reference path bit-for-bit.
+One module-level memory budget governs every chunked pass over a relation
+(the streaming :class:`~repro.core.cells.CellBoundEvaluator`, the
+rank-dominance prune scan, the problem fingerprint digest, the streaming
+relation generator): callers describe the per-row transient footprint of
+the block they want to materialize and get back a row count that keeps
+that block under budget.  An explicit ``chunk_rows`` always wins; the
+budget only shapes the *auto* choice, so small problems keep taking the
+single-shot path.  The budget is a constant; :func:`memory_budget`
+overrides it for the length of a ``with`` block (tests, bench legs).
 
 The module also owns the data-plane telemetry the engine exports:
 ``chunked_evals_total`` (evaluations that actually took a chunked path)
@@ -24,7 +24,6 @@ from contextlib import contextmanager
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_MB",
     "memory_budget_bytes",
-    "set_memory_budget_mb",
     "memory_budget",
     "chunk_rows_for",
     "record_chunked_eval",
@@ -45,31 +44,24 @@ def memory_budget_bytes() -> int:
     return _budget_bytes
 
 
-def set_memory_budget_mb(budget_mb: float | None) -> None:
-    """Set the data-plane memory budget (``None`` restores the default).
+@contextmanager
+def memory_budget(budget_mb: float):
+    """Set the data-plane memory budget for the length of a ``with`` block.
 
     The budget bounds the *transient* blocks a chunked evaluation
-    materializes at once (score/rank blocks, pair-difference blocks), not
-    the resident size of the relation itself.
+    materializes at once (pair-difference blocks, scan blocks), not the
+    resident size of the relation itself.
     """
     global _budget_bytes
-    if budget_mb is None:
-        budget_mb = DEFAULT_MEMORY_BUDGET_MB
     if budget_mb <= 0:
         raise ValueError("memory budget must be positive")
     with _lock:
-        _budget_bytes = int(budget_mb * 1024 * 1024)
-
-
-@contextmanager
-def memory_budget(budget_mb: float | None):
-    """Temporarily override the memory budget (tests, bench legs)."""
-    previous = _budget_bytes / (1024 * 1024)
-    set_memory_budget_mb(budget_mb)
+        previous, _budget_bytes = _budget_bytes, int(budget_mb * 1024 * 1024)
     try:
         yield
     finally:
-        set_memory_budget_mb(previous)
+        with _lock:
+            _budget_bytes = previous
 
 
 def chunk_rows_for(

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import chunking
 from repro.core.constraints import ConstraintSet
-from repro.core.metrics import position_error
 from repro.core.ranking import UNRANKED, Ranking
-from repro.core.scoring import LinearScoringFunction, induced_ranks, induced_ranks_many
+from repro.core.scoring import LinearScoringFunction, induced_ranks
 from repro.data.relation import Relation
 
 __all__ = ["ToleranceSettings", "RankingProblem"]
@@ -233,71 +231,22 @@ class RankingProblem:
         return induced_ranks(self.scores(weights), self.tolerances.tie_eps)
 
     def error_of(self, weights: np.ndarray) -> int:
-        """Position-based error of a weight vector (Definition 3)."""
-        return position_error(self.ranking, self.induced_positions(weights))
+        """Position-based error of a weight vector (Definition 3).
 
-    def errors_of_many(
-        self, weights_matrix: np.ndarray, chunk_rows: int | None = None
-    ) -> np.ndarray:
-        """Position-based error of every row of a ``(num_candidates, m)`` matrix.
-
-        One matrix program instead of ``num_candidates`` Python-level
-        evaluations: a single score matmul, row-batched tie-tolerant ranking
-        (:func:`~repro.core.scoring.induced_ranks_many`), and a vectorized
-        error reduction.  Its callers are the ``streaming_parity`` oracle
-        invariant (:mod:`repro.testing`) and the data-plane benchmark leg
-        (:mod:`repro.bench`); no solver uses it.
-
-        When the ``(num_candidates, n)`` score transients would exceed the
-        data-plane memory budget (:mod:`repro.core.chunking`) -- or when
-        ``chunk_rows`` forces it -- candidates are evaluated in blocked
-        streaming mode: per block, one score matmul, per-row sort, and the
-        ranked-positions-only ``searchsorted`` reduction.  Candidate rows
-        are independent and the per-position rank formula is elementwise,
-        so the streamed errors are bitwise-equal to the single-shot path
-        (asserted by the ``streaming_parity`` oracle invariant).
+        The error reads only the k ranked tuples' ranks, so only those are
+        computed: one sort of the float64 scores (cast as
+        :func:`~repro.core.scoring.induced_ranks` casts them), then its
+        ``searchsorted`` count for each ranked score.  Each rank goes through
+        the same formula, so the error equals
+        ``position_error(ranking, induced_positions(weights))`` bit for bit.
         """
-        weights_matrix = np.asarray(weights_matrix, dtype=float)
-        if weights_matrix.ndim != 2 or weights_matrix.shape[1] != self.num_attributes:
-            raise ValueError(
-                f"weights matrix must have shape (num_candidates, "
-                f"{self.num_attributes}), got {weights_matrix.shape}"
-            )
-        matrix = self.matrix
-        weights_matrix = self._eval_weights(weights_matrix)
+        scores = np.asarray(self.scores(weights), dtype=float)
         positions = self.ranking.positions
         ranked = np.where(positions != UNRANKED)[0]
-        given = positions[ranked]
-        num_candidates = weights_matrix.shape[0]
-        n = self.num_tuples
-        # Per candidate: a score row (matrix dtype), plus the float64
-        # ranking transients (cast, sort, tie-shifted copy) and the int
-        # rank row the single-shot path materializes.
-        row_bytes = n * (matrix.itemsize + 8 * 4)
-        rows = chunking.chunk_rows_for(row_bytes, num_candidates, chunk_rows)
-        if rows >= num_candidates:
-            scores = weights_matrix @ matrix.T
-            ranks = induced_ranks_many(scores, self.tolerances.tie_eps)
-            return np.sum(np.abs(ranks[:, ranked] - given[None, :]), axis=1).astype(
-                int
-            )
-        chunking.record_chunked_eval(rows * row_bytes)
-        tie_eps = self.tolerances.tie_eps
-        errors = np.empty(num_candidates, dtype=int)
-        for start in range(0, num_candidates, rows):
-            # The float64 cast mirrors induced_ranks_many's entry exactly,
-            # so float32 relations rank identically on both paths.
-            block = np.asarray(
-                weights_matrix[start : start + rows] @ matrix.T, dtype=float
-            )
-            sorted_rows = np.sort(block, axis=1)
-            shifted = block + tie_eps
-            for i in range(block.shape[0]):
-                beats = n - np.searchsorted(
-                    sorted_rows[i], shifted[i, ranked], side="right"
-                )
-                errors[start + i] = int(np.sum(np.abs(beats + 1 - given)))
-        return errors
+        beats = scores.shape[0] - np.searchsorted(
+            np.sort(scores), scores[ranked] + self.tolerances.tie_eps, side="right"
+        )
+        return int(np.sum(np.abs(beats + 1 - positions[ranked])))
 
     def fingerprint(self) -> str:
         """Memoized SHA-256 content digest of this problem instance.

@@ -33,14 +33,15 @@ The margin absorbs the worst-case accumulated rounding of the ``m``-term
 dot products on both sides of the comparison; it errs toward *keeping*
 borderline tuples, which only costs performance, never correctness.
 
-Exactness caveat: seed strategies that read unranked tuples
-(``ordinal_regression``, ``linear_regression``, and the default ``symgd``
-warm start built on them) see different data after pruning, so their seeds
--- and hence which of several equally-optimal weight vectors a solver
-reports -- can differ.  The optimum *error* is always preserved; bitwise
-weight parity additionally holds under prune-invariant seeding
-(``none``/``uniform``/``grid`` or explicit seeds/warm starts), which the
-pruning-safety tests assert across every scenario family.
+Where it runs: :class:`~repro.core.rankhow.RankHow` prunes every problem it
+solves, after it has computed its warm start, and builds only the MILP on
+the pruned problem; seeds, warm starts, reported errors and exact
+verification all read the caller's problem.  With the default dominance
+elimination the pruned MILP is the full MILP, so every RankHow answer --
+and every SYM-GD answer, whose cell solves are RankHow solves -- is
+bit-identical to an unpruned solve.  With the elimination off the pruned
+MILP is smaller (``k`` indicator pairs fewer per pruned tuple) and its
+optimum error is unchanged.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ class PruneInfo:
             return 0.0
         return self.num_pruned / self.original_n
 
+    def reindex(self, by_tuple: dict[int, float]) -> dict[int, float]:
+        """Renumber a mapping keyed by original tuple index onto the kept tuples.
+
+        Entries of pruned tuples are dropped: a pruned tuple is unranked, so
+        the objective never reads its weight.
+        """
+        if not self.num_pruned:
+            return by_tuple
+        new_index = dict(zip(self.kept.tolist(), range(len(self.kept))))
+        return {new_index[i]: v for i, v in by_tuple.items() if i in new_index}
+
 
 def prune_threshold(problem: RankingProblem) -> float:
     """The effective componentwise threshold ``thr_eff`` for a problem.
@@ -127,9 +139,9 @@ def prune_problem(problem: RankingProblem) -> PruneInfo:
     """Drop tuples that provably cannot affect any solver's reported error.
 
     Memoized on the problem instance (immutable by convention, like the
-    fingerprint memo), so the engine, RankHow, and SYM-GD can all ask for
-    the prune without repeating the scan; deltas build *new* instances, so
-    a stale prune can never be served for an edited problem.
+    fingerprint memo), so the cell solves of a SYM-GD descent scan once;
+    deltas build *new* instances, so a stale prune can never be served for
+    an edited problem.
     """
     memo = getattr(problem, "_prune_memo", None)
     if memo is not None:
@@ -139,7 +151,7 @@ def prune_problem(problem: RankingProblem) -> PruneInfo:
     if info.problem is not problem:
         # Re-pruning the pruned problem is a no-op by construction: every
         # surviving unranked tuple already failed the criterion.  Record
-        # that so nested solvers (SYM-GD's inner RankHow) skip the scan.
+        # that so a solve handed the pruned problem skips the scan.
         info.problem._prune_memo = PruneInfo(
             problem=info.problem,
             kept=np.arange(info.problem.num_tuples),

@@ -1,7 +1,8 @@
 """The RankHow exact solver (Sections III and V).
 
 :class:`RankHow` is the user-facing facade: it builds the Equation (2) MILP
-for a :class:`~repro.core.problem.RankingProblem`, applies the Section V-B
+for a :class:`~repro.core.problem.RankingProblem` over the tuples the
+rank-dominance prune keeps (:mod:`repro.core.prune`), applies the Section V-B
 indicator elimination, solves the program with the branch-and-bound substrate
 (:mod:`repro.solvers`), optionally verifies the result with exact arithmetic,
 and returns a :class:`~repro.core.result.SynthesisResult`.
@@ -13,13 +14,14 @@ which is how SYM-GD reuses it for local solves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.formulation import RankHowFormulation
 from repro.core.precision import verify_weights
 from repro.core.problem import RankingProblem
+from repro.core.prune import prune_problem
 from repro.core.result import SynthesisResult
 from repro.obs.trace import span as obs_span
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, SolverOptions
@@ -46,8 +48,6 @@ class RankHowOptions:
             (``"symgd"``) it borrows the paper's own SYM-GD descent as its
             primal heuristic before starting the exact search.  Other choices:
             ``"ordinal_regression"``, ``"uniform"``, ``"none"``.
-        extra: Further switches; ``{"prune": True}`` drops provably
-            irrelevant tuples before the MILP is built (:mod:`repro.core.prune`).
     """
 
     time_limit: float | None = None
@@ -56,7 +56,6 @@ class RankHowOptions:
     verify: bool = True
     error_weights: dict[int, float] | None = None
     warm_start_strategy: str = "symgd"
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Canonical JSON-serializable representation.
@@ -76,7 +75,6 @@ class RankHowOptions:
                 else {str(k): float(v) for k, v in self.error_weights.items()}
             ),
             "warm_start_strategy": self.warm_start_strategy,
-            "extra": dict(self.extra),
         }
 
     @classmethod
@@ -93,7 +91,6 @@ class RankHowOptions:
                 else {int(k): float(v) for k, v in error_weights.items()}
             ),
             warm_start_strategy=data.get("warm_start_strategy", "symgd"),
-            extra=dict(data.get("extra", {})),
         )
 
 
@@ -142,30 +139,32 @@ class RankHow:
     ) -> SynthesisResult:
         options = self.options
         start = time.perf_counter()
-        prune_diag: dict = {}
-        if options.extra.get("prune"):
-            # Rank-dominance presolve: provably irrelevant tuples are dropped
-            # before the MILP is built.  Valid inside any cell (a subset of
-            # the simplex); see repro.core.prune for the exactness contract.
-            from repro.core.prune import prune_problem
-
-            prune_info = prune_problem(problem)
-            problem = prune_info.problem
-            prune_diag = {
-                "pruned_tuples": prune_info.num_pruned,
-                "prune_ratio": prune_info.ratio,
-                "prune_original_n": prune_info.original_n,
-            }
+        if warm_start is None and options.warm_start_strategy != "none":
+            warm_start = self._warm_start_weights(problem, cell_bounds)
+        # Rank-dominance prune, after the warm start so that no seed reads
+        # the pruned problem.  Only the model is built on it: every indicator
+        # a pruned tuple would add is one the dominance elimination fixes to
+        # 0, so with eliminate_dominated the model is the full one (see
+        # repro.core.prune).  Errors and verification read the caller's
+        # problem.
+        pruned = prune_problem(problem)
+        error_weights = options.error_weights
+        if error_weights is not None:
+            # Keyed by tuple index, which the prune renumbers.
+            error_weights = pruned.reindex(error_weights)
+        prune_diag = {
+            "pruned_tuples": pruned.num_pruned,
+            "prune_ratio": pruned.ratio,
+            "prune_original_n": pruned.original_n,
+        }
         formulation = RankHowFormulation(
-            problem,
+            pruned.problem,
             eliminate_dominated=options.eliminate_dominated,
-            error_weights=options.error_weights,
+            error_weights=error_weights,
             cell_bounds=cell_bounds,
         )
 
         initial_incumbent = None
-        if warm_start is None and options.warm_start_strategy != "none":
-            warm_start = self._warm_start_weights(problem, cell_bounds)
         if warm_start is not None:
             initial_incumbent = formulation.incumbent_from_weights(
                 np.asarray(warm_start, dtype=float)

@@ -14,12 +14,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core import chunking
-
 __all__ = [
     "LinearScoringFunction",
     "induced_ranks",
-    "induced_ranks_many",
     "normalize_weights",
 ]
 
@@ -34,22 +31,10 @@ def normalize_weights(weights: Sequence[float] | np.ndarray) -> np.ndarray:
     return w / total
 
 
-def induced_ranks(
-    scores: np.ndarray,
-    tie_eps: float = 0.0,
-    sorted_scores: np.ndarray | None = None,
-) -> np.ndarray:
+def induced_ranks(scores: np.ndarray, tie_eps: float = 0.0) -> np.ndarray:
     """Rank of every tuple under Definition 2 (competition ranking with eps).
 
     ``rank(r) = 1 + |{s : score(s) - score(r) > tie_eps}|``.
-
-    Args:
-        scores: Score of every tuple.
-        tie_eps: Tie tolerance.
-        sorted_scores: Optional precomputed ``np.sort(scores)``.  Callers
-            that rank the same score vector repeatedly (different ``tie_eps``
-            values, or the SYM-GD inner loop's repeated evaluations of one
-            candidate) can sort once and skip the ``O(n log n)`` step here.
     """
     scores = np.asarray(scores, dtype=float).ravel()
     n = scores.shape[0]
@@ -57,52 +42,8 @@ def induced_ranks(
         raise ValueError("tie_eps must be non-negative")
     if n == 0:
         return np.zeros(0, dtype=int)
-    if sorted_scores is None:
-        sorted_scores = np.sort(scores)
-    beats = n - np.searchsorted(sorted_scores, scores + tie_eps, side="right")
+    beats = n - np.searchsorted(np.sort(scores), scores + tie_eps, side="right")
     return beats.astype(int) + 1
-
-
-def induced_ranks_many(
-    scores: np.ndarray,
-    tie_eps: float = 0.0,
-    chunk_rows: int | None = None,
-) -> np.ndarray:
-    """Row-wise :func:`induced_ranks` for a ``(num_candidates, n)`` score matrix.
-
-    Each row is ranked exactly as :func:`induced_ranks` would rank it (same
-    sort, same ``searchsorted`` call), so the batched result is bit-identical
-    to the per-row reference; only the Python-level call overhead and the
-    row sorts are amortized.
-
-    The sort/shift transients are materialized in row blocks: ``chunk_rows``
-    rows at a time when given, otherwise a block size chosen from the
-    data-plane memory budget (:mod:`repro.core.chunking`).  Rows are
-    independent, so the blocked result is bitwise-identical to the
-    single-shot one for any block size.
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2:
-        raise ValueError("induced_ranks_many expects a 2-D score matrix")
-    if tie_eps < 0:
-        raise ValueError("tie_eps must be non-negative")
-    num_candidates, n = scores.shape
-    if n == 0:
-        return np.zeros((num_candidates, 0), dtype=int)
-    row_bytes = n * scores.itemsize * 3  # sorted + shifted + one output block
-    rows = chunking.chunk_rows_for(row_bytes, num_candidates, chunk_rows)
-    if rows < num_candidates:
-        chunking.record_chunked_eval(rows * row_bytes)
-    ranks = np.empty((num_candidates, n), dtype=int)
-    for start in range(0, num_candidates, rows):
-        block = scores[start : start + rows]
-        sorted_rows = np.sort(block, axis=1)
-        shifted = block + tie_eps
-        for i in range(block.shape[0]):
-            ranks[start + i] = n - np.searchsorted(
-                sorted_rows[i], shifted[i], side="right"
-            )
-    return ranks + 1
 
 
 class LinearScoringFunction:

@@ -23,16 +23,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.cells import cell_around
-from repro.core.metrics import position_error
 from repro.core.problem import RankingProblem
 from repro.core.rankhow import RankHow, RankHowOptions
 from repro.core.result import SynthesisResult
-from repro.core.scoring import induced_ranks
 from repro.obs.trace import span as obs_span
 from repro.core.seeds import get_seed_strategy
 from repro.data.rng import as_generator
 
 __all__ = ["SymGDOptions", "SymGD", "default_seed_points"]
+
+#: RankHow's prune diagnostics, which a SYM-GD result passes on.
+_PRUNE_KEYS = ("pruned_tuples", "prune_ratio", "prune_original_n")
 
 
 @dataclass
@@ -134,6 +135,7 @@ class _Descent:
         ]
         self.finished = False
         self._final_solve_pending = False
+        self.prune_diag: dict = {}
 
     def active(self, out_of_time: bool) -> bool:
         """Whether another :meth:`step` may run."""
@@ -146,13 +148,15 @@ class _Descent:
     def _absorb(self, result: SynthesisResult) -> None:
         self.total_nodes += result.nodes
         self.total_lp_iterations += int(result.diagnostics.get("lp_iterations", 0))
+        # Every cell solve prunes the same problem; report that prune.
+        self.prune_diag = {key: result.diagnostics[key] for key in _PRUNE_KEYS}
 
     def step(self, solver: RankHow, remaining: float | None) -> None:
         """One cell solve plus the resulting state transition."""
         options = self.options
         if remaining is not None:
-            # Clone the configured solver options wholesale (error_weights,
-            # extra escape hatches included) and override only the budget.
+            # Clone the configured solver options wholesale (error_weights
+            # included) and override only the budget.
             solver = RankHow(
                 replace(
                     options.solver_options,
@@ -229,6 +233,7 @@ class _Descent:
                 "final_cell_size": self.cell_size,
                 "trajectory": self.trajectory,
                 "lp_iterations": self.total_lp_iterations,
+                **self.prune_diag,
             },
         )
 
@@ -245,9 +250,8 @@ class SymGD:
         start = time.perf_counter()
 
         with obs_span("solver.symgd", k=problem.k) as sp:
-            problem, prune_diag = _maybe_prune(problem, options)
             seed = self._seed(problem)
-            descent = _Descent(options, problem, seed, _seed_error(problem, seed))
+            descent = _Descent(options, problem, seed, problem.error_of(seed))
             solver = RankHow(options.solver_options)
 
             def time_left() -> float | None:
@@ -263,7 +267,6 @@ class SymGD:
                 descent.step(solver, time_left())
 
             result = descent.result(time.perf_counter() - start)
-            result.diagnostics.update(prune_diag)
             if sp:
                 sp.set_attributes(
                     error=int(result.error),
@@ -300,7 +303,6 @@ class SymGD:
                 merge prefers the earliest seed on ties.
         """
         start = time.perf_counter()
-        problem, prune_diag = _maybe_prune(problem, self.options)
         if seeds is None:
             seeds = default_seed_points(
                 problem, num_seeds, base_strategy=self.options.seed_strategy
@@ -325,7 +327,6 @@ class SymGD:
                 "num_seeds": len(seeds),
                 "per_seed_errors": [int(r.error) for r in results],
                 "per_seed_times": [float(r.solve_time) for r in results],
-                **prune_diag,
             },
         )
         merged.method = (
@@ -341,30 +342,6 @@ class SymGD:
         return strategy(problem)
 
 
-def _maybe_prune(
-    problem: RankingProblem, options: SymGDOptions
-) -> tuple[RankingProblem, dict]:
-    """Apply rank-dominance pruning once, up front, when the solver options
-    request it (``solver_options.extra["prune"]``).
-
-    Pruning before seeding means the whole descent -- seeds, cell solves,
-    error evaluations -- runs on the reduced problem; the inner RankHow
-    re-prune is a memoized no-op.  Position errors of ranked tuples are
-    invariant under the prune (see :mod:`repro.core.prune`), so the reported
-    error matches the unpruned descent's.
-    """
-    if not options.solver_options.extra.get("prune"):
-        return problem, {}
-    from repro.core.prune import prune_problem
-
-    info = prune_problem(problem)
-    return info.problem, {
-        "pruned_tuples": info.num_pruned,
-        "prune_ratio": info.ratio,
-        "prune_original_n": info.original_n,
-    }
-
-
 def _normalize_seed_point(seed: np.ndarray, num_attributes: int) -> np.ndarray:
     """Validate and project an explicit seed point onto the simplex."""
     seed = np.asarray(seed, dtype=float).ravel()
@@ -374,16 +351,6 @@ def _normalize_seed_point(seed: np.ndarray, num_attributes: int) -> np.ndarray:
     if total <= 0:
         raise ValueError("seed_point must have positive total weight")
     return np.clip(seed, 0.0, None) / total
-
-
-def _seed_error(problem: RankingProblem, seed: np.ndarray) -> int:
-    """Seed error with the score sort computed once and reused."""
-    scores = problem.scores(seed)
-    sorted_scores = np.sort(scores)
-    ranks = induced_ranks(
-        scores, problem.tolerances.tie_eps, sorted_scores=sorted_scores
-    )
-    return position_error(problem.ranking, ranks)
 
 
 def _solve_from_seed(payload: tuple) -> SynthesisResult:

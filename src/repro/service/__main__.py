@@ -130,7 +130,6 @@ def server_options(args: argparse.Namespace) -> QueryServerOptions:
         cache_dir=args.cache_dir,
         allowed_methods=args.allowed_methods,
         hot_set_path=args.hot_set,
-        memory_budget_mb=args.memory_budget_mb,
     )
 
 
@@ -298,9 +297,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker cap for each engine's executor pool")
     parser.add_argument("--cache-dir", default=None,
                         help="optional on-disk result cache directory")
-    parser.add_argument("--memory-budget-mb", type=float, default=None,
-                        help="data-plane transient-memory budget in MB for "
-                        "chunked evaluation (default: library default)")
     parser.add_argument("--hot-set", default=None, metavar="PATH",
                         help="persist the cache's scored hot set to PATH on "
                         "drain/stop and promote it back on startup "

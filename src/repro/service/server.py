@@ -89,10 +89,6 @@ class QueryServerOptions:
             and promoted back from the disk tier on :meth:`start`, so a
             restart recovers its hit rate without cold traffic.  Requires
             ``cache_dir`` to be useful (promotion reads the disk tier).
-        memory_budget_mb: Data-plane transient-memory budget applied on
-            :meth:`start` (see :mod:`repro.core.chunking`); ``None`` keeps
-            the process default.  Cluster shards are built from the
-            router's copy of these options, so they share its budget.
     """
 
     backend: str = "serial"
@@ -103,7 +99,6 @@ class QueryServerOptions:
     allowed_methods: tuple[str, ...] | None = None
     max_sessions: int = 32
     hot_set_path: str | None = None
-    memory_budget_mb: float | None = None
 
 
 @dataclass
@@ -396,10 +391,6 @@ class QueryServer:
     async def start(self) -> "QueryServer":
         """Start the batching loop (idempotent); reload the saved hot set."""
         if self._loop_task is None:
-            if self.options.memory_budget_mb is not None:
-                from repro.core import chunking
-
-                chunking.set_memory_budget_mb(self.options.memory_budget_mb)
             self._queue = asyncio.Queue()
             self._closing = False
             self._loop_task = asyncio.get_running_loop().create_task(

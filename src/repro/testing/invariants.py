@@ -30,10 +30,10 @@ violation at once).  The invariants:
 * **formulation parity** -- the one-pass RankHow MILP build must match
   :func:`formulation_reference`, the per-pair loop kept here as its oracle:
   same variables, rows, pairs and bitwise-equal coefficients and big-Ms.
-* **streaming parity** -- every bounded-memory chunked evaluation path
-  (blocked ``errors_of_many``, blocked ``induced_ranks_many``, the streaming
-  :class:`~repro.core.cells.CellBoundEvaluator`) must be bitwise-equal to
-  its single-shot reference for any block size.
+* **streaming parity** -- the streaming
+  :class:`~repro.core.cells.CellBoundEvaluator`, the bounded-memory path
+  for million-row problems, must return exactly the precomputed
+  evaluator's bounds.
 """
 
 from __future__ import annotations
@@ -707,77 +707,20 @@ def check_formulation_parity(
 
 
 def check_streaming_parity(
-    problem: RankingProblem,
-    results: dict[str, SynthesisResult] | None = None,
-    chunk_sizes: Sequence[int] = (1, 3),
-    max_grid_cells: int = 16,
+    problem: RankingProblem, max_grid_cells: int = 16
 ) -> CheckResult:
-    """Chunked/streaming data-plane paths equal their single-shot references.
+    """The streaming cell-bound evaluator equals the precomputed one.
 
-    The bounded-memory evaluation paths exist purely so million-row
-    problems fit in a fixed transient budget; they must never be a semantic
-    fork.  Three legs, each asserted bitwise against the reference:
-
-    * ``errors_of_many`` with forced ``chunk_rows`` (and under a tiny
-      memory budget, exercising the auto-chunking branch) against the
-      single-shot matrix program;
-    * ``induced_ranks_many`` with forced ``chunk_rows`` against its
-      single-shot result;
-    * the streaming :class:`~repro.core.cells.CellBoundEvaluator` (nothing
-      precomputed, pair blocks re-derived per pass) against the
-      precomputed evaluator on a grid of simplex cells.
-
-    Candidates are the deterministic SYM-GD seed points plus every
-    simplex-feasible method result, i.e. the weight vectors the solvers
-    actually evaluate.
+    :class:`~repro.core.cells.CellBoundEvaluator` streams (nothing
+    precomputed, pair blocks re-derived per pass) when its precomputation
+    would exceed the data-plane memory budget, so million-row problems fit
+    in a fixed transient budget.  It must never be a semantic fork: on a
+    grid of simplex cells its bounds must equal the precomputed
+    evaluator's exactly.
     """
     from repro.core.cells import CellBoundEvaluator, grid_cells
-    from repro.core.chunking import memory_budget
-    from repro.core.scoring import induced_ranks_many
-    from repro.core.symgd import default_seed_points
 
     invariant = "streaming_parity"
-    candidates = list(default_seed_points(problem, 5))
-    for result in (results or {}).values():
-        if result.error < 0:
-            continue
-        weights = np.asarray(result.weights, dtype=float).ravel()
-        if _on_simplex(weights):
-            candidates.append(weights)
-    matrix = np.stack(candidates)
-
-    reference_errors = problem.errors_of_many(matrix)
-    for chunk_rows in chunk_sizes:
-        chunked = problem.errors_of_many(matrix, chunk_rows=chunk_rows)
-        if not np.array_equal(reference_errors, chunked):
-            return _fail(
-                invariant,
-                "errors_of_many",
-                f"chunk_rows={chunk_rows} diverges from single-shot: "
-                f"{reference_errors.tolist()} vs {chunked.tolist()}",
-            )
-    with memory_budget(1e-4):  # ~100 bytes: forces the auto-chunking branch
-        budgeted = problem.errors_of_many(matrix)
-    if not np.array_equal(reference_errors, budgeted):
-        return _fail(
-            invariant,
-            "errors_of_many",
-            "auto-chunked (tiny budget) errors diverge from single-shot",
-        )
-
-    scores = np.asarray(matrix @ problem.matrix.T, dtype=float)
-    reference_ranks = induced_ranks_many(scores, problem.tolerances.tie_eps)
-    for chunk_rows in chunk_sizes:
-        chunked_ranks = induced_ranks_many(
-            scores, problem.tolerances.tie_eps, chunk_rows=chunk_rows
-        )
-        if not np.array_equal(reference_ranks, chunked_ranks):
-            return _fail(
-                invariant,
-                "induced_ranks_many",
-                f"chunk_rows={chunk_rows} ranks diverge from single-shot",
-            )
-
     grid_step = 0.5 if problem.num_attributes <= 6 else 0.95
     cells = grid_cells(problem.num_attributes, grid_step, max_cells=max_grid_cells)
     precomputed = CellBoundEvaluator(problem, streaming=False).bounds_many(cells)
@@ -794,11 +737,7 @@ def check_streaming_parity(
             f"{len(mismatches)}/{len(cells)} cells diverge: "
             + "; ".join(mismatches[:3]),
         )
-    return _ok(
-        invariant,
-        "data_plane",
-        f"{matrix.shape[0]} candidates, {len(cells)} cells",
-    )
+    return _ok(invariant, "cell_bounds", f"{len(cells)} cells")
 
 
 # -- execution-substrate invariants -------------------------------------------------

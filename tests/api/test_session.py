@@ -1,4 +1,4 @@
-"""Tests for SynthesisSession, delta wire fields, and option-extra coverage."""
+"""Tests for SynthesisSession, delta wire fields, and rejected options."""
 
 from __future__ import annotations
 
@@ -190,55 +190,21 @@ def test_plain_request_wire_format_unchanged(problem):
     assert set(payload) == {"problem", "method", "options"}
 
 
-# -- RankHowOptions.extra escape hatches (PR 4) -------------------------------------
+# -- the removed RankHowOptions.extra switch ----------------------------------------
 
 
-def test_rankhow_extra_survives_roundtrip_and_fingerprint():
-    options = RankHowOptions(node_limit=50, verify=False, extra={"prune": True})
-    rebuilt = RankHowOptions.from_dict(options.to_dict())
-    assert rebuilt.extra == {"prune": True}
-
-
-def test_rankhow_extra_is_covered_by_the_request_fingerprint(problem):
-    base = {"node_limit": 50, "verify": False}
-    plain = SynthesisRequest(problem, "rankhow", dict(base))
-    pruned = SynthesisRequest(problem, "rankhow", {**base, "extra": {"prune": True}})
-    unpruned = SynthesisRequest(
-        problem, "rankhow", {**base, "extra": {"prune": False}}
-    )
-    fingerprints = {plain.fingerprint, pruned.fingerprint, unpruned.fingerprint}
-    assert len(fingerprints) == 3
-    # The extra mapping survives the request wire format.
-    rebuilt = SynthesisRequest.from_dict(pruned.to_dict())
-    assert rebuilt.fingerprint == pruned.fingerprint
-    assert rebuilt.effective["extra"] == {"prune": True}
-
-
-def test_symgd_nested_extra_is_covered_by_the_request_fingerprint(problem):
+def test_removed_extra_option_is_rejected(problem):
+    """Rank-dominance pruning always runs, so no request may ask for it."""
+    with pytest.raises(TypeError):
+        RankHowOptions(extra={})
+    with pytest.raises(ValueError, match="extra"):
+        SynthesisRequest(problem, "rankhow", {"extra": {"prune": True}})
     nested = {
         **SYMGD_OPTS,
-        "solver_options": {
-            **SYMGD_OPTS["solver_options"],
-            "extra": {"prune": True},
-        },
+        "solver_options": {**SYMGD_OPTS["solver_options"], "extra": {}},
     }
-    plain = SynthesisRequest(problem, "symgd", dict(SYMGD_OPTS))
-    tweaked = SynthesisRequest(problem, "symgd", nested)
-    assert plain.fingerprint != tweaked.fingerprint
-    rebuilt = SynthesisRequest.from_dict(tweaked.to_dict())
-    assert rebuilt.fingerprint == tweaked.fingerprint
-
-
-def test_extra_configurations_do_not_share_cache_entries(problem):
-    """Distinct extra configs must not cross-serve each other's results."""
-    from repro.engine.engine import SolveEngine
-
-    base = {"node_limit": 40, "verify": False, "warm_start_strategy": "ordinal_regression"}
-    with SolveEngine() as engine:
-        first = engine.solve(problem, "rankhow", dict(base))
-        second = engine.solve(problem, "rankhow", {**base, "extra": {"prune": True}})
-        assert first.fingerprint != second.fingerprint
-        assert not second.cache_hit
+    with pytest.raises(ValueError, match="extra"):
+        SynthesisRequest(problem, "symgd", nested)
 
 
 def test_session_cell_error_bounds_follow_the_head(problem):

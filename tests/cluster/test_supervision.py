@@ -271,6 +271,33 @@ def test_restart_budget_exhaustion_is_a_clean_terminal_error():
     assert probe["ok"] is False and probe["terminal"]
 
 
+def test_router_restarted_after_stop_revives_a_killed_shard():
+    """start() builds fresh servers, so a shard killed before stop() serves."""
+    problem = build_problem()
+
+    async def scenario():
+        cluster = ClusterRouter(make_options())
+        await cluster.start()
+        try:
+            victim = owner_of(cluster, problem)
+            cluster.kill_shard(victim)
+            await cluster.stop()
+            await cluster.start()
+            routable = [cluster._routable(i) for i in range(2)]
+            health = await cluster.health()
+            response = await cluster.submit(problem, "symgd", FAST_PARAMS)
+            return victim, routable, health, response
+        finally:
+            await cluster.stop()
+
+    victim, routable, health, response = asyncio.run(scenario())
+    assert routable == [True, True]
+    assert health["per_shard"][victim]["ok"] is True
+    assert health["per_shard"][victim]["restarts"] == 0
+    assert response.shard == victim
+    assert not response.failover
+
+
 # -- restart observability -----------------------------------------------------
 
 

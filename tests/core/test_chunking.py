@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import chunking
@@ -42,8 +41,11 @@ def test_budget_context_restores_and_validates():
         assert chunking.memory_budget_bytes() == 2 * 1024 * 1024
     assert chunking.memory_budget_bytes() == before
     with pytest.raises(ValueError):
-        chunking.set_memory_budget_mb(-1.0)
-    chunking.set_memory_budget_mb(None)  # restores the default
+        with chunking.memory_budget(-1.0):
+            pass
+    with pytest.raises(RuntimeError):
+        with chunking.memory_budget(1.0):
+            raise RuntimeError("the budget is restored on the way out")
     assert chunking.memory_budget_bytes() == int(
         chunking.DEFAULT_MEMORY_BUDGET_MB * 1024 * 1024
     )
@@ -65,11 +67,13 @@ def test_counters_track_chunked_evaluations():
 
 
 def test_chunked_paths_count_once_per_evaluation():
-    from repro.core.scoring import induced_ranks_many
+    from repro.core.cells import CellBoundEvaluator, grid_cells
+    from repro.scenarios import generate_one
 
-    scores = np.random.default_rng(0).uniform(size=(8, 30))
-    induced_ranks_many(scores, 1e-6)  # single-shot: no counter
+    problem = generate_one("tied_scores", 0, 7).problem
+    cells = grid_cells(problem.num_attributes, 0.5, max_cells=4)
+    CellBoundEvaluator(problem, streaming=False).bounds_many(cells)
     assert chunking.counters()["chunked_evals_total"] == 0
-    induced_ranks_many(scores, 1e-6, chunk_rows=2)
+    CellBoundEvaluator(problem, streaming=True).bounds_many(cells)
     assert chunking.counters()["chunked_evals_total"] == 1
     assert chunking.counters()["peak_chunk_bytes"] > 0

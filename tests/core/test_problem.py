@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.constraints import ConstraintSet, PositionRangeConstraint, PrecedenceConstraint, min_weight
+from repro.core.metrics import position_error
 from repro.core.problem import RankingProblem, ToleranceSettings
 from repro.core.ranking import UNRANKED, Ranking
 from repro.data.rankings import ranking_from_scores
 from repro.data.relation import Relation
 from repro.data.synthetic import generate_uniform
+from repro.scenarios import generate_one, list_families
 
 
 def test_tolerance_settings_validation():
@@ -146,24 +148,54 @@ def test_problem_requires_at_least_one_attribute():
         RankingProblem(relation, ranking)
 
 
-def test_errors_of_many_matches_scalar_error_of(linear_problem):
+def _full_rank_error(problem, weights):
+    return position_error(problem.ranking, problem.induced_positions(weights))
+
+
+def test_error_of_matches_full_rank_reference(linear_problem):
+    """The ranked-only evaluator equals the error of the full induced ranking."""
     rng = np.random.default_rng(9)
-    candidates = rng.dirichlet(
-        np.ones(linear_problem.num_attributes), size=6
-    )
-    batched = linear_problem.errors_of_many(candidates)
-    assert batched.shape == (6,)
-    for i in range(candidates.shape[0]):
-        assert int(batched[i]) == linear_problem.error_of(candidates[i]), i
-
-
-def test_errors_of_many_rejects_bad_shapes(linear_problem):
-    with pytest.raises(ValueError):
-        linear_problem.errors_of_many(np.ones(linear_problem.num_attributes))
-    with pytest.raises(ValueError):
-        linear_problem.errors_of_many(
-            np.ones((2, linear_problem.num_attributes + 1))
+    problems = [linear_problem] + [
+        generate_one(family, 0, 20260730).problem for family in list_families()
+    ]
+    for problem in problems:
+        m = problem.num_attributes
+        candidates = np.vstack(
+            [rng.dirichlet(np.ones(m), size=20), np.eye(m), np.full((1, m), 1.0 / m)]
         )
+        for weights in candidates:
+            assert problem.error_of(weights) == _full_rank_error(problem, weights)
+
+
+def test_error_of_ranks_float32_relations_like_induced_positions():
+    """float32 scores are cast to float64 before the tie tolerance is added."""
+    # 0.5 + 5e-6 rounds up to this float32, so the tuple beats the ranked
+    # one by more than tie_eps in float64 but ties it in float32 arithmetic.
+    rows = np.array([[0.5], [0.5000050067901611], [0.1]])
+    problem = RankingProblem(
+        Relation.from_matrix(rows, ["A"]).astype(np.float32),
+        Ranking.from_ordered_indices([0], 3),
+    )
+    assert problem.matrix.dtype == np.float32
+    assert problem.error_of(np.ones(1)) == _full_rank_error(problem, np.ones(1)) == 1
+
+    family = generate_one("tied_scores", 0, 20260730).problem
+    narrow = RankingProblem(
+        family.relation.astype(np.float32),
+        family.ranking,
+        family.attributes,
+        tolerances=family.tolerances,
+    )
+    rng = np.random.default_rng(4)
+    for weights in rng.dirichlet(np.ones(narrow.num_attributes), size=30):
+        assert narrow.error_of(weights) == _full_rank_error(narrow, weights)
+
+
+def test_error_of_rejects_bad_shapes(linear_problem):
+    with pytest.raises(ValueError):
+        linear_problem.error_of(np.ones(linear_problem.num_attributes + 1))
+    with pytest.raises(ValueError):
+        linear_problem.error_of(np.ones((2, linear_problem.num_attributes)))
 
 
 def test_fingerprint_is_memoized_and_content_addressed(linear_problem):

@@ -1,16 +1,17 @@
 """Safety tests for rank-dominance tuple pruning (:mod:`repro.core.prune`).
 
-The prune is a presolve, never a semantic fork.  The battery asserts, in
-order of strength:
+RankHow prunes every problem it solves; the prune is a presolve, never a
+semantic fork.  The battery asserts, in order of strength:
 
 * **error invariance** -- any weight vector's position error is unchanged
   by the prune (the criterion's semantic guarantee);
 * **formulation identity** -- under the default dominance elimination the
   pruned MILP is the full MILP (same variables, bounds, objective, rows),
+  on the whole simplex, in SYM-GD cells and with per-tuple error weights,
   and without elimination it is strictly smaller;
 * **bitwise solve parity** -- RankHow and SYM-GD return bit-identical
-  weights/errors/node counts with pruning on vs. off, across every
-  scenario family, under prune-invariant seeding;
+  weights/errors/node counts with the prune step as shipped and with it
+  stubbed out, across every scenario family, under default seeding;
 * **adversarial margins** -- tuples at or inside the float-safety margin
   of the dominance band are never pruned;
 * **protection and staleness** -- constraint-referenced tuples survive,
@@ -22,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import rankhow as rankhow_module
+from repro.core.cells import cell_around
 from repro.core.constraints import (
     ConstraintSet,
     PositionRangeConstraint,
@@ -33,22 +36,13 @@ from repro.core.problem import RankingProblem, ToleranceSettings
 from repro.core.prune import PruneInfo, prune_problem, prune_threshold
 from repro.core.ranking import Ranking
 from repro.core.rankhow import RankHow, RankHowOptions
+from repro.core.seeds import get_seed_strategy
 from repro.core.symgd import SymGD, SymGDOptions
 from repro.data.relation import Relation
 from repro.scenarios import generate_one, list_families
 from repro.testing import model_differences
 
 SEED = 20260730
-
-#: Prune-invariant RankHow budgets: the uniform warm start reads no
-#: unranked tuples, so the pruned and full solves must follow the exact
-#: same branch-and-bound trajectory (see the exactness caveat in
-#: :mod:`repro.core.prune`).
-RANKHOW_INVARIANT = {
-    "node_limit": 150,
-    "verify": False,
-    "warm_start_strategy": "uniform",
-}
 
 
 def _problem(matrix, ranked_count, tolerances=None, constraints=None):
@@ -98,17 +92,43 @@ def _correlated_problem(n=300, m=4, k=8, seed=3):
     return RankingProblem(relation, ranking)
 
 
+def _assert_same_model(problem, info, cell_bounds=None, error_weights=None):
+    full = RankHowFormulation(
+        problem, cell_bounds=cell_bounds, error_weights=error_weights
+    )
+    pruned = RankHowFormulation(
+        info.problem,
+        cell_bounds=cell_bounds,
+        error_weights=None if error_weights is None else info.reindex(error_weights),
+    )
+    assert full.num_indicator_variables == pruned.num_indicator_variables
+    # The whole model: variables, objective, plain rows, indicator rows and
+    # big-Ms.
+    assert model_differences(full.model, pruned.model) == []
+    assert full.model.rows.is_indicator.sum() == 2 * full.num_indicator_variables
+
+
 def test_pruned_milp_identical_under_dominance_elimination():
     """With elimination on, pruning removes no variables -- only scan work."""
     problem = _correlated_problem()
     info = prune_problem(problem)
     assert info.num_pruned > 0, "fixture must actually prune"
-    full = RankHowFormulation(problem, eliminate_dominated=True)
-    pruned = RankHowFormulation(info.problem, eliminate_dominated=True)
-    assert full.num_indicator_variables == pruned.num_indicator_variables
-    # The whole model: variables, plain rows, indicator rows and big-Ms.
-    assert model_differences(full.model, pruned.model) == []
-    assert full.model.rows.is_indicator.sum() == 2 * full.num_indicator_variables
+    _assert_same_model(problem, info)
+
+    pruning = 0
+    for family in list_families():
+        problem = generate_one(family, 0, SEED).problem
+        info = prune_problem(problem)
+        pruning += info.num_pruned > 0
+        seed = get_seed_strategy("ordinal_regression")(problem)
+        ranked = problem.top_k_indices()
+        error_weights = {
+            int(r): float(position) for position, r in enumerate(ranked, start=1)
+        }
+        _assert_same_model(problem, info)
+        _assert_same_model(problem, info, cell_around(seed, 0.1).bounds())
+        _assert_same_model(problem, info, error_weights=error_weights)
+    assert pruning >= 5, "most families must actually prune"
 
 
 def test_prune_shrinks_naive_formulation():
@@ -130,58 +150,85 @@ def test_prune_shrinks_naive_formulation():
 # -- bitwise solve parity -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", list_families())
-def test_rankhow_bitwise_parity_all_families(family):
-    """Prune on vs. off: identical weights, error, and search trajectory."""
-    problem = generate_one(family, 0, SEED).problem
-    off = RankHow(RankHowOptions(**RANKHOW_INVARIANT)).solve(problem)
-    on = RankHow(
-        RankHowOptions(**RANKHOW_INVARIANT, extra={"prune": True})
-    ).solve(problem)
+def _no_prune(problem):
+    n = problem.num_tuples
+    return PruneInfo(
+        problem=problem,
+        kept=np.arange(n),
+        pruned=np.zeros(0, dtype=int),
+        original_n=n,
+    )
+
+
+def _assert_same_answer(on, off):
     assert int(on.error) == int(off.error)
-    assert np.array_equal(
-        np.asarray(on.weights, dtype=float),
-        np.asarray(off.weights, dtype=float),
-        equal_nan=True,
+    assert np.asarray(on.weights, dtype=float).tobytes() == (
+        np.asarray(off.weights, dtype=float).tobytes()
     )
     assert on.nodes == off.nodes
-    assert "pruned_tuples" in on.diagnostics
-    assert "pruned_tuples" not in off.diagnostics
+    assert on.optimal == off.optimal
+
+
+@pytest.mark.parametrize("family", list_families())
+def test_rankhow_bitwise_parity_all_families(family, monkeypatch):
+    """RankHow's prune step on vs. stubbed out: identical answer and search.
+
+    Default seeding: the warm start is computed before the prune, so even
+    the SYM-GD warm start (which reads unranked tuples) sees the full
+    problem.
+    """
+    problem = generate_one(family, 0, SEED).problem
+    options = RankHowOptions(node_limit=150)
+    on = RankHow(options).solve(problem)
+    monkeypatch.setattr(rankhow_module, "prune_problem", _no_prune)
+    off = RankHow(options).solve(problem)
+    _assert_same_answer(on, off)
+    assert on.verified == off.verified
+    assert on.diagnostics["pruned_tuples"] == prune_problem(problem).num_pruned
+    assert off.diagnostics["pruned_tuples"] == 0
 
 
 @pytest.mark.parametrize("family", ("tied_scores", "heavy_tail", "large_k"))
-def test_symgd_bitwise_parity(family):
-    """SYM-GD with prune-invariant seeding follows the same descent."""
+def test_symgd_bitwise_parity(family, monkeypatch):
+    """SYM-GD, whose cell solves prune, follows the unpruned descent exactly."""
     problem = generate_one(family, 0, SEED).problem
-    base = {
-        "cell_size": 0.25,
-        "max_iterations": 5,
-        # Prune-invariant seeding: the default ordinal-regression seed reads
-        # unranked tuples, which only guarantees value (error) parity.
-        "seed_strategy": "uniform",
-    }
-    solver_base = {
-        "node_limit": 60,
-        "verify": False,
-        "warm_start_strategy": "none",
-    }
-    off = SymGD(
-        SymGDOptions(**base, solver_options=RankHowOptions(**solver_base))
-    ).solve(problem)
-    on = SymGD(
-        SymGDOptions(
-            **base,
-            solver_options=RankHowOptions(**solver_base, extra={"prune": True}),
-        )
-    ).solve(problem)
-    assert int(on.error) == int(off.error)
-    assert np.array_equal(
-        np.asarray(on.weights, dtype=float),
-        np.asarray(off.weights, dtype=float),
-        equal_nan=True,
+    options = SymGDOptions(
+        cell_size=0.25,
+        max_iterations=5,
+        solver_options=RankHowOptions(
+            node_limit=60, verify=False, warm_start_strategy="none"
+        ),
     )
+    on = SymGD(options).solve(problem)
+    monkeypatch.setattr(rankhow_module, "prune_problem", _no_prune)
+    off = SymGD(options).solve(problem)
+    _assert_same_answer(on, off)
     assert on.iterations == off.iterations
-    assert "pruned_tuples" in on.diagnostics
+    # The engine's pruned-tuples counter reads these cell-solve diagnostics.
+    assert on.diagnostics["pruned_tuples"] == prune_problem(problem).num_pruned
+
+
+def test_error_weights_follow_the_kept_tuples():
+    """Per-tuple error weights are renumbered with the pruned tuples.
+
+    Tuple 0 is prunable and every other index shifts down by one in the
+    pruned problem; weights keyed by the caller's indices must still weigh
+    the caller's tuples, so RankHow returns the full model's optimum.
+    """
+    matrix = [[0.0, 0.0], [0.74, 0.25], [0.22, 0.67], [0.49, 0.59], [0.65, 0.35]]
+    relation = Relation.from_matrix(np.array(matrix), ["A1", "A2"])
+    problem = RankingProblem(relation, Ranking.from_ordered_indices([1, 2, 3], 5))
+    assert prune_problem(problem).pruned.tolist() == [0]
+    options = RankHowOptions(
+        node_limit=1000,
+        verify=False,
+        warm_start_strategy="uniform",
+        error_weights={1: 100.0, 2: 1.0, 3: 1.0},
+    )
+    result = RankHow(options).solve(problem)
+    assert result.optimal
+    assert result.objective == 2.0
+    assert result.error == 2
 
 
 # -- criterion edges ----------------------------------------------------------------
@@ -307,7 +354,7 @@ def test_prune_ratio_and_diagnostics_shape():
     assert 0.0 < info.ratio < 1.0
     assert info.num_pruned + info.kept.shape[0] == info.original_n
     result = RankHow(
-        RankHowOptions(**RANKHOW_INVARIANT, extra={"prune": True})
+        RankHowOptions(node_limit=150, verify=False, warm_start_strategy="uniform")
     ).solve(problem)
     assert result.diagnostics["pruned_tuples"] == info.num_pruned
     assert result.diagnostics["prune_original_n"] == info.original_n

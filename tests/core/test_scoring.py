@@ -108,36 +108,3 @@ def test_scaling_scores_does_not_change_ranking_without_eps(seed):
     rng = np.random.default_rng(seed)
     scores = rng.normal(size=20)
     assert np.array_equal(induced_ranks(scores), induced_ranks(scores * 7.3))
-
-
-def test_induced_ranks_accepts_precomputed_sort():
-    rng = np.random.default_rng(3)
-    scores = rng.normal(size=50)
-    sorted_scores = np.sort(scores)
-    for tie_eps in (0.0, 1e-6, 0.1, 1.0):
-        assert np.array_equal(
-            induced_ranks(scores, tie_eps),
-            induced_ranks(scores, tie_eps, sorted_scores=sorted_scores),
-        )
-
-
-def test_induced_ranks_many_matches_per_row_reference():
-    from repro.core.scoring import induced_ranks_many
-
-    rng = np.random.default_rng(4)
-    scores = rng.normal(size=(7, 30))
-    scores[2, :] = scores[2, 0]  # an all-tied row
-    for tie_eps in (0.0, 0.05):
-        batched = induced_ranks_many(scores, tie_eps)
-        for i in range(scores.shape[0]):
-            assert np.array_equal(batched[i], induced_ranks(scores[i], tie_eps)), i
-
-
-def test_induced_ranks_many_rejects_bad_input():
-    from repro.core.scoring import induced_ranks_many
-
-    with pytest.raises(ValueError):
-        induced_ranks_many(np.zeros(5))
-    with pytest.raises(ValueError):
-        induced_ranks_many(np.zeros((2, 5)), tie_eps=-1.0)
-    assert induced_ranks_many(np.zeros((3, 0))).shape == (3, 0)

@@ -141,11 +141,10 @@ def test_symgd_reports_lp_iteration_totals(nonlinear_problem):
 
 
 def test_time_limited_descent_preserves_solver_extras(nonlinear_problem, monkeypatch):
-    """The per-step time-budgeted options clone must keep extra/error_weights.
+    """The per-step time-budgeted options clone must keep error_weights.
 
     Regression test: the clone used to copy a hand-picked subset of fields,
-    silently dropping the extra switches (and weighted objectives) whenever
-    a time limit was set.
+    silently dropping weighted objectives whenever a time limit was set.
     """
     from repro.core import symgd as symgd_module
 
@@ -166,12 +165,12 @@ def test_time_limited_descent_preserves_solver_extras(nonlinear_problem, monkeyp
             node_limit=40,
             verify=False,
             warm_start_strategy="none",
-            extra={"prune": True},
+            error_weights={0: 2.0, 3: 0.5},
         ),
     )
     SymGD(options).solve(nonlinear_problem)
     stepped = [opts for opts in seen if opts["time_limit"] is not None]
     assert stepped, "the time-limited path never built a budgeted solver"
     for opts in stepped:
-        assert opts["extra"] == {"prune": True}
+        assert opts["error_weights"] == {"0": 2.0, "3": 0.5}
         assert opts["node_limit"] == 40
