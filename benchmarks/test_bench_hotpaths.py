@@ -1,4 +1,4 @@
-"""Hot-path micro-benchmarks: batched cell-error bounds, MILP build, node LPs.
+"""Hot-path micro-benchmarks: batched cell-error bounds, MILP build, node and seed LPs.
 
 Guards the hot paths reworked for performance (see the README's
 "Performance" section): every run writes the measured numbers to
@@ -10,7 +10,8 @@ reproduce the scalar reference bounds of :mod:`repro.testing` exactly, the
 **one-pass** RankHow MILP build must reproduce the per-pair reference models
 exactly, the **direct** HiGHS hand-off must reproduce every replayed node LP
 of the ``linprog`` reference bit for bit, and none may be slower than the
-path it replaced.
+path it replaced; the sparse ordinal-regression **seed** LP must solve bit
+for bit like the reference too.
 """
 
 from __future__ import annotations
@@ -55,3 +56,5 @@ def test_hotpaths(benchmark):
     assert direct.params["lps"] == reference.params["lps"] > 0
     # The direct hand-off is typically ~2x faster on these node LPs.
     assert direct.time_seconds <= reference.time_seconds * 1.2
+    # The sparse seed LP (one row per ordered pair) solves like linprog's.
+    assert lps["lp[seed]"].extra["matches_reference"]

@@ -128,30 +128,41 @@ class OrdinalRegressionBaseline:
         upper[:m] = 1.0
         lp.set_all_bounds(lower, upper)
 
-        simplex_row = np.zeros(total_vars)
-        simplex_row[:m] = 1.0
-        lp.add_constraint(simplex_row, "==", 1.0)
+        def block(weights, slacks=None, slack_values=None) -> tuple:
+            """CSR arrays of one row per row of ``weights`` (the ``m`` weight
+            entries), plus one slack entry per row when ``slacks`` is given."""
+            count, width = len(weights), m + (slacks is not None)
+            indices = np.empty((count, width), dtype=np.int64)
+            data = np.empty((count, width))
+            indices[:, :m] = np.arange(m)
+            data[:, :m] = weights
+            if slacks is not None:
+                indices[:, m] = slacks
+                data[:, m] = slack_values
+            return np.arange(count + 1) * width, indices.ravel(), data.ravel()
 
-        if options.apply_weight_constraints:
-            for row, sense, rhs in problem.constraints.weight_rows(problem.attributes):
-                full_row = np.zeros(total_vars)
-                full_row[:m] = row
-                lp.add_constraint(full_row, sense, rhs)
+        lp.add_rows(*block(np.ones((1, m))), ["=="], [1.0])
+        weight_rows = problem.constraints.weight_rows(problem.attributes)
+        if options.apply_weight_constraints and weight_rows:
+            rows, senses, rhs = zip(*weight_rows)
+            lp.add_rows(*block(np.array(rows)), senses, rhs)
 
         slack = m + np.arange(num_ordered + num_tie_slacks)
-        rows = np.zeros((num_ordered, total_vars))
-        rows[:, :m] = matrix[better] - matrix[worse]
-        rows[np.arange(num_ordered), slack[:num_ordered]] = 1.0
-        lp.add_constraints(rows, [">="] * num_ordered, np.full(num_ordered, margin))
+        lp.add_rows(
+            *block(matrix[better] - matrix[worse], slack[:num_ordered], 1.0),
+            np.full(num_ordered, ">="),
+            np.full(num_ordered, margin),
+        )
 
         if num_tie_slacks:
-            rows = np.zeros((num_tie_slacks, total_vars))
-            rows[:, :m] = np.repeat(matrix[tied_a] - matrix[tied_b], 2, axis=0)
-            rows[np.arange(num_tie_slacks), slack[num_ordered:]] = np.tile(
-                [-1.0, 1.0], len(tied_a)
-            )
-            lp.add_constraints(
-                rows, ["<=", ">="] * len(tied_a), np.tile([tie_eps, -tie_eps], len(tied_a))
+            lp.add_rows(
+                *block(
+                    np.repeat(matrix[tied_a] - matrix[tied_b], 2, axis=0),
+                    slack[num_ordered:],
+                    np.tile([-1.0, 1.0], len(tied_a)),
+                ),
+                ["<=", ">="] * len(tied_a),
+                np.tile([tie_eps, -tie_eps], len(tied_a)),
             )
         return lp, {
             "ordered_pairs": num_ordered,

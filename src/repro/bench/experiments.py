@@ -811,7 +811,12 @@ def experiment_hotpaths(
     :mod:`repro.testing` and through :meth:`LinearProgram.solve`
     (``extra["lps_per_second"]``); ``extra["matches_reference"]`` records
     that every status, ``x``, objective and iteration count is identical.
+    ``lp[seed]`` builds and solves the ordinal-regression seed LP of that
+    n=1000 SYM-GD relation, best of three (one row per ordered pair, held
+    sparse all the way into HiGHS); ``extra["matches_reference"]`` compares
+    its solution with the ``linprog`` reference.
     """
+    from repro.baselines.ordinal_regression import OrdinalRegressionBaseline
     from repro.core.cells import cell_error_bounds_many, grid_cells
     from repro.core.formulation import RankHowFormulation
     from repro.solvers.lp import LinearProgram
@@ -915,6 +920,30 @@ def experiment_hotpaths(
                 },
             )
         )
+
+    walls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        seed_lp, _ = OrdinalRegressionBaseline().build_lp(cell)
+        solution = seed_lp.solve()
+        walls.append(time.perf_counter() - start)
+    records.append(
+        ExperimentRecord(
+            experiment="hotpaths_lp",
+            dataset="uniform",
+            method="lp[seed]",
+            params={
+                "n": cell.num_tuples,
+                "rows": seed_lp.num_constraints,
+                "columns": seed_lp.num_vars,
+            },
+            time_seconds=min(walls),
+            extra={
+                "iterations": solution.iterations,
+                "matches_reference": not lp_differences(solution, lp_reference(seed_lp)),
+            },
+        )
+    )
     return records
 
 

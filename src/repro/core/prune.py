@@ -138,31 +138,9 @@ def _matrix_scale(matrix: np.ndarray) -> float:
 def prune_problem(problem: RankingProblem) -> PruneInfo:
     """Drop tuples that provably cannot affect any solver's reported error.
 
-    Memoized on the problem instance (immutable by convention, like the
-    fingerprint memo), so the cell solves of a SYM-GD descent scan once;
-    deltas build *new* instances, so a stale prune can never be served for
-    an edited problem.
+    Scans the problem on every call and keeps nothing on it: RankHow prunes
+    once per solve, and the pruned copy lives only as long as that solve.
     """
-    memo = getattr(problem, "_prune_memo", None)
-    if memo is not None:
-        return memo
-    info = _compute_prune(problem)
-    problem._prune_memo = info
-    if info.problem is not problem:
-        # Re-pruning the pruned problem is a no-op by construction: every
-        # surviving unranked tuple already failed the criterion.  Record
-        # that so a solve handed the pruned problem skips the scan.
-        info.problem._prune_memo = PruneInfo(
-            problem=info.problem,
-            kept=np.arange(info.problem.num_tuples),
-            pruned=np.zeros(0, dtype=int),
-            original_n=info.problem.num_tuples,
-            threshold=info.threshold,
-        )
-    return info
-
-
-def _compute_prune(problem: RankingProblem) -> PruneInfo:
     n = problem.num_tuples
     positions = problem.ranking.positions
     ranked = np.where(positions != UNRANKED)[0]

@@ -1,9 +1,9 @@
 """Best-first branch-and-bound for the MILP models in this package.
 
 The solver operates on :class:`~repro.solvers.milp.MILPModel` instances.  It
-builds the big-M LP relaxation once and re-solves it with HiGHS under
-per-node bound changes on the binary variables, which keeps node processing
-cheap.  Key features that mirror what the paper credits modern MILP solvers
+builds the big-M LP relaxation once and re-solves it on one HiGHS instance
+under per-node bound changes on the binary variables, which keeps node
+processing cheap.  Key features that mirror what the paper credits modern MILP solvers
 for (Section III-B):
 
 * **Holistic bounding** -- a global incumbent prunes any node whose LP
@@ -186,6 +186,18 @@ class BoundTightener:
         return lower, upper, True
 
 
+def _branch_variable(x: np.ndarray, binaries: np.ndarray, tolerance: float) -> int | None:
+    """The most fractional binary -- closest to 0.5, the first in
+    ``binaries`` on ties -- or ``None`` when every binary is within
+    ``tolerance`` of an integer."""
+    values = x[binaries]
+    fractional = np.abs(values - np.round(values)) > tolerance
+    if not fractional.any():
+        return None
+    candidates = binaries[fractional]
+    return int(candidates[np.argmin(np.abs(x[candidates] - 0.5))])
+
+
 class BranchAndBoundSolver:
     """Solve a :class:`MILPModel` by LP-based branch-and-bound."""
 
@@ -216,15 +228,15 @@ class BranchAndBoundSolver:
         options = self.options
         start = time.monotonic()
         relaxation = model.build_relaxation()
-        binaries = model.binary_indices
+        binaries = np.asarray(model.binary_indices, dtype=np.int64)
         base_lower = relaxation.lower_bounds.copy()
         base_upper = relaxation.upper_bounds.copy()
 
         tightener: BoundTightener | None = None
-        if binaries and relaxation.num_constraints:
+        if binaries.size and relaxation.num_constraints:
             tightener = BoundTightener(
                 *relaxation.constraint_rows(),
-                candidates=np.asarray(binaries, dtype=int),
+                candidates=binaries,
                 integral=True,
                 objective_row=relaxation.objective,
             )
@@ -324,22 +336,16 @@ class BranchAndBoundSolver:
             if node_bound >= incumbent_obj - options.gap_tolerance:
                 continue
 
-            fractional = [
-                i
-                for i in binaries
-                if abs(x[i] - round(x[i])) > options.integrality_tolerance
-            ]
-            if not fractional:
-                # Integral relaxation solution: snap the binaries exactly and
-                # keep the LP values for the continuous part.
+            branch_var = _branch_variable(x, binaries, options.integrality_tolerance)
+            if branch_var is None:
+                # Integral relaxation solution: snap the binaries exactly
+                # (``+ 0.0`` turns a rounded -0.0 into 0.0) and keep the LP
+                # values for the continuous part.
                 snapped = np.asarray(x, dtype=float).copy()
-                for i in binaries:
-                    snapped[i] = round(snapped[i])
+                snapped[binaries] = np.round(snapped[binaries]) + 0.0
                 try_incumbent(snapped)
                 continue
 
-            # Most fractional: closest to 0.5.
-            branch_var = min(fractional, key=lambda i: abs(x[i] - 0.5))
             frac_value = x[branch_var]
             # The closer value gets the earlier sequence number, so it wins
             # ties on the (shared) parent bound.

@@ -9,11 +9,13 @@
 
 and solves it with HiGHS through SciPy's bundled binding
 (``scipy.optimize._highspy``).  The RankHow pipelines solve thousands of
-small LPs (one per branch-and-bound node, one per TREE region), so the model
-prepares its HiGHS model -- stacked CSC matrix and row bounds -- once per
-row change, and a solve that changes only the objective or the bounds writes
-just those into it.  Every solve still runs on a fresh HiGHS instance, from
-a cold start.
+small LPs (one per branch-and-bound node, one per TREE region) and one large
+one (the ordinal-regression seed, a row per ordered pair), so rows stay
+sparse from the caller to HiGHS: the model stores them as CSR arrays and
+builds HiGHS's column-wise matrix from them with numpy, once per row change.
+Each relaxation is loaded into one HiGHS instance; a later solve writes only
+the objective and the column bounds into it and clears the solver, so every
+node still starts cold.
 """
 
 from __future__ import annotations
@@ -91,11 +93,12 @@ class LinearProgram:
             self.lower_bounds = np.zeros(self.num_vars)
         if self.upper_bounds is None:
             self.upper_bounds = np.full(self.num_vars, _INF)
-        # Constraints in insertion order: row blocks plus flat senses / rhs.
-        self._row_blocks: list[np.ndarray] = []
-        self._senses: list[str] = []
-        self._rhs: list[float] = []
-        self._matrix_cache: dict[str, tuple[np.ndarray, ...]] = {}
+        # Row blocks in insertion order: (entries per row, column indices,
+        # values, senses, rhs); merged into one block on first use.
+        self._blocks: list[tuple[np.ndarray, ...]] = []
+        self._num_rows = 0
+        self._matrix_cache: dict[str, object] = {}
+        self.add_rows([0], [], [], [], [])
 
     # -- model construction -------------------------------------------------
 
@@ -138,20 +141,19 @@ class LinearProgram:
         """Add a linear constraint and return its row index.
 
         Args:
-            coefficients: Row of the constraint matrix.
+            coefficients: Dense row of the constraint matrix; only its
+                nonzeros (``nan`` and ``inf`` included) are stored.
             sense: One of ``"<="``, ``">="``, ``"=="``.
             rhs: Right-hand side constant.
         """
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"unsupported constraint sense: {sense!r}")
-        row = np.array(coefficients, dtype=float).ravel()
+        row = np.asarray(coefficients, dtype=float).ravel()
         if row.shape[0] != self.num_vars:
             raise ValueError("constraint length does not match num_vars")
-        self._row_blocks.append(row[None, :])
-        self._senses.append(sense)
-        self._rhs.append(float(rhs))
-        self._matrix_cache.clear()
-        return len(self._senses) - 1
+        columns = np.flatnonzero(row)
+        self.add_rows([0, len(columns)], columns, row[columns], [sense], [rhs])
+        return self._num_rows - 1
 
     def add_constraints(
         self,
@@ -159,96 +161,147 @@ class LinearProgram:
         senses: np.ndarray | list[str],
         rhs: np.ndarray | list[float],
     ) -> None:
-        """Add a block of constraints: ``rows`` is ``(count, num_vars)``."""
-        if not set(senses) <= {"<=", ">=", "=="}:
-            raise ValueError(f"unsupported constraint sense in {list(senses)!r}")
+        """Add a block of dense constraints: ``rows`` is ``(count, num_vars)``;
+        only their nonzeros are stored."""
         rows = np.array(rows, dtype=float, ndmin=2)
         if rows.shape[1] != self.num_vars:
             raise ValueError("constraint length does not match num_vars")
-        self._row_blocks.append(rows)
-        self._senses.extend(senses)
-        self._rhs.extend(map(float, rhs))
+        row_index, columns = np.nonzero(rows)
+        counts = np.bincount(row_index, minlength=rows.shape[0])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.add_rows(indptr, columns, rows[row_index, columns], senses, rhs)
+
+    def add_rows(
+        self,
+        indptr: np.ndarray | list[int],
+        indices: np.ndarray | list[int],
+        data: np.ndarray | list[float],
+        senses: np.ndarray | list[str],
+        rhs: np.ndarray | list[float],
+    ) -> None:
+        """Append a block of rows given as CSR arrays (``indptr`` starts at 0).
+
+        Row ``i`` is ``data[p] @ x[indices[p]] senses[i] rhs[i]`` over
+        ``p in indptr[i]:indptr[i+1]``; a column may repeat within a row, and
+        its values then add up.
+        """
+        counts = np.diff(np.asarray(indptr, dtype=np.int64))
+        senses = np.asarray(senses, dtype=str).ravel()
+        if not np.all((senses == "<=") | (senses == ">=") | (senses == "==")):
+            raise ValueError(
+                f"unsupported constraint sense in {sorted(set(senses.tolist()))!r}"
+            )
+        senses = senses.astype("<U2")
+        indices = np.array(indices, dtype=np.int64).ravel()
+        data = np.array(data, dtype=float).ravel()
+        rhs = np.array(rhs, dtype=float).ravel()
+        if not counts.shape[0] == senses.shape[0] == rhs.shape[0]:
+            raise ValueError("indptr, senses and rhs disagree on the row count")
+        if indices.shape[0] != data.shape[0] or indices.shape[0] != counts.sum():
+            raise ValueError("indices and data must hold indptr[-1] entries")
+        if indices.shape[0] and not 0 <= indices.min() <= indices.max() < self.num_vars:
+            raise ValueError("constraint column index out of range")
+        self._blocks.append((counts, indices, data, senses, rhs))
+        self._num_rows += counts.shape[0]
         self._matrix_cache.clear()
 
     @property
     def num_constraints(self) -> int:
-        return len(self._senses)
+        return self._num_rows
 
     def copy(self) -> "LinearProgram":
-        """Deep-copy the model."""
+        """Deep-copy the model.  The clone loads its own HiGHS instance."""
         clone = LinearProgram(self.num_vars)
         clone.objective = self.objective.copy()
         clone.lower_bounds = self.lower_bounds.copy()
         clone.upper_bounds = self.upper_bounds.copy()
-        clone._row_blocks = [block.copy() for block in self._row_blocks]
-        clone._senses = list(self._senses)
-        clone._rhs = list(self._rhs)
+        clone._blocks = [tuple(part.copy() for part in self._rows())]
+        clone._num_rows = self._num_rows
         return clone
 
-    # -- matrix views --------------------------------------------------------
+    # -- row views -----------------------------------------------------------
 
-    def _stacked(self) -> dict[str, tuple[np.ndarray, ...]]:
-        """Stacked constraint matrices, cached until the next added row:
-        branch-and-bound re-solves the same program once per node, and
-        re-stacking hundreds of rows per node is pure overhead."""
-        if not self._matrix_cache:
-            rows = np.concatenate([np.zeros((0, self.num_vars)), *self._row_blocks])
-            senses = np.asarray(self._senses, dtype="<U2")
-            rhs = np.asarray(self._rhs, dtype=float)
-            ub, eq = senses != "==", senses == "=="
-            sign = np.where(senses[ub] == ">=", -1.0, 1.0)
-            a_ub = rows[ub]
-            a_ub *= sign[:, None]
-            self._matrix_cache = {
-                "all": (rows, senses, rhs),
-                "ub": (a_ub, rhs[ub] * sign),
-                "eq": (rows[eq], rhs[eq]),
-            }
-        return self._matrix_cache
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """Every row in insertion order: ``(entries per row, column indices,
+        values, senses, rhs)``."""
+        if len(self._blocks) > 1:
+            self._blocks = [tuple(np.concatenate(part) for part in zip(*self._blocks))]
+        return self._blocks[0]
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every constraint in insertion order: ``(rows, senses, rhs)``."""
-        return self._stacked()["all"]
+        """Every constraint in insertion order: ``(rows, senses, rhs)``, with
+        the rows densified on each call."""
+        counts, indices, data, senses, rhs = self._rows()
+        matrix = np.zeros((rhs.shape[0], self.num_vars))
+        np.add.at(matrix, (np.repeat(np.arange(rhs.shape[0]), counts), indices), data)
+        return matrix, senses, rhs
 
     def inequality_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(A_ub, b_ub)`` with all inequalities as ``<=`` rows."""
-        return self._stacked()["ub"]
+        """Return dense ``(A_ub, b_ub)`` with all inequalities as ``<=`` rows."""
+        rows, senses, rhs = self.constraint_rows()
+        ub = senses != "=="
+        sign = np.where(senses[ub] == ">=", -1.0, 1.0)
+        return rows[ub] * sign[:, None], rhs[ub] * sign
 
     def equality_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(A_eq, b_eq)``."""
-        return self._stacked()["eq"]
+        """Return dense ``(A_eq, b_eq)``."""
+        rows, senses, rhs = self.constraint_rows()
+        eq = senses == "=="
+        return rows[eq], rhs[eq]
 
     # -- solving -------------------------------------------------------------
 
     def _prepared(self) -> tuple:
         """The HiGHS model of the current rows, built by the first solve
-        after a row change: rows validated, ``A_ub`` stacked over ``A_eq``
-        in CSC form, row bounds set.  Each solve then writes only the
-        objective and the column bounds into it."""
+        after a row change: the inequality rows in insertion order (``>=``
+        rows negated), then the equality rows, as a column-wise matrix."""
         prepared = self._matrix_cache.get("highs")
         if prepared is None:
             from scipy.optimize._highspy import _core as highs
-            from scipy.sparse import csc_array
 
-            a_ub, b_ub = self.inequality_matrix()
-            a_eq, b_eq = self.equality_matrix()
-            for name, values in (("A_ub", a_ub), ("b_ub", b_ub), ("A_eq", a_eq), ("b_eq", b_eq)):
+            counts, indices, data, senses, rhs = self._rows()
+            ub = senses != "=="
+            entry_ub = np.repeat(ub, counts)
+            for name, values in (
+                ("A_ub", data[entry_ub]),
+                ("b_ub", rhs[ub]),
+                ("A_eq", data[~entry_ub]),
+                ("b_eq", rhs[~ub]),
+            ):
                 _check_finite(name, values)
-            matrix = csc_array(np.vstack((a_ub, a_eq)))
+            num_ub = int(ub.sum())
+            highs_row = np.empty(rhs.shape[0], dtype=np.int64)
+            highs_row[ub] = np.arange(num_ub)
+            highs_row[~ub] = np.arange(num_ub, rhs.shape[0])
+            sign = np.where(senses == ">=", -1.0, 1.0)
+            start, index, value = _column_wise(
+                np.repeat(highs_row, counts),
+                indices,
+                data * np.repeat(sign, counts),
+                rhs.shape[0],
+                self.num_vars,
+            )
             model = highs.HighsLp()
             model.num_col_ = model.a_matrix_.num_col_ = self.num_vars
-            model.num_row_ = model.a_matrix_.num_row_ = matrix.shape[0]
+            model.num_row_ = model.a_matrix_.num_row_ = rhs.shape[0]
             model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-            model.a_matrix_.start_ = matrix.indptr
-            model.a_matrix_.index_ = matrix.indices
-            model.a_matrix_.value_ = matrix.data
-            model.row_lower_ = np.concatenate((np.full(len(b_ub), -_INF), b_eq))
-            model.row_upper_ = row_upper = np.concatenate((b_ub, b_eq))
-            prepared = self._matrix_cache["highs"] = (model, row_upper, len(b_ub))
+            model.a_matrix_.start_ = start
+            model.a_matrix_.index_ = index
+            model.a_matrix_.value_ = value
+            b_ub = rhs[ub] * sign[ub]
+            model.row_lower_ = np.concatenate((np.full(num_ub, -_INF), rhs[~ub]))
+            model.row_upper_ = row_upper = np.concatenate((b_ub, rhs[~ub]))
+            columns = np.arange(self.num_vars, dtype=np.int32)
+            prepared = self._matrix_cache["highs"] = (model, row_upper, num_ub, columns)
         return prepared
 
     def solve(self) -> LPSolution:
         """Solve the LP with HiGHS, every call from a cold start.
+
+        The first solve after a row change loads the model into a new HiGHS
+        instance; later solves write only the objective and the column
+        bounds into it and clear the solver (basis, solution, factorization)
+        before running, so the answer is the one a fresh instance gives.
 
         Statuses follow the HiGHS model status: a load error or a proven
         infeasibility is ``INFEASIBLE``, a proven unboundedness
@@ -263,21 +316,32 @@ class LinearProgram:
         if c.shape[0] != self.num_vars:
             raise ValueError("objective length does not match num_vars")
         _check_finite("c", c)
-        model, row_upper, num_ub = self._prepared()
+        model, row_upper, num_ub, columns = self._prepared()
         lower = np.asarray(self.lower_bounds, dtype=float).ravel()
         upper = np.asarray(self.upper_bounds, dtype=float).ravel()
         if lower.shape[0] != self.num_vars or upper.shape[0] != self.num_vars:
             raise ValueError("bound arrays must have num_vars entries")
         lower = np.where(np.isnan(lower), -_INF, lower)
         upper = np.where(np.isnan(upper), _INF, upper)
-        model.col_cost_ = c
-        model.col_lower_ = lower
-        model.col_upper_ = upper
 
-        solver = highs._Highs()
-        solver.passOptions(_highs_options())
-        if solver.passModel(model) == highs.HighsStatus.kError:
+        # The instance stays cached only while every write into it succeeds.
+        solver = self._matrix_cache.pop("solver", None)
+        if solver is None:
+            model.col_cost_ = c
+            model.col_lower_ = lower
+            model.col_upper_ = upper
+            solver = highs._Highs()
+            solver.passOptions(_highs_options())
+            written = [solver.passModel(model)]
+        else:
+            written = [
+                solver.changeColsCost(self.num_vars, columns, c),
+                solver.changeColsBounds(self.num_vars, columns, lower, upper),
+                solver.clearSolver(),
+            ]
+        if highs.HighsStatus.kError in written:
             return _failure(highs.HighsModelStatus.kModelError, 0)
+        self._matrix_cache["solver"] = solver
         if solver.run() == highs.HighsStatus.kError:
             return _failure(solver.getModelStatus(), 0)
         status = solver.getModelStatus()
@@ -305,6 +369,27 @@ class LinearProgram:
 
 #: Largest primal residual (bounds and rows) an optimum may carry.
 _RESIDUAL_TOLERANCE = np.sqrt(1e-9) * 10
+
+
+def _column_wise(
+    rows: np.ndarray, columns: np.ndarray, values: np.ndarray, num_rows: int, num_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC ``(start, index, value)`` arrays of the entries ``(rows, columns,
+    values)``, listed row by row: ordered by (column, row), repeated entries
+    summed in entry order, zeros dropped -- byte for byte what ``csc_array``
+    makes of the dense matrix the entries add up to."""
+    order = np.argsort(columns * num_rows + rows, kind="stable")
+    rows, columns, values = rows[order], columns[order], values[order]
+    repeated = (rows[1:] == rows[:-1]) & (columns[1:] == columns[:-1])
+    if repeated.any():
+        first = np.concatenate(([True], ~repeated))
+        summed = np.zeros(int(first.sum()))
+        np.add.at(summed, np.cumsum(first) - 1, values)
+        rows, columns, values = rows[first], columns[first], summed
+    nonzero = values != 0.0
+    start = np.zeros(num_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(columns[nonzero], minlength=num_cols), out=start[1:])
+    return start, rows[nonzero].astype(np.int32), values[nonzero]
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:

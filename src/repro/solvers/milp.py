@@ -105,12 +105,6 @@ class ModelRows:
         products = self.data * x[self.indices]
         return np.bincount(self.entry_rows(), weights=products, minlength=len(self))
 
-    def dense(self, num_vars: int) -> np.ndarray:
-        """The rows as a dense ``(rows, num_vars)`` matrix."""
-        matrix = np.zeros((len(self), num_vars))
-        np.add.at(matrix, (self.entry_rows(), self.indices), self.data)
-        return matrix
-
 
 class MILPModel:
     """A minimization MILP with binary and continuous variables."""
@@ -333,22 +327,36 @@ class MILPModel:
         ``-1`` (``>=``): active value 1 gives ``row + s*M*delta <= / >= rhs
         + s*M``; active value 0 gives ``row - s*M*delta <= / >= rhs``.
         Unconditional rows come first, then the indicator rows, each group
-        in insertion order.
+        in insertion order; the rows stay sparse, each indicator row with
+        one entry for its binary after its own entries.
         """
         rows = self.rows
         big_m = self._big_m_values(rows)
-        matrix = rows.dense(self._num_vars)
-        rhs = rows.rhs.copy()
-        indicator = np.flatnonzero(rows.is_indicator)
+        indicator = rows.is_indicator
+        counts = np.diff(rows.indptr)
+        on_indicator = np.repeat(indicator, counts)
         shift = np.where(rows.sense[indicator] == "<=", 1.0, -1.0) * big_m[indicator]
         active = rows.active_value[indicator] == 1
-        matrix[indicator, rows.binary[indicator]] += np.where(active, shift, -shift)
-        rhs[indicator[active]] += shift[active]
-        order = np.argsort(rows.is_indicator, kind="stable")
+        rhs = rows.rhs[indicator]
+        rhs[active] += shift[active]
+        ends = np.cumsum(counts[indicator])
         lp = LinearProgram(self._num_vars)
         lp.set_objective(self._objective)
         lp.set_all_bounds(*self.bounds())
-        lp.add_constraints(matrix[order], rows.sense[order], rhs[order])
+        lp.add_rows(
+            np.concatenate(([0], np.cumsum(counts[~indicator]))),
+            rows.indices[~on_indicator],
+            rows.data[~on_indicator],
+            rows.sense[~indicator],
+            rows.rhs[~indicator],
+        )
+        lp.add_rows(
+            np.concatenate(([0], ends + np.arange(1, ends.shape[0] + 1))),
+            np.insert(rows.indices[on_indicator], ends, rows.binary[indicator]),
+            np.insert(rows.data[on_indicator], ends, np.where(active, shift, -shift)),
+            rows.sense[indicator],
+            rhs,
+        )
         return lp
 
     # -- verification -----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from repro.baselines.ordinal_regression import (
     OrdinalRegressionBaseline,
     OrdinalRegressionOptions,
 )
+from repro.bench.harness import synthetic_problem
 from repro.core.constraints import ConstraintSet, min_weight
 from repro.core.problem import RankingProblem
 from repro.core.ranking import UNRANKED, Ranking
+from repro.core.seeds import ordinal_regression_seed
 from repro.data.rankings import ranking_from_scores
 from repro.data.relation import Relation
 from repro.data.synthetic import generate_uniform
@@ -142,3 +146,23 @@ def test_block_built_lp_matches_per_row_build(family):
     assert lp.num_vars == expected.num_vars
     for ours, theirs in zip(lp.constraint_rows(), expected.constraint_rows()):
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+def test_seed_lp_memory_follows_its_nonzeros():
+    """The seed LP of the 20,000-tuple SYM-GD scaling relation stays sparse.
+
+    One ordered pair per unranked tuple gives ~20,000 rows over ~20,000
+    slack columns: a dense row block would ask for ~3 GB, the sparse rows
+    take a few MB (HiGHS's own memory is not traced).
+    """
+    problem = synthetic_problem(
+        distribution="correlated", num_tuples=20_000, num_attributes=5, k=15, exponent=3.0
+    )
+    tracemalloc.start()
+    try:
+        weights = ordinal_regression_seed(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert weights.shape == (5,) and weights.sum() == pytest.approx(1.0)

@@ -14,11 +14,15 @@ semantic fork.  The battery asserts, in order of strength:
   stubbed out, across every scenario family, under default seeding;
 * **adversarial margins** -- tuples at or inside the float-safety margin
   of the dominance band are never pruned;
-* **protection and staleness** -- constraint-referenced tuples survive,
-  and edited (delta-built) problems can never be served a stale prune.
+* **protection, lifetime and staleness** -- constraint-referenced tuples
+  survive, a solve leaves no pruned copy behind on the caller's problem,
+  and edited (delta-built) problems are pruned over their own tuples.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -310,23 +314,33 @@ def test_prune_threshold_uses_the_matrix_dtype():
     )
 
 
-# -- memoization and staleness ------------------------------------------------------
+# -- lifetime and staleness ------------------------------------------------------
 
 
-def test_prune_is_memoized_per_instance():
+def test_solve_keeps_no_pruned_copy_on_the_problem(monkeypatch):
+    """The pruned copy lives only as long as the solve that made it."""
     problem = _correlated_problem()
-    first = prune_problem(problem)
-    second = prune_problem(problem)
-    assert first is second
-    # The pruned child carries a no-op memo so nested solvers skip the scan.
-    child_info = prune_problem(first.problem)
-    assert isinstance(child_info, PruneInfo)
-    assert child_info.problem is first.problem
-    assert child_info.num_pruned == 0
+    copies = []
+
+    def recording_prune(target):
+        info = prune_problem(target)
+        copies.append(weakref.ref(info.problem))
+        return info
+
+    monkeypatch.setattr(rankhow_module, "prune_problem", recording_prune)
+    result = RankHow(
+        RankHowOptions(node_limit=50, verify=False, warm_start_strategy="uniform")
+    ).solve(problem)
+    assert result.diagnostics["pruned_tuples"] > 0
+    gc.collect()
+    assert len(copies) == 1 and copies[0]() is None
+    assert not any(
+        isinstance(value, (PruneInfo, RankingProblem)) for value in vars(problem).values()
+    )
 
 
 def test_deltas_never_see_a_stale_prune():
-    """Edited problems are new instances: the memo cannot leak across edits."""
+    """Edited problems are pruned over their own tuples."""
     problem = _correlated_problem(n=120, m=3, k=5)
     info = prune_problem(problem)
     assert info.num_pruned > 0
@@ -335,7 +349,6 @@ def test_deltas_never_see_a_stale_prune():
     # the edited problem's prune even though the original was pruned first.
     columns = {name: (1.0,) for name in problem.relation.attribute_names}
     edited = AddTuplesDelta(columns=columns).apply(problem)
-    assert getattr(edited, "_prune_memo", None) is None
     edited_info = prune_problem(edited)
     new_index = edited.num_tuples - 1
     assert new_index in edited_info.kept
@@ -343,7 +356,6 @@ def test_deltas_never_see_a_stale_prune():
 
     # Dropping tuples likewise rebuilds: the new prune is over the new data.
     dropped = DropTuplesDelta(indices=(int(info.pruned[0]),)).apply(problem)
-    assert getattr(dropped, "_prune_memo", None) is None
     dropped_info = prune_problem(dropped)
     assert dropped_info.original_n == problem.num_tuples - 1
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.solvers.branch_and_bound import BranchAndBoundSolver, SolverOptions
+from repro.solvers.branch_and_bound import (
+    BranchAndBoundSolver,
+    SolverOptions,
+    _branch_variable,
+)
 from repro.solvers.lp import LinearProgram, LPSolution, LPStatus
 from repro.solvers.milp import MILPModel, MILPStatus
 
@@ -172,3 +176,21 @@ def test_lp_iterations_count_infeasible_nodes(monkeypatch):
     infeasible = [s.iterations for s in solves if s.status is LPStatus.INFEASIBLE]
     assert sum(infeasible) > 0
     assert solution.lp_iterations == sum(s.iterations for s in solves)
+
+
+def test_branch_variable_matches_the_per_binary_loop():
+    """The array form picks the binary the per-binary loop it replaced did."""
+    binaries = np.array([0, 2, 3, 5, 6])
+    rng = np.random.default_rng(0)
+    cases = [rng.uniform(-0.2, 1.2, 8) for _ in range(300)]
+    cases += [
+        np.array([0.25, 9.0, 0.75, 0.5, 0.5, 9.0, -0.0, 0.4]),  # ties: first wins
+        np.array([0.0, 9.0, 1e-7, 1.0 - 1e-7, -2e-7, 9.0, 2.5, 0.0]),
+        np.array([1.0, 9.0, 0.0, -0.0, 1.0, 9.0, 1.0, 0.5]),  # all integral
+        np.array([2e-6, 9.0, 1.0 - 2e-6, 1.0, 0.0, 9.0, 1.0, 0.5]),
+    ]
+    for x in cases:
+        fractional = [i for i in binaries.tolist() if abs(x[i] - round(x[i])) > 1e-6]
+        expected = min(fractional, key=lambda i: abs(x[i] - 0.5)) if fractional else None
+        chosen = _branch_variable(x, binaries, 1e-6)
+        assert chosen == expected and type(chosen) is type(expected)

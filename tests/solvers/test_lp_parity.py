@@ -5,15 +5,20 @@ bundled binding; :func:`repro.testing.lp_reference` is the
 ``scipy.optimize.linprog(method="highs")`` call it replaced.  Every LP the
 solvers produce -- branch-and-bound nodes on every scenario family, TREE
 regions, the ordinal-regression seed -- must come back bit for bit the same
-from both: status, ``x``, objective and iteration count.  The binding is a
-private SciPy module, so this file is also the alarm for a SciPy release
-that moves it.
+from both: status, ``x``, objective and iteration count.  The model hands
+HiGHS a column-wise matrix it builds from its sparse rows, and keeps one
+HiGHS instance per relaxation (``passModel`` once, then ``changeColsCost``,
+``changeColsBounds``, ``clearSolver`` and ``run`` per solve), so this file
+also checks those arrays against SciPy's own conversion of the dense rows
+and a reused instance against a fresh one.  The binding is a private SciPy
+module, so this file is also the alarm for a SciPy release that moves it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from repro.baselines.ordinal_regression import OrdinalRegressionBaseline
 from repro.core.cells import cell_around
@@ -155,18 +160,17 @@ def test_infeasible_lp_reports_its_iterations():
 @pytest.mark.parametrize("where", ["c", "A_ub", "b_ub", "A_eq", "b_eq"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_raises_like_the_reference(where, value):
-    lp = LinearProgram(2)
-    lp.set_objective([1.0, 1.0])
-    lp.add_constraint([1.0, 1.0], ">=", 0.5)
-    lp.add_constraint([1.0, -1.0], "==", 0.0)
+    inputs = {"c": [1.0, 1.0], "A_ub": [1.0, 1.0], "b_ub": 0.5, "A_eq": [1.0, -1.0], "b_eq": 0.0}
     if where == "c":
-        lp.objective[0] = value
+        inputs["c"] = [value, 1.0]
+    elif where.startswith("A"):
+        inputs[where] = [inputs[where][0], value]
     else:
-        row = 0 if where.endswith("ub") else 1
-        if where.startswith("A"):
-            lp._row_blocks[row][0, 1] = value
-        else:
-            lp._rhs[row] = value
+        inputs[where] = value
+    lp = LinearProgram(2)
+    lp.set_objective(inputs["c"])
+    lp.add_constraint(inputs["A_ub"], ">=", inputs["b_ub"])
+    lp.add_constraint(inputs["A_eq"], "==", inputs["b_eq"])
     with pytest.raises(ValueError, match=f"{where} must"):
         lp_reference(lp)
     with pytest.raises(ValueError, match=f"{where} must"):
@@ -188,3 +192,141 @@ def test_row_added_after_a_solve_is_honoured():
     assert _assert_same(lp, LPStatus.OPTIMAL).x.tolist() == [0.25, 0.25]
     lp.add_constraint([1.0, 0.0], "<=", -1.0)
     _assert_same(lp, LPStatus.INFEASIBLE)
+
+
+# -- the column-wise matrix handed to HiGHS ------------------------------------
+
+
+def _assert_highs_gets_the_dense_rows(lp: LinearProgram):
+    a_ub, _ = lp.inequality_matrix()
+    a_eq, _ = lp.equality_matrix()
+    expected = csc_array(np.vstack((a_ub, a_eq)))
+    matrix = lp._prepared()[0].a_matrix_
+    for handed, wanted in (
+        (matrix.start_, expected.indptr),
+        (matrix.index_, expected.indices),
+        (matrix.value_, expected.data),
+    ):
+        handed = np.asarray(handed, dtype=wanted.dtype)
+        assert handed.shape == wanted.shape and handed.tobytes() == wanted.tobytes()
+
+
+@pytest.mark.parametrize("family", list_families())
+def test_highs_matrix_is_the_csc_of_the_dense_rows(family):
+    problem = scenario_problem(family, 0, seed=0)
+    m = problem.num_attributes
+    cell = cell_around(np.full(m, 1.0 / m), 0.4)
+    for box in (None, (cell.lower, cell.upper)):
+        model = RankHowFormulation(problem, cell_bounds=box).model
+        _assert_highs_gets_the_dense_rows(model.build_relaxation())
+    _assert_highs_gets_the_dense_rows(OrdinalRegressionBaseline().build_lp(problem)[0])
+
+
+def test_repeated_and_zero_entries_reach_highs_like_the_dense_rows():
+    lp = LinearProgram(3)
+    # Row 0 repeats column 1 and stores explicit zeros; row 1's column-2
+    # entries cancel; the >= row 2 is negated on the way.
+    lp.add_rows(
+        [0, 5, 7, 9],
+        [1, 0, 1, 2, 0, 2, 2, 1, 0],
+        [0.1, 0.0, 0.2, 1.0, -0.0, 1.0, -1.0, 0.3, 0.7],
+        ["<=", "==", ">="],
+        [1.0, 0.0, 0.5],
+    )
+    dense, senses, rhs = lp.constraint_rows()
+    assert dense[0].tolist() == [0.0, 0.1 + 0.2, 1.0] and dense[1, 2] == 0.0
+    _assert_highs_gets_the_dense_rows(lp)
+    _assert_same(lp)
+
+
+# -- one HiGHS instance per relaxation ----------------------------------------
+
+
+def _iterating_lp() -> LinearProgram:
+    """An LP that HiGHS still needs simplex iterations for after presolve."""
+    lp = LinearProgram(4)
+    lp.set_objective([0.74, 0.67, 0.68, 0.46])
+    lp.add_constraint(np.ones(4), "==", 1.0)
+    lp.add_constraints(
+        np.array(
+            [
+                [-0.59, -0.35, 0.61, -0.37],
+                [-0.7, 0.4, -0.1, 0.6],
+                [-0.53, -0.36, 0.6, 0.01],
+                [0.01, -0.53, -0.97, 0.87],
+                [-0.83, 0.69, -0.26, 0.9],
+                [-0.2, 0.87, 0.11, -0.52],
+            ]
+        ),
+        [">="] * 6,
+        [-0.22, -0.08, -0.26, -0.06, -0.08, -0.17],
+    )
+    return lp
+
+
+def _instance(lp: LinearProgram):
+    return lp._matrix_cache.get("solver")
+
+
+def _assert_fresh_and_reference(lp: LinearProgram, status: LPStatus) -> None:
+    ours = lp.solve()
+    assert ours.status is status
+    assert lp_differences(ours, lp.copy().solve()) == []
+    assert lp_differences(ours, lp_reference(lp)) == []
+
+
+def test_reused_instance_matches_a_fresh_one():
+    lp = _iterating_lp()
+    nan = np.nan
+    steps = [
+        (LPStatus.OPTIMAL, lambda: lp.set_all_bounds(np.zeros(4), np.ones(4))),
+        # Crossed bounds: within HiGHS's tolerance, then beyond it.
+        (LPStatus.OPTIMAL, lambda: lp.set_all_bounds([1e-12, 0, 0, 0], [0, 1, 1, 1])),
+        (LPStatus.INFEASIBLE, lambda: lp.set_all_bounds([0.5, 0, 0, 0], [0.25, 1, 1, 1])),
+        # A box whose weights cannot sum to 1.
+        (LPStatus.INFEASIBLE, lambda: lp.set_all_bounds(np.zeros(4), np.full(4, 0.2))),
+        (LPStatus.OPTIMAL, lambda: lp.set_all_bounds([nan, 0, 0, 0], [1, nan, 1, 1])),
+        (LPStatus.OPTIMAL, lambda: lp.set_objective([0.2, 0.9, 0.1, 0.8])),
+    ]
+    loaded = None
+    for status, change in steps:
+        change()
+        _assert_fresh_and_reference(lp, status)
+        assert loaded is None or _instance(lp) is loaded
+        loaded = _instance(lp)
+    assert lp.solve().iterations > 0
+    # A new row drops the instance; the next solve loads a new one.
+    lp.add_constraint([0.0, 1.0, -1.0, 0.0], ">=", 0.1)
+    assert _instance(lp) is None
+    _assert_fresh_and_reference(lp, LPStatus.OPTIMAL)
+    assert _instance(lp) not in (None, loaded)
+
+
+def test_load_error_drops_the_instance():
+    lp = _iterating_lp()
+    lp.set_all_bounds(np.zeros(4), np.ones(4))
+    first = lp.solve()
+    # HiGHS rejects a +inf lower bound when the bounds are written.
+    lp.set_all_bounds([np.inf, 0, 0, 0], [np.inf, 1, 1, 1])
+    _assert_fresh_and_reference(lp, LPStatus.INFEASIBLE)
+    assert _instance(lp) is None
+    lp.set_all_bounds(np.zeros(4), np.ones(4))
+    assert lp_differences(lp.solve(), first) == []
+
+
+def test_copy_loads_its_own_instance():
+    lp = _iterating_lp()
+    lp.set_all_bounds(np.zeros(4), np.ones(4))
+    first = lp.solve()
+    original = _instance(lp)
+    clone = lp.copy()
+    assert _instance(clone) is None
+    clone.set_objective([0.2, 0.9, 0.1, 0.8])
+    clone.set_all_bounds(np.zeros(4), np.full(4, 0.5))
+    cloned = clone.solve()
+    assert lp_differences(cloned, lp_reference(clone)) == []
+    assert _instance(clone) is not original and _instance(lp) is original
+    # Each side still solves its own model on its own instance.
+    assert lp_differences(lp.solve(), first) == []
+    assert lp_differences(clone.solve(), cloned) == []
+    assert _instance(lp) is original

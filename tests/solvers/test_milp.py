@@ -53,7 +53,7 @@ def test_dense_and_sparse_rows_equivalent():
     y = model.add_continuous(upper=1.0)
     model.add_constraint({x: 1.0, y: 2.0}, "<=", 1.5)
     model.add_constraint(np.array([1.0, 2.0]), "<=", 1.5)
-    dense = model.rows.dense(model.num_vars)
+    dense, _, _ = model.build_relaxation().constraint_rows()
     assert np.array_equal(dense[0], dense[1])
 
 
@@ -62,12 +62,12 @@ def test_padded_row_extends_older_constraints():
     x = model.add_continuous(upper=1.0)
     model.add_constraint({x: 1.0}, "<=", 0.5)
     model.add_continuous(upper=1.0)  # added after the constraint
-    padded = model.rows.dense(model.num_vars)[0]
-    assert padded.shape[0] == 2
-    assert padded[1] == 0.0
     # The relaxation must build without shape errors.
     relaxation = model.build_relaxation()
     assert relaxation.num_vars == 2
+    padded = relaxation.constraint_rows()[0][0]
+    assert padded.shape[0] == 2
+    assert padded[1] == 0.0
 
 
 def test_big_m_derivation_from_bounds():
