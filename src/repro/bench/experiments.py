@@ -1132,17 +1132,20 @@ def experiment_dataplane(
       counts, the reduction ratio pruning buys before the solver ever
       runs, and each build's ``tracemalloc`` peak (the model stores its
       rows sparse, so the peak follows the nonzeros, not rows x variables).
+
+    Each leg that draws random data has its own generator, derived from
+    ``(seed, leg)``, so one leg's draws never shift another's.
     """
     import tracemalloc
 
     from repro.core.formulation import RankHowFormulation
     from repro.core.prune import prune_problem
     from repro.data.relation import Relation
+    from repro.data.rng import derive_rng
     from repro.scenarios import generate_one, list_families
     from repro.testing import model_differences
 
     records: list[ExperimentRecord] = []
-    rng = np.random.default_rng(seed)
 
     # -- million-row end-to-end, bounded transients ---------------------------
     index = 1 if num_tuples >= 1_000_000 else 0
@@ -1193,6 +1196,7 @@ def experiment_dataplane(
     )
 
     hidden = np.asarray(scenario.metadata["hidden_weights"], dtype=float)
+    rng = derive_rng(seed, "error_sweep")
     candidates = np.vstack(
         [hidden, rng.dirichlet(np.ones(problem.num_attributes), sweep_candidates - 1)]
     )
@@ -1235,6 +1239,7 @@ def experiment_dataplane(
         )
 
     # -- MILP size with and without the presolve ------------------------------
+    rng = derive_rng(seed, "milp")
     quality = rng.uniform(0.0, 1.0, size=(milp_tuples, 1))
     noise = rng.uniform(0.0, 1.0, size=(milp_tuples, 4))
     matrix = np.clip(0.85 * quality + 0.15 * noise, 0.0, 1.0)

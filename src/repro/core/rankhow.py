@@ -3,12 +3,23 @@
 :class:`RankHow` is the user-facing facade: it builds the Equation (2) MILP
 for a :class:`~repro.core.problem.RankingProblem` over the tuples the
 rank-dominance prune keeps (:mod:`repro.core.prune`), applies the Section V-B
-indicator elimination, solves the program with the branch-and-bound substrate
-(:mod:`repro.solvers`), optionally verifies the result with exact arithmetic,
-and returns a :class:`~repro.core.result.SynthesisResult`.
+indicator elimination, solves the program, optionally verifies the result
+with exact arithmetic, and returns a
+:class:`~repro.core.result.SynthesisResult`.
 
-The solver can also be restricted to a box in weight space (``cell_bounds``),
-which is how SYM-GD reuses it for local solves.
+The solve picks its solver from the search space.  A whole-simplex solve
+goes to HiGHS's own branch-and-cut (:mod:`repro.solvers.highs_milp`), which
+ships with SciPy and, like the commercial solver of the paper, reasons about
+the whole program with presolve, cuts and primal heuristics.  A solve
+restricted to a box in weight space (``cell_bounds``) -- how SYM-GD reuses
+RankHow for its local steps -- stays on the in-repo branch-and-bound
+(:mod:`repro.solvers.branch_and_bound`), which is far cheaper on a cell whose
+indicators are mostly fixed.  There is no option: the search space decides.
+
+An answer is ``optimal`` only when every check agrees: the solver proved
+optimality, the reported error equals the MILP objective, for the plain
+objective it also equals ``ceil(best_bound - 1e-6)``, and exact verification
+(when run) did not fail.
 """
 
 from __future__ import annotations
@@ -23,8 +34,10 @@ from repro.core.precision import verify_weights
 from repro.core.problem import RankingProblem
 from repro.core.prune import prune_problem
 from repro.core.result import SynthesisResult
+from repro.core.seeds import get_seed_strategy
 from repro.obs.trace import span as obs_span
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, SolverOptions
+from repro.solvers.highs_milp import HighsMILPSolver
 from repro.solvers.milp import MILPStatus
 
 __all__ = ["RankHowOptions", "RankHow"]
@@ -42,12 +55,13 @@ class RankHowOptions:
         error_weights: Optional per-tuple objective weights (tuple index ->
             weight); defaults to plain position error.
         warm_start_strategy: How to obtain an initial incumbent when the caller
-            does not supply one.  Commercial MILP solvers lean heavily on
-            primal heuristics to find strong incumbents early; this package's
-            branch-and-bound substrate is much simpler, so by default
-            (``"symgd"``) it borrows the paper's own SYM-GD descent as its
-            primal heuristic before starting the exact search.  Other choices:
-            ``"ordinal_regression"``, ``"uniform"``, ``"none"``.
+            does not supply one: ``"none"`` (the default; HiGHS's own primal
+            heuristics find incumbents for a whole-simplex solve, and SYM-GD
+            hands every cell solve its current point), or the name of a seed
+            strategy of :func:`repro.core.seeds.get_seed_strategy`
+            (``"ordinal_regression"``, ``"linear_regression"``, ``"grid"``,
+            ``"dirichlet"``, ``"uniform"``).  Any other name raises
+            ``ValueError``.
     """
 
     time_limit: float | None = None
@@ -55,7 +69,14 @@ class RankHowOptions:
     eliminate_dominated: bool = True
     verify: bool = True
     error_weights: dict[int, float] | None = None
-    warm_start_strategy: str = "symgd"
+    warm_start_strategy: str = "none"
+
+    def __post_init__(self) -> None:
+        if self.warm_start_strategy != "none":
+            try:
+                get_seed_strategy(self.warm_start_strategy)
+            except ValueError as exc:
+                raise ValueError(f"warm_start_strategy: {exc}, or 'none'") from None
 
     def to_dict(self) -> dict:
         """Canonical JSON-serializable representation.
@@ -90,7 +111,7 @@ class RankHowOptions:
                 if error_weights is None
                 else {int(k): float(v) for k, v in error_weights.items()}
             ),
-            warm_start_strategy=data.get("warm_start_strategy", "symgd"),
+            warm_start_strategy=data.get("warm_start_strategy", "none"),
         )
 
 
@@ -115,7 +136,8 @@ class RankHow:
 
         Returns:
             A :class:`SynthesisResult`; ``optimal`` is ``True`` only when the
-            branch-and-bound proved optimality within its limits.
+            solver proved optimality within its limits and every check of
+            the module docstring agrees.
         """
         with obs_span("solver.rankhow", k=problem.k) as sp:
             result = self._solve(problem, cell_bounds, warm_start)
@@ -180,11 +202,24 @@ class RankHow:
             # proves optimality; weighted objectives need a tight gap.
             gap_tolerance=gap_tolerance,
         )
-        solver = BranchAndBoundSolver(solver_options)
+        if cell_bounds is None:
+            solver = HighsMILPSolver(solver_options)
+        else:
+            solver = BranchAndBoundSolver(solver_options)
         solution = solver.solve(formulation.model)
         elapsed = time.perf_counter() - start
+        x = solution.x if solution.has_solution else None
+        if (
+            solution.status is MILPStatus.NO_SOLUTION
+            and initial_incumbent is not None
+            and formulation.model.check_feasible(initial_incumbent)
+        ):
+            # A search that stopped on a limit without a solution still had
+            # the warm start, when the MILP admits it (the check the
+            # branch-and-bound applies to every incumbent).
+            x = initial_incumbent
 
-        if not solution.has_solution:
+        if x is None:
             return SynthesisResult(
                 weights=np.full(problem.num_attributes, np.nan),
                 attributes=list(problem.attributes),
@@ -203,8 +238,8 @@ class RankHow:
                 },
             )
 
-        weights = formulation.weights_from(solution.x)
-        objective = formulation.objective_error(solution.x)
+        weights = formulation.weights_from(x)
+        objective = formulation.objective_error(x)
         true_error = problem.error_of(weights)
         optimal = solution.status is MILPStatus.OPTIMAL
         # The MILP's eps1/eps2 semantics can disagree with the tie-tolerance
@@ -221,6 +256,16 @@ class RankHow:
         verified: bool | None = None
         if options.verify:
             verified = verify_weights(problem, weights, int(round(objective))).consistent
+        # A proof covers the returned answer only when every check agrees.
+        optimal = (
+            optimal
+            and true_error == round(objective)
+            and (
+                options.error_weights is not None
+                or true_error == np.ceil(solution.best_bound - 1e-6)
+            )
+            and verified is not False
+        )
 
         return SynthesisResult(
             weights=weights,
@@ -250,33 +295,8 @@ class RankHow:
         problem: RankingProblem,
         cell_bounds: tuple[np.ndarray, np.ndarray] | None,
     ) -> np.ndarray | None:
-        """Compute an initial incumbent weight vector from a primal heuristic."""
-        strategy = self.options.warm_start_strategy
-        if strategy == "symgd":
-            # Lazy import: symgd itself builds on RankHow (with explicit warm
-            # starts, so there is no recursion).
-            from repro.core.symgd import SymGD, SymGDOptions
-
-            budget = self.options.time_limit
-            heuristic_options = SymGDOptions(
-                cell_size=0.1,
-                adaptive=False,
-                max_iterations=10,
-                time_limit=None if budget is None else max(budget * 0.25, 1.0),
-                solver_options=RankHowOptions(
-                    node_limit=500,
-                    verify=False,
-                    warm_start_strategy="none",
-                ),
-            )
-            seed = SymGD(heuristic_options).solve(problem).weights
-        else:
-            from repro.core.seeds import get_seed_strategy
-
-            try:
-                seed = get_seed_strategy(strategy)(problem)
-            except (ValueError, KeyError):
-                return None
+        """Compute an initial incumbent weight vector from a cheap seed."""
+        seed = get_seed_strategy(self.options.warm_start_strategy)(problem)
         if not np.all(np.isfinite(seed)):
             return None
         if cell_bounds is not None:
@@ -286,4 +306,3 @@ class RankHow:
             ):
                 return None
         return seed
-

@@ -116,8 +116,9 @@ def get_seed_strategy(name: str, **kwargs) -> SeedStrategy:
     """Look up a seed strategy by name.
 
     Args:
-        name: ``"ordinal_regression"``, ``"linear_regression"``, ``"grid"`` or
-            ``"uniform"``.
+        name: ``"ordinal_regression"``, ``"linear_regression"``, ``"grid"``,
+            ``"dirichlet"`` or ``"uniform"``; any other name raises
+            ``ValueError``.
         **kwargs: Extra parameters forwarded to the strategy (e.g.
             ``cell_size`` for the grid strategy).
     """
@@ -131,4 +132,7 @@ def get_seed_strategy(name: str, **kwargs) -> SeedStrategy:
         return lambda problem: grid_seed(problem, **kwargs)
     if name == "dirichlet":
         return lambda problem: dirichlet_seed(problem, **kwargs)
-    raise ValueError(f"unknown seed strategy {name!r}")
+    raise ValueError(
+        f"unknown seed strategy {name!r}; expected 'ordinal_regression', "
+        "'linear_regression', 'grid', 'dirichlet' or 'uniform'"
+    )

@@ -3,8 +3,12 @@
 The solver operates on :class:`~repro.solvers.milp.MILPModel` instances.  It
 builds the big-M LP relaxation once and re-solves it on one HiGHS instance
 under per-node bound changes on the binary variables, which keeps node
-processing cheap.  Key features that mirror what the paper credits modern MILP solvers
-for (Section III-B):
+processing cheap.  RankHow uses it for solves restricted to a cell of weight
+space -- SYM-GD's local steps -- where most indicators are fixed and a few
+cheap nodes beat a full MIP solver's root; a whole-simplex solve goes to
+HiGHS's own branch-and-cut (:mod:`repro.solvers.highs_milp`) instead.  Key
+features that mirror what the paper credits modern MILP solvers for
+(Section III-B):
 
 * **Holistic bounding** -- a global incumbent prunes any node whose LP
   relaxation bound cannot improve on it, so information discovered in one part

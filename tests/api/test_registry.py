@@ -143,3 +143,14 @@ def test_nested_dataclass_solver_options_rejected_clearly():
         get_method("symgd").validate_options(
             {"solver_options": RankHowOptions(node_limit=10)}
         )
+
+
+@pytest.mark.parametrize("name", ["bogus", "symgd"])
+def test_rankhow_request_rejects_an_unknown_warm_start_strategy(name, small_api_problem):
+    from repro.api import SynthesisRequest
+
+    with pytest.raises(ValueError, match=rf"{name!r}.*'ordinal_regression'.*'none'"):
+        get_method("rankhow").resolve_options({"warm_start_strategy": name})
+    request = SynthesisRequest(small_api_problem, "rankhow", {"warm_start_strategy": name})
+    with pytest.raises(ValueError, match=repr(name)):
+        request.effective

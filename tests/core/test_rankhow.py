@@ -7,7 +7,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.constraints import ConstraintSet, min_weight
+from repro.core.constraints import (
+    ConstraintSet,
+    PositionRangeConstraint,
+    PrecedenceConstraint,
+    min_weight,
+)
 from repro.core.problem import RankingProblem, ToleranceSettings
 from repro.core.ranking import Ranking
 from repro.core.rankhow import RankHow, RankHowOptions
@@ -94,6 +99,9 @@ def test_infeasible_constraints_reported():
     assert result.error == -1
     assert not result.optimal
     assert result.diagnostics["status"] in ("infeasible", "no_solution")
+    # An infeasible warm start is no answer either.
+    warm = RankHow(RankHowOptions(node_limit=50)).solve(problem, warm_start=np.array([0.5, 0.5]))
+    assert warm.error == -1
 
 
 def test_never_worse_than_baselines_on_small_instances(nonlinear_problem):
@@ -147,3 +155,71 @@ def test_diagnostics_contents(linear_problem):
     for key in ("status", "best_bound", "k", "indicators", "eliminated"):
         assert key in result.diagnostics
     assert result.diagnostics["k"] == linear_problem.k
+
+
+@pytest.mark.parametrize("name", ["bogus", "symgd"])
+def test_unknown_warm_start_strategy_raises(name):
+    with pytest.raises(ValueError, match=rf"{name!r}.*'ordinal_regression'.*'none'"):
+        RankHowOptions(warm_start_strategy=name)
+    with pytest.raises(ValueError, match=repr(name)):
+        RankHowOptions.from_dict({"warm_start_strategy": name})
+
+
+@pytest.mark.parametrize("name", ["grid", "dirichlet"])
+def test_every_seed_strategy_is_a_warm_start(name, linear_problem):
+    options = RankHowOptions(node_limit=0, verify=False, warm_start_strategy=name)
+    assert RankHow(options).solve(linear_problem).error >= 0
+
+
+def test_a_failed_check_never_returns_optimal():
+    """The branch-and-bound proves objective 0 for weights whose error is 1:
+    the family's eps1 - eps2 band is narrower than the feasibility
+    tolerances."""
+    from repro.scenarios.generator import scenario_problem
+
+    problem = scenario_problem("near_infeasible_tolerance", 1, seed=0)
+    m = problem.num_attributes
+    options = RankHowOptions(node_limit=120, time_limit=5.0)
+    result = RankHow(options).solve(problem, cell_bounds=(np.zeros(m), np.ones(m)))
+    assert result.diagnostics["status"] == "optimal"
+    assert result.error == problem.error_of(result.weights) == 1
+    assert round(result.objective) == 0
+    assert result.verified is False
+    assert not result.optimal
+
+
+def test_no_solution_falls_back_to_the_warm_start(nonlinear_problem, monkeypatch):
+    from repro.solvers.highs_milp import HighsMILPSolver
+    from repro.solvers.milp import MILPSolution, MILPStatus
+
+    monkeypatch.setattr(
+        HighsMILPSolver,
+        "solve",
+        lambda self, model: MILPSolution(MILPStatus.NO_SOLUTION, np.zeros(0), float("inf")),
+    )
+    warm = np.full(4, 0.25)
+    result = RankHow(RankHowOptions(verify=False)).solve(nonlinear_problem, warm_start=warm)
+    assert np.array_equal(result.weights, warm)
+    assert result.error == nonlinear_problem.error_of(warm)
+    assert not result.optimal
+    assert result.diagnostics["status"] == "no_solution"
+    assert RankHow(RankHowOptions(verify=False)).solve(nonlinear_problem).error == -1
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [PrecedenceConstraint(above=2, below=36), PositionRangeConstraint(36, 3, 5)],
+    ids=["precedence", "position"],
+)
+@pytest.mark.parametrize("cell", [False, True], ids=["simplex", "cell"])
+def test_a_warm_start_the_milp_rejects_is_no_answer(constraint, cell, linear_problem):
+    """The hidden weights rank tuple 36 first, which the constraint forbids:
+    with no node to search, neither solver has an answer to return."""
+    problem = linear_problem.with_constraints(ConstraintSet().add(constraint))
+    hidden = np.array([0.4, 0.3, 0.2, 0.1])
+    assert problem.ranking.position_of(36) == 1
+    cell_bounds = (np.zeros(4), np.ones(4)) if cell else None
+    options = RankHowOptions(node_limit=0, verify=False)
+    result = RankHow(options).solve(problem, cell_bounds=cell_bounds, warm_start=hidden)
+    assert result.diagnostics["status"] == "no_solution"
+    assert result.error == -1

@@ -94,6 +94,32 @@ def test_single_request_traces_service_to_solver():
     assert json.loads(json.dumps(tree))["spans"] == len(records)
 
 
+def test_rankhow_request_traces_the_highs_milp_solve():
+    problem = build_problem()
+    obs = Observability.enabled()
+
+    async def scenario():
+        async with QueryServer(obs=obs) as server:
+            return await server.submit(problem, "rankhow", {"node_limit": 60})
+
+    response = asyncio.run(scenario())
+    assert not response.cache_hit
+
+    [trace_id] = obs.tracer.trace_ids()
+    names = span_names(obs.tracer.export_trace(trace_id))
+    for expected in ("service.request", "engine.task", "solver.rankhow", "solver.highs_milp"):
+        assert expected in names, names
+    # A whole-simplex solve runs no in-repo branch-and-bound.
+    assert "solver.branch_and_bound" not in names
+    records = {r["name"]: r for r in obs.tracer.spans(trace_id)}
+    milp = records["solver.highs_milp"]["attributes"]
+    assert milp["status"] == "OPTIMAL"
+    assert milp["nodes"] >= 0
+    assert milp["lp_iterations"] >= 0
+    assert {"best_bound", "gap"} <= set(milp)
+    assert records["solver.rankhow"]["attributes"]["optimal"] is True
+
+
 def test_coalesced_requests_share_one_solve_trace():
     problem = build_problem(seed=2)
     obs = Observability.enabled()

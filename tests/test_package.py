@@ -30,9 +30,10 @@ def test_pyproject_declares_version_and_dependencies():
         for dependency in project["dependencies"]
     }
     assert {"numpy", "scipy"} <= set(declared)
-    # The LP backend drives HiGHS through scipy.optimize._highspy, which
-    # SciPy ships from 1.15 on.
-    assert declared["scipy"] == "scipy>=1.15"
+    # Both HiGHS backends drive HiGHS through scipy.optimize._highspy; the
+    # MILP options, setSolution and the getInfo() fields they use were
+    # checked on SciPy 1.17 (HiGHS 1.12).
+    assert declared["scipy"] == "scipy>=1.17"
 
 
 def test_list_methods_smoke():
