@@ -49,7 +49,8 @@ class RankHowOptions:
 
     Attributes:
         time_limit: Wall-clock limit in seconds for the MILP solve.
-        node_limit: Branch-and-bound node limit.
+        node_limit: Node limit of the MILP search: HiGHS's ``mip_max_nodes``
+            on the whole simplex, the branch-and-bound's node limit in a cell.
         eliminate_dominated: Apply the Section V-B indicator elimination.
         verify: Run exact-arithmetic verification on the returned weights.
         error_weights: Optional per-tuple objective weights (tuple index ->
@@ -245,8 +246,16 @@ class RankHow:
         # The MILP's eps1/eps2 semantics can disagree with the tie-tolerance
         # ranking for score differences inside the safety gap; when the warm
         # start achieves a lower *true* error than the MILP incumbent, return
-        # it (the solver reports the best solution it knows about).
-        if warm_start is not None:
+        # it (the solver reports the best solution it knows about).  Only
+        # the MILP enforces position-range and precedence constraints, so
+        # with any of those the warm start must pass its check too.
+        constraints = problem.constraints
+        warm_admissible = not (
+            constraints.position_constraints or constraints.precedence_constraints
+        ) or (
+            initial_incumbent is not None and formulation.model.check_feasible(initial_incumbent)
+        )
+        if warm_start is not None and warm_admissible:
             warm = np.asarray(warm_start, dtype=float)
             warm_error = problem.error_of(warm)
             if warm_error < true_error:

@@ -6,7 +6,8 @@ SciPy:
 
 * :mod:`repro.solvers.lp` -- a general LP model (bounds, inequalities,
   equalities) handed to HiGHS through SciPy's bundled binding, prepared
-  once per row change and solved cold.
+  once per row change; a first solve is cold, a re-solve starts from the
+  previous basis.
 * :mod:`repro.solvers.milp` -- a mixed-integer model with binary variables and
   indicator constraints encoded through tight big-M rows, stored as one
   sparse (CSR) row matrix.

@@ -2,13 +2,14 @@
 
 The solver operates on :class:`~repro.solvers.milp.MILPModel` instances.  It
 builds the big-M LP relaxation once and re-solves it on one HiGHS instance
-under per-node bound changes on the binary variables, which keeps node
-processing cheap.  RankHow uses it for solves restricted to a cell of weight
-space -- SYM-GD's local steps -- where most indicators are fixed and a few
-cheap nodes beat a full MIP solver's root; a whole-simplex solve goes to
-HiGHS's own branch-and-cut (:mod:`repro.solvers.highs_milp`) instead.  Key
-features that mirror what the paper credits modern MILP solvers for
-(Section III-B):
+under per-node bound changes on the binary variables: each node LP after the
+root runs the dual simplex from the basis the previous node ended at, with
+no presolve, which keeps node processing cheap.  RankHow uses it for solves
+restricted to a cell of weight space -- SYM-GD's local steps -- where most
+indicators are fixed and a few cheap nodes beat a full MIP solver's root; a
+whole-simplex solve goes to HiGHS's own branch-and-cut
+(:mod:`repro.solvers.highs_milp`) instead.  Key features that mirror what
+the paper credits modern MILP solvers for (Section III-B):
 
 * **Holistic bounding** -- a global incumbent prunes any node whose LP
   relaxation bound cannot improve on it, so information discovered in one part
@@ -27,7 +28,11 @@ features that mirror what the paper credits modern MILP solvers for
 
 A node whose LP fails numerically is neither explored nor pruned: its parent
 bound stays in the reported ``best_bound`` and the search never claims
-optimality.  The solver is deterministic given the model and options.
+optimality.  The solver is deterministic given the model and options: every
+solve builds its own relaxation, and best-first search fixes the order of its
+node LPs, so the basis each one starts from is the same on every run.  A warm
+node LP may end at another optimal vertex of a degenerate LP than a cold one
+would, so answers depend on that order, not only on the nodes' bounds.
 """
 
 from __future__ import annotations

@@ -13,9 +13,11 @@ small LPs (one per branch-and-bound node, one per TREE region) and one large
 one (the ordinal-regression seed, a row per ordered pair), so rows stay
 sparse from the caller to HiGHS: the model stores them as CSR arrays and
 builds HiGHS's column-wise matrix from them with numpy, once per row change.
-Each relaxation is loaded into one HiGHS instance; a later solve writes only
-the objective and the column bounds into it and clears the solver, so every
-node still starts cold.
+Each relaxation is loaded into one HiGHS instance.  Its first solve is cold
+(presolve, then dual simplex) and gives ``linprog``'s answer bit for bit; a
+later solve writes only the objective and the column bounds into it and runs
+the dual simplex from the basis the previous solve ended at, as an LP-based
+branch-and-bound re-optimises its nodes.
 """
 
 from __future__ import annotations
@@ -296,12 +298,18 @@ class LinearProgram:
         return prepared
 
     def solve(self) -> LPSolution:
-        """Solve the LP with HiGHS, every call from a cold start.
+        """Solve the LP with HiGHS.
 
         The first solve after a row change loads the model into a new HiGHS
-        instance; later solves write only the objective and the column
-        bounds into it and clear the solver (basis, solution, factorization)
-        before running, so the answer is the one a fresh instance gives.
+        instance and starts cold, so its answer is the one ``linprog``
+        gives.  A later solve writes only the objective and the column
+        bounds into the instance and re-solves from the basis the previous
+        solve ended at; HiGHS skips presolve then.  A re-solve reaches the
+        same status and, up to rounding, the same objective as a cold solve,
+        but a degenerate LP may land on another optimal vertex.  The
+        sequence of answers is deterministic given the sequence of solves.
+        A failed write, a run that errs, or a model status other than
+        optimal or infeasible drops the instance, so the next solve is cold.
 
         Statuses follow the HiGHS model status: a load error or a proven
         infeasibility is ``INFEASIBLE``, a proven unboundedness
@@ -324,7 +332,8 @@ class LinearProgram:
         lower = np.where(np.isnan(lower), -_INF, lower)
         upper = np.where(np.isnan(upper), _INF, upper)
 
-        # The instance stays cached only while every write into it succeeds.
+        # The instance stays cached only while its writes succeed and its
+        # runs end optimal or infeasible; otherwise the next solve is cold.
         solver = self._matrix_cache.pop("solver", None)
         if solver is None:
             model.col_cost_ = c
@@ -337,16 +346,16 @@ class LinearProgram:
             written = [
                 solver.changeColsCost(self.num_vars, columns, c),
                 solver.changeColsBounds(self.num_vars, columns, lower, upper),
-                solver.clearSolver(),
             ]
         if highs.HighsStatus.kError in written:
             return _failure(highs.HighsModelStatus.kModelError, 0)
-        self._matrix_cache["solver"] = solver
         if solver.run() == highs.HighsStatus.kError:
             return _failure(solver.getModelStatus(), 0)
         status = solver.getModelStatus()
         info = solver.getInfo()
         iterations = info.simplex_iteration_count or info.ipm_iteration_count
+        if status in (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kInfeasible):
+            self._matrix_cache["solver"] = solver
         if status != highs.HighsModelStatus.kOptimal:
             return _failure(status, iterations)
         solution = solver.getSolution()

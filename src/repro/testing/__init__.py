@@ -41,6 +41,7 @@ from repro.testing.invariants import (
     formulation_reference,
     lp_differences,
     lp_reference,
+    lp_resolve_differences,
     model_differences,
     recorded_lps,
     results_equal,
@@ -71,6 +72,7 @@ __all__ = [
     "formulation_reference",
     "lp_differences",
     "lp_reference",
+    "lp_resolve_differences",
     "model_differences",
     "recorded_lps",
     "results_equal",

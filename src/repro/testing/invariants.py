@@ -52,7 +52,7 @@ from repro.core.result import SynthesisResult
 from repro.data.rng import as_generator
 from repro.obs.profile import WorkloadProfile
 from repro.scenarios.generator import permute_tuples, rescale_problem
-from repro.solvers.lp import LinearProgram, LPSolution, LPStatus
+from repro.solvers.lp import _RESIDUAL_TOLERANCE, LinearProgram, LPSolution, LPStatus
 from repro.solvers.milp import MILPModel
 
 __all__ = [
@@ -75,6 +75,7 @@ __all__ = [
     "formulation_reference",
     "lp_differences",
     "lp_reference",
+    "lp_resolve_differences",
     "model_differences",
     "recorded_lps",
     "simulate_lru",
@@ -554,8 +555,11 @@ def lp_reference(lp: LinearProgram) -> LPSolution:
     """Solve ``lp`` through ``scipy.optimize.linprog(method="highs")``.
 
     The call :meth:`~repro.solvers.lp.LinearProgram.solve` made before it
-    drove HiGHS directly, kept as the ground truth of the LP parity tests:
-    same status, ``x``, objective and iteration count, bit for bit.
+    drove HiGHS directly, kept as the ground truth of the LP parity tests.
+    A cold solve (the first on a loaded instance) matches it bit for bit:
+    same status, ``x``, objective and iteration count
+    (:func:`lp_differences`); a warm re-solve meets the contract of
+    :func:`lp_resolve_differences`.
     """
     from scipy.optimize import linprog
 
@@ -596,21 +600,25 @@ def recorded_lps() -> Iterator[list[tuple]]:
     """Record every :meth:`~repro.solvers.lp.LinearProgram.solve` call made
     inside the block.
 
-    Yields a list that fills with one ``(lp, objective, lower, upper)`` per
-    solve: the model itself and copies of the objective and bounds that
-    solve saw.  Rows are not copied, so a record replays what was solved
-    only while no row is added to its model afterwards -- true of
-    branch-and-bound relaxations, TREE regions and the ordinal-regression
-    seed, which are each built once and then only re-bounded.
+    Yields a list that fills with one ``(lp, objective, lower, upper, warm,
+    solution)`` per solve: the model itself, copies of the objective and
+    bounds that solve saw, whether it re-solved a loaded HiGHS instance
+    (``False`` for a cold solve), and what it returned.  Rows are not
+    copied, so a record replays what was solved only while no row is added
+    to its model afterwards -- true of branch-and-bound relaxations, TREE
+    regions and the ordinal-regression seed, which are each built once and
+    then only re-bounded.  Replaying one model's records in order on a copy
+    of it repeats the cold and warm solves, and their answers bit for bit.
     """
     solve = LinearProgram.solve
     records: list[tuple] = []
 
     def recording(lp: LinearProgram) -> LPSolution:
-        records.append(
-            (lp, lp.objective.copy(), lp.lower_bounds.copy(), lp.upper_bounds.copy())
-        )
-        return solve(lp)
+        seen = (lp, lp.objective.copy(), lp.lower_bounds.copy(), lp.upper_bounds.copy())
+        warm = lp._matrix_cache.get("solver") is not None
+        solution = solve(lp)
+        records.append((*seen, warm, solution))
+        return solution
 
     LinearProgram.solve = recording
     try:
@@ -629,6 +637,44 @@ def lp_differences(ours: LPSolution, theirs: LPSolution) -> list[str]:
         "iterations": (ours.iterations, theirs.iterations),
     }
     return [f"{label} differ" for label, (a, b) in pairs.items() if a != b]
+
+
+def lp_resolve_differences(
+    lp: LinearProgram, ours: LPSolution, reference: LPSolution
+) -> list[str]:
+    """How a warm re-solve of ``lp`` breaks the re-solve contract (empty:
+    it holds).
+
+    A re-solve starts from the basis of the solve before it, so a degenerate
+    LP may land on another optimal vertex than ``reference`` (a cold solve,
+    usually :func:`lp_reference`).  It must still reach ``reference``'s
+    status, and an optimum must have an objective within
+    ``1e-9 * max(1, |reference|)`` and an ``x`` inside ``lp``'s bounds and
+    rows up to the residual tolerance ``LinearProgram.solve`` accepts.
+    """
+    if ours.status is not reference.status:
+        return ["status differ"]
+    if not ours.is_optimal:
+        return []
+    problems = []
+    scale = max(1.0, abs(reference.objective))
+    if not abs(ours.objective - reference.objective) <= 1e-9 * scale:
+        problems.append("objective differs beyond 1e-9 relative")
+    x, tol = ours.x, _RESIDUAL_TOLERANCE
+    lower = np.asarray(lp.lower_bounds, dtype=float)
+    upper = np.asarray(lp.upper_bounds, dtype=float)
+    lower = np.where(np.isnan(lower), -np.inf, lower)
+    upper = np.where(np.isnan(upper), np.inf, upper)
+    if x.shape != lower.shape or not np.all((x >= lower - tol) & (x <= upper + tol)):
+        problems.append("x outside its bounds")
+    else:
+        rows, senses, rhs = lp.constraint_rows()
+        slack = rhs - rows @ x
+        slack[senses == ">="] *= -1.0
+        equality = senses == "=="
+        if (slack[~equality] < -tol).any() or (np.abs(slack[equality]) > tol).any():
+            problems.append("x breaks a row")
+    return problems
 
 
 def model_differences(

@@ -177,7 +177,7 @@ def test_a_failed_check_never_returns_optimal():
     tolerances."""
     from repro.scenarios.generator import scenario_problem
 
-    problem = scenario_problem("near_infeasible_tolerance", 1, seed=0)
+    problem = scenario_problem("near_infeasible_tolerance", 2, seed=1)
     m = problem.num_attributes
     options = RankHowOptions(node_limit=120, time_limit=5.0)
     result = RankHow(options).solve(problem, cell_bounds=(np.zeros(m), np.ones(m)))
@@ -213,13 +213,27 @@ def test_no_solution_falls_back_to_the_warm_start(nonlinear_problem, monkeypatch
 )
 @pytest.mark.parametrize("cell", [False, True], ids=["simplex", "cell"])
 def test_a_warm_start_the_milp_rejects_is_no_answer(constraint, cell, linear_problem):
-    """The hidden weights rank tuple 36 first, which the constraint forbids:
-    with no node to search, neither solver has an answer to return."""
+    """The hidden weights rank tuple 36 first, which the constraint forbids,
+    so they are never the answer, though their error is 0.  With no node to
+    search, neither solver has an answer to return; with nodes, what it
+    returns keeps the constraint."""
     problem = linear_problem.with_constraints(ConstraintSet().add(constraint))
     hidden = np.array([0.4, 0.3, 0.2, 0.1])
     assert problem.ranking.position_of(36) == 1
     cell_bounds = (np.zeros(4), np.ones(4)) if cell else None
-    options = RankHowOptions(node_limit=0, verify=False)
-    result = RankHow(options).solve(problem, cell_bounds=cell_bounds, warm_start=hidden)
-    assert result.diagnostics["status"] == "no_solution"
-    assert result.error == -1
+    for node_limit in (0, 1, 50):
+        options = RankHowOptions(node_limit=node_limit, verify=False)
+        result = RankHow(options).solve(problem, cell_bounds=cell_bounds, warm_start=hidden)
+        if node_limit == 0:
+            assert result.diagnostics["status"] == "no_solution"
+            assert result.error == -1
+        if result.error == -1:
+            continue
+        positions = problem.induced_positions(result.weights)
+        if isinstance(constraint, PrecedenceConstraint):
+            assert positions[2] < positions[36]
+            if not cell:
+                # HiGHS proves the constrained optimum.
+                assert result.error == 2 and result.optimal
+        else:
+            assert 3 <= positions[36] <= 5

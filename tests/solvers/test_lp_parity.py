@@ -2,19 +2,26 @@
 
 ``LinearProgram.solve`` hands each relaxation to HiGHS through SciPy's
 bundled binding; :func:`repro.testing.lp_reference` is the
-``scipy.optimize.linprog(method="highs")`` call it replaced.  Every LP the
-solvers produce -- branch-and-bound nodes on every scenario family, TREE
-regions, the ordinal-regression seed -- must come back bit for bit the same
-from both: status, ``x``, objective and iteration count.  The model hands
-HiGHS a column-wise matrix it builds from its sparse rows, and keeps one
-HiGHS instance per relaxation (``passModel`` once, then ``changeColsCost``,
-``changeColsBounds``, ``clearSolver`` and ``run`` per solve), so this file
-also checks those arrays against SciPy's own conversion of the dense rows
-and a reused instance against a fresh one.  The binding is a private SciPy
-module, so this file is also the alarm for a SciPy release that moves it.
+``scipy.optimize.linprog(method="highs")`` call it replaced.  The model
+hands HiGHS a column-wise matrix it builds from its sparse rows, and keeps
+one HiGHS instance per relaxation: ``passModel`` and a cold ``run`` on the
+first solve, then ``changeColsCost``, ``changeColsBounds`` and a ``run``
+warm from the previous basis per re-solve.  Every LP the solvers produce --
+branch-and-bound nodes on every scenario family, TREE regions, the
+ordinal-regression seed -- is checked against the reference: a cold solve
+bit for bit (status, ``x``, objective and iteration count), a warm re-solve
+to the contract of :func:`repro.testing.lp_resolve_differences` (same
+status, objective within 1e-9 relative, ``x`` within the bounds and rows).
+This file also checks HiGHS's arrays against SciPy's own conversion of the
+dense rows, that repeated branch-and-bound runs repeat their warm
+sequences bit for bit, and when an instance is reused or dropped.  The
+binding is a private SciPy module, so this file is also the alarm for a
+SciPy release that moves it.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,45 +34,78 @@ from repro.core.tree import TreeOptions, TreeSolver
 from repro.scenarios.families import list_families
 from repro.scenarios.generator import scenario_problem
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, SolverOptions
-from repro.solvers.lp import LinearProgram, LPStatus
-from repro.testing import lp_differences, lp_reference
+from repro.solvers.lp import LinearProgram, LPSolution, LPStatus
+from repro.testing import (
+    lp_differences,
+    lp_reference,
+    lp_resolve_differences,
+    recorded_lps,
+)
 
 
 @pytest.fixture
-def parity(monkeypatch):
-    """Solve every LP through both paths; record the solves and any mismatch."""
-    log = {"solves": 0, "mismatches": []}
-    direct = LinearProgram.solve
+def parity():
+    """Record every LP solve made in the test."""
+    with recorded_lps() as records:
+        yield records
 
-    def both(lp):
-        ours = direct(lp)
-        problems = lp_differences(ours, lp_reference(lp))
-        log["solves"] += 1
+
+def _assert_parity(records, minimum_solves=1):
+    """Each recorded solve against the reference: a cold one bit for bit, a
+    warm one to the re-solve contract."""
+    assert len(records) >= minimum_solves
+    mismatches = []
+    for number, (lp, objective, lower, upper, warm, ours) in enumerate(records, 1):
+        lp.objective, lp.lower_bounds, lp.upper_bounds = objective, lower, upper
+        reference = lp_reference(lp)
+        if warm:
+            problems = lp_resolve_differences(lp, ours, reference)
+        else:
+            problems = lp_differences(ours, reference)
         if problems:
-            log["mismatches"].append((log["solves"], problems))
-        return ours
-
-    monkeypatch.setattr(LinearProgram, "solve", both)
-    return log
+            mismatches.append((number, problems))
+    assert not mismatches, mismatches[:5]
 
 
-def _assert_parity(log, minimum_solves=1):
-    assert log["solves"] >= minimum_solves
-    assert not log["mismatches"], log["mismatches"][:5]
-
-
-@pytest.mark.parametrize("family", list_families())
-def test_branch_and_bound_node_lps_match_reference(family, parity):
+def _node_lp_runs(family):
+    """The formulations of one problem per box: the whole simplex and a 0.4
+    cell, with the branch-and-bound options the node-LP tests run."""
     problem = scenario_problem(family, 0, seed=0)
     m = problem.num_attributes
     cell = cell_around(np.full(m, 1.0 / m), 0.4)
     for box in (None, (cell.lower, cell.upper)):
         formulation = RankHowFormulation(problem, cell_bounds=box)
-        options = SolverOptions(
-            node_limit=40, incumbent_callback=formulation.incumbent_callback
-        )
-        BranchAndBoundSolver(options).solve(formulation.model)
+        options = SolverOptions(node_limit=40, incumbent_callback=formulation.incumbent_callback)
+        yield formulation.model, options
+
+
+@pytest.mark.parametrize("family", list_families())
+def test_branch_and_bound_node_lps_match_reference(family, parity):
+    for model, options in _node_lp_runs(family):
+        BranchAndBoundSolver(options).solve(model)
+    # Each of the two relaxations is solved cold first, and nothing here
+    # drops one, so every later solve is warm.
+    assert [warm for *_, warm, _ in parity].count(False) == 2
     _assert_parity(parity)
+
+
+@pytest.mark.parametrize("family", list_families())
+def test_branch_and_bound_repeats_its_warm_sequence(family):
+    """Each solve builds its own relaxation, and best-first search fixes the
+    order of its node LPs, so a second solve repeats every node LP (status,
+    ``x``, objective, iterations) and the answer bit for bit."""
+    for model, options in _node_lp_runs(family):
+        runs = []
+        for _ in range(2):
+            with recorded_lps() as records:
+                answer = BranchAndBoundSolver(options).solve(model)
+            runs.append(([record[-1] for record in records], answer))
+        (first_lps, first), (second_lps, second) = runs
+        assert len(first_lps) == len(second_lps) > 0
+        assert all(not lp_differences(a, b) for a, b in zip(first_lps, second_lps))
+        assert first.status is second.status and first.x.tobytes() == second.x.tobytes()
+        for field in ("objective", "best_bound", "gap", "nodes", "lp_iterations"):
+            assert repr(getattr(first, field)) == repr(getattr(second, field)), field
 
 
 @pytest.mark.parametrize("family", ["rank_reversal", "tolerance_boundary"])
@@ -268,11 +308,28 @@ def _instance(lp: LinearProgram):
     return lp._matrix_cache.get("solver")
 
 
-def _assert_fresh_and_reference(lp: LinearProgram, status: LPStatus) -> None:
+def _assert_fresh_and_reference(
+    lp: LinearProgram, status: LPStatus, warm: bool = False
+) -> LPSolution:
+    """Solve ``lp`` and hold the answer against a fresh instance's and the
+    reference's: bit for bit when the solve is cold, to the re-solve
+    contract when it is warm."""
     ours = lp.solve()
     assert ours.status is status
-    assert lp_differences(ours, lp.copy().solve()) == []
-    assert lp_differences(ours, lp_reference(lp)) == []
+    for cold in (lp.copy().solve(), lp_reference(lp)):
+        if warm:
+            assert lp_resolve_differences(lp, ours, cold) == []
+        else:
+            assert lp_differences(ours, cold) == []
+    return ours
+
+
+def _assert_resolve_stays_put(lp: LinearProgram, answer: LPSolution) -> None:
+    """Re-solving an unchanged model starts at its optimum: the same answer,
+    with no iteration."""
+    again = lp.solve()
+    assert again.iterations == 0
+    assert lp_differences(again, replace(answer, iterations=0)) == []
 
 
 def test_reused_instance_matches_a_fresh_one():
@@ -291,15 +348,30 @@ def test_reused_instance_matches_a_fresh_one():
     loaded = None
     for status, change in steps:
         change()
-        _assert_fresh_and_reference(lp, status)
+        last = _assert_fresh_and_reference(lp, status, warm=loaded is not None)
         assert loaded is None or _instance(lp) is loaded
         loaded = _instance(lp)
-    assert lp.solve().iterations > 0
-    # A new row drops the instance; the next solve loads a new one.
+    assert last.iterations > 0
+    _assert_resolve_stays_put(lp, last)
+    # A new row drops the instance; the next solve loads a new one, cold.
     lp.add_constraint([0.0, 1.0, -1.0, 0.0], ">=", 0.1)
     assert _instance(lp) is None
     _assert_fresh_and_reference(lp, LPStatus.OPTIMAL)
     assert _instance(lp) not in (None, loaded)
+
+
+def test_unbounded_solve_drops_the_instance():
+    lp = _iterating_lp()
+    lp.set_all_bounds(np.zeros(4), np.ones(4))
+    first = _assert_fresh_and_reference(lp, LPStatus.OPTIMAL)
+    assert first.iterations > 0
+    lp.set_all_bounds(np.full(4, -np.inf), np.full(4, np.inf))
+    _assert_fresh_and_reference(lp, LPStatus.UNBOUNDED, warm=True)
+    assert _instance(lp) is None
+    # The next solve loads the model afresh: cold, bit for bit.
+    lp.set_all_bounds(np.zeros(4), np.ones(4))
+    assert lp_differences(_assert_fresh_and_reference(lp, LPStatus.OPTIMAL), first) == []
+    assert _instance(lp) is not None
 
 
 def test_load_error_drops_the_instance():
@@ -327,6 +399,6 @@ def test_copy_loads_its_own_instance():
     assert lp_differences(cloned, lp_reference(clone)) == []
     assert _instance(clone) is not original and _instance(lp) is original
     # Each side still solves its own model on its own instance.
-    assert lp_differences(lp.solve(), first) == []
-    assert lp_differences(clone.solve(), cloned) == []
+    _assert_resolve_stays_put(lp, first)
+    _assert_resolve_stays_put(clone, cloned)
     assert _instance(lp) is original
