@@ -15,8 +15,8 @@ SciPy:
   binaries marked integral, handed to HiGHS's own branch-and-cut; RankHow
   solves the whole simplex with it.
 * :mod:`repro.solvers.branch_and_bound` -- a best-first branch-and-bound MILP
-  solver with incumbent callbacks, rounding heuristics and per-node
-  implied-bound tightening; RankHow solves SYM-GD's cells with it.
+  solver with incumbent callbacks and rounding heuristics, pruning nodes by
+  bound; RankHow solves SYM-GD's cells with it.
 """
 
 from repro.solvers.lp import LinearProgram, LPSolution, LPStatus

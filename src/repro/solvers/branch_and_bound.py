@@ -19,12 +19,12 @@ the paper credits modern MILP solvers for (Section III-B):
   relaxation's weight vector by simply ranking the tuples), which typically
   produces near-optimal incumbents at the root node.
 * **Most-fractional branching** -- branching on the binary closest to 0.5.
-* **Per-node bound tightening** -- implied-bound propagation over the big-M
-  rows plus an incumbent objective cutoff (:class:`BoundTightener`) fixes
-  additional binaries after each branching decision and prunes infeasible
-  nodes before their LP solve.  It never cuts off a feasible point; the
-  formulation layer already fixes dominated indicators and sets tight big-M
-  values itself, so there is no model-level presolve.
+
+There is no presolve and no per-node bound propagation: the formulation
+layer already fixes dominated indicators and sets tight big-M values, which
+inside a SYM-GD cell leaves propagation almost no binary to fix.  A node is
+pruned on its parent's bound before its LP and on its own bound after it,
+and the relaxation's rows reach HiGHS sparse, never densified.
 
 A node whose LP fails numerically is neither explored nor pruned: its parent
 bound stays in the reported ``best_bound`` and the search never claims
@@ -49,9 +49,12 @@ from repro.obs.trace import span as obs_span
 from repro.solvers.lp import LPStatus
 from repro.solvers.milp import MILPModel, MILPSolution, MILPStatus
 
-__all__ = ["SolverOptions", "BoundTightener", "BranchAndBoundSolver"]
+__all__ = ["SolverOptions", "BranchAndBoundSolver"]
 
 IncumbentCallback = Callable[[np.ndarray, MILPModel], np.ndarray | None]
+
+#: A binary within this distance of an integer counts as integral.
+_INTEGRALITY_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -64,8 +67,6 @@ class SolverOptions:
         gap_tolerance: Stop when ``incumbent - bound <= gap_tolerance``
             (absolute; RankHow objectives are integer-valued so ``1 - 1e-6``
             style tolerances prove optimality early).
-        integrality_tolerance: Values within this distance of an integer are
-            treated as integral.
         incumbent_callback: Optional heuristic mapping a (fractional) relaxation
             solution to a feasible integral assignment.
         initial_incumbent: Optional feasible assignment used as the starting
@@ -75,7 +76,6 @@ class SolverOptions:
     time_limit: float | None = None
     node_limit: int = 100000
     gap_tolerance: float = 1e-6
-    integrality_tolerance: float = 1e-6
     incumbent_callback: IncumbentCallback | None = None
     initial_incumbent: np.ndarray | None = None
 
@@ -85,114 +85,6 @@ class _Node:
     priority: float
     sequence: int
     fixings: dict[int, int] = field(compare=False)
-
-
-class BoundTightener:
-    """Vectorized implied-bound tightening over a fixed set of linear rows.
-
-    Built once per branch-and-bound solve (the relaxation's rows never change
-    across nodes -- only the variable bounds do) and invoked once per node.
-    Each call propagates every row ``a @ x <= b`` into candidate-variable
-    bounds: with ``a_j > 0``, ``x_j <= lo_j + (b - min a@x) / a_j`` (and the
-    mirror image for negative coefficients), where the row minimum is taken
-    over the current box.  Bounds of integral candidates are rounded, which
-    is what turns propagation into fixed binaries and therefore smaller
-    subtrees.  The routine never cuts off a feasible point of the box, so
-    the node LP optimum is unchanged; an objective cutoff row (see
-    ``objective_row``) additionally removes points that cannot beat the
-    incumbent, exactly mirroring the solver's bound-pruning rule.
-
-    Args:
-        rows: Dense constraint rows, shape ``(n_rows, n)``.
-        senses: Row senses (``"<="``, ``">="``, ``"=="``), one per row.
-        rhs: Right-hand sides, one per row.
-        candidates: Column indices to derive new bounds for (typically the
-            binaries; propagating onto every column would cost far more than
-            it prunes).
-        integral: Whether candidate variables are integral (bounds are
-            rounded); one flag per candidate, or a single bool for all.
-        objective_row: Optional objective vector; when given, each
-            :meth:`tighten` call may pass ``cutoff`` to activate the row
-            ``objective_row @ x <= cutoff``.
-    """
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        senses: np.ndarray | list[str],
-        rhs: np.ndarray,
-        candidates: np.ndarray,
-        integral: np.ndarray | bool = True,
-        objective_row: np.ndarray | None = None,
-    ) -> None:
-        senses = np.asarray(senses, dtype="<U2")
-        # Each row as ``a @ x <= b``: ``>=`` rows negated and ``==`` rows
-        # taken both ways (the ``<=`` copy first), in the rows' order.
-        source, flipped = np.nonzero(np.stack([senses != ">=", senses != "<="], axis=1))
-        sign = np.where(flipped == 1, -1.0, 1.0)
-        a = np.asarray(rows, dtype=float)[source] * sign[:, None]
-        b = np.asarray(rhs, dtype=float)[source] * sign
-        self._cutoff_index: int | None = None
-        if objective_row is not None:
-            self._cutoff_index = a.shape[0]
-            a = np.vstack([a, np.asarray(objective_row, dtype=float)])
-            b = np.append(b, float("inf"))
-        self._candidates = np.asarray(candidates, dtype=int)
-        self._a = a
-        self._b = b
-        self._pos = np.clip(a, 0.0, None)
-        self._neg = np.clip(a, None, 0.0)
-        self._a_cand = np.ascontiguousarray(a[:, self._candidates])
-        if isinstance(integral, (bool, np.bool_)):
-            integral = np.full(self._candidates.shape[0], bool(integral))
-        self._integral = np.asarray(integral, dtype=bool)
-
-    def tighten(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        cutoff: float | None = None,
-        max_rounds: int = 2,
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Tighten candidate bounds in place; returns ``(lower, upper, feasible)``.
-
-        ``lower`` / ``upper`` are mutated.  A ``False`` third element means
-        the box (plus the cutoff row, when active) is proven empty, so the
-        caller can prune without solving the node LP.
-        """
-        cand = self._candidates
-        if self._a.shape[0] == 0 or cand.shape[0] == 0:
-            return lower, upper, bool(np.all(lower <= upper + 1e-9))
-        b = self._b
-        if self._cutoff_index is not None:
-            b = b.copy()
-            b[self._cutoff_index] = float("inf") if cutoff is None else float(cutoff)
-        feas_tol = 1e-7
-        for _ in range(max_rounds):
-            min_act = self._pos @ lower + self._neg @ upper
-            slack = b - min_act
-            if np.any(slack < -feas_tol * (1.0 + np.abs(b))):
-                return lower, upper, False
-            residual = np.maximum(slack, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = residual[:, None] / self._a_cand
-            ub_new = np.where(self._a_cand > 0, lower[cand][None, :] + step, np.inf)
-            ub_new = ub_new.min(axis=0)
-            lb_new = np.where(self._a_cand < 0, upper[cand][None, :] + step, -np.inf)
-            lb_new = lb_new.max(axis=0)
-            round_up = self._integral & np.isfinite(ub_new)
-            ub_new[round_up] = np.floor(ub_new[round_up] + 1e-6)
-            round_lo = self._integral & np.isfinite(lb_new)
-            lb_new[round_lo] = np.ceil(lb_new[round_lo] - 1e-6)
-            tighter_ub = ub_new < upper[cand] - 1e-12
-            tighter_lb = lb_new > lower[cand] + 1e-12
-            if not (np.any(tighter_ub) or np.any(tighter_lb)):
-                break
-            upper[cand] = np.minimum(upper[cand], ub_new)
-            lower[cand] = np.maximum(lower[cand], lb_new)
-            if np.any(lower[cand] > upper[cand] + 1e-9):
-                return lower, upper, False
-        return lower, upper, True
 
 
 def _branch_variable(x: np.ndarray, binaries: np.ndarray, tolerance: float) -> int | None:
@@ -241,15 +133,6 @@ class BranchAndBoundSolver:
         base_lower = relaxation.lower_bounds.copy()
         base_upper = relaxation.upper_bounds.copy()
 
-        tightener: BoundTightener | None = None
-        if binaries.size and relaxation.num_constraints:
-            tightener = BoundTightener(
-                *relaxation.constraint_rows(),
-                candidates=binaries,
-                integral=True,
-                objective_row=relaxation.objective,
-            )
-
         incumbent_x: np.ndarray | None = None
         incumbent_obj = float("inf")
         best_bound = float("-inf")
@@ -292,19 +175,7 @@ class BranchAndBoundSolver:
             lower = base_lower.copy()
             upper = base_upper.copy()
             for idx, value in node.fixings.items():
-                lower[idx] = float(value)
-                upper[idx] = float(value)
-
-            if tightener is not None:
-                cutoff = (
-                    incumbent_obj - options.gap_tolerance
-                    if np.isfinite(incumbent_obj)
-                    else None
-                )
-                lower, upper, feasible = tightener.tighten(lower, upper, cutoff=cutoff)
-                if not feasible:
-                    continue
-
+                lower[idx] = upper[idx] = float(value)
             relaxation.lower_bounds = lower
             relaxation.upper_bounds = upper
 
@@ -345,7 +216,7 @@ class BranchAndBoundSolver:
             if node_bound >= incumbent_obj - options.gap_tolerance:
                 continue
 
-            branch_var = _branch_variable(x, binaries, options.integrality_tolerance)
+            branch_var = _branch_variable(x, binaries, _INTEGRALITY_TOLERANCE)
             if branch_var is None:
                 # Integral relaxation solution: snap the binaries exactly
                 # (``+ 0.0`` turns a rounded -0.0 into 0.0) and keep the LP

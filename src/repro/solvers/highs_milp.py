@@ -30,8 +30,8 @@ class HighsMILPSolver:
 
     Reads ``time_limit``, ``node_limit``, ``gap_tolerance`` (an absolute gap;
     the relative gap is 0) and ``initial_incumbent`` (a MIP start) from
-    :class:`SolverOptions`; the incumbent callback and the integrality
-    tolerance belong to the in-repo branch-and-bound and are not used.
+    :class:`SolverOptions`; the incumbent callback belongs to the in-repo
+    branch-and-bound and is not used.
     """
 
     def __init__(self, options: SolverOptions | None = None) -> None:

@@ -232,7 +232,12 @@ class LinearProgram:
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every constraint in insertion order: ``(rows, senses, rhs)``, with
-        the rows densified on each call."""
+        the rows densified on each call.
+
+        Only checks call it and the two views below -- the ``linprog``
+        reference (:func:`repro.testing.invariants.lp_reference`) and the
+        re-solve contract of :mod:`repro.testing` -- so no solve path pays
+        for a dense matrix."""
         counts, indices, data, senses, rhs = self._rows()
         matrix = np.zeros((rhs.shape[0], self.num_vars))
         np.add.at(matrix, (np.repeat(np.arange(rhs.shape[0]), counts), indices), data)

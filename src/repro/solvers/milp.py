@@ -387,13 +387,3 @@ class MILPModel:
     def evaluate_objective(self, x: np.ndarray) -> float:
         """Objective value of an assignment."""
         return float(self.objective_vector() @ np.asarray(x, dtype=float))
-
-    def solve(self, options=None) -> MILPSolution:
-        """Solve with the default branch-and-bound solver.
-
-        Convenience wrapper so that callers holding only a model do not need
-        to import :class:`~repro.solvers.branch_and_bound.BranchAndBoundSolver`.
-        """
-        from repro.solvers.branch_and_bound import BranchAndBoundSolver
-
-        return BranchAndBoundSolver(options).solve(self)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,59 @@ def test_branch_variable_matches_the_per_binary_loop():
         expected = min(fractional, key=lambda i: abs(x[i] - 0.5)) if fractional else None
         chosen = _branch_variable(x, binaries, 1e-6)
         assert chosen == expected and type(chosen) is type(expected)
+
+
+def _covering_knapsack(seed: int, items: int = 8) -> MILPModel:
+    """A small min-cost covering knapsack with genuinely fractional LPs."""
+    rng = np.random.default_rng(seed)
+    model = MILPModel()
+    costs = rng.uniform(1.0, 3.0, size=items)
+    for i in range(items):
+        model.add_binary(objective=float(costs[i]), name=f"b{i}")
+    weights = rng.uniform(0.5, 2.0, size=items)
+    model.add_constraint(
+        {i: float(weights[i]) for i in range(items)}, ">=", float(weights.sum() / 3)
+    )
+    model.add_constraint({i: 1.0 for i in range(items)}, "<=", float(items // 2))
+    return model
+
+
+def _indicator_model(seed: int) -> MILPModel:
+    """Continuous weights on a simplex, binaries switching big-M rows."""
+    rng = np.random.default_rng(seed)
+    model = MILPModel()
+    w = [model.add_continuous(upper=1.0) for _ in range(3)]
+    model.add_constraint({i: 1.0 for i in w}, "==", 1.0)
+    for _ in range(5):
+        diff = rng.uniform(-1.0, 1.0, size=3)
+        d = model.add_binary(objective=float(rng.uniform(0.5, 2.0)))
+        # d == 0 forces the weighted difference above a margin.
+        model.add_indicator(d, 0, {i: float(diff[i]) for i in w}, ">=", 0.05)
+    return model
+
+
+def _brute_force_optimum(model: MILPModel) -> float:
+    """Best objective over every binary assignment (one LP per assignment)."""
+    binaries = model.binary_indices
+    relaxation = model.build_relaxation()
+    lower, upper = relaxation.lower_bounds.copy(), relaxation.upper_bounds.copy()
+    best = float("inf")
+    for values in itertools.product((0.0, 1.0), repeat=len(binaries)):
+        fixed_lower, fixed_upper = lower.copy(), upper.copy()
+        fixed_lower[binaries] = fixed_upper[binaries] = values
+        relaxation.set_all_bounds(fixed_lower, fixed_upper)
+        solution = relaxation.solve()
+        if solution.is_optimal:
+            best = min(best, solution.objective)
+    return best
+
+
+def test_branch_and_bound_matches_enumeration():
+    """Branch-and-bound proves the optimum enumeration finds."""
+    models = [_covering_knapsack(seed) for seed in range(3)]
+    models += [_indicator_model(seed) for seed in range(2)]
+    for index, model in enumerate(models):
+        expected = _brute_force_optimum(model)
+        solution = BranchAndBoundSolver().solve(model)
+        assert solution.status is MILPStatus.OPTIMAL, index
+        assert solution.objective == pytest.approx(expected, abs=1e-7), index

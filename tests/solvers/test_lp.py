@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import RankHow, RankHowOptions, SymGD, SymGDOptions
+from repro.scenarios.families import list_families
+from repro.scenarios.generator import scenario_problem
 from repro.solvers.lp import LinearProgram, LPStatus
 
 
@@ -105,6 +108,36 @@ def test_matrix_views():
     assert b_ub.tolist() == [3.0, -1.0]
     assert a_eq.shape == (1, 2)
     assert b_eq.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("family", list_families())
+def test_no_solve_path_densifies_the_lp(family, monkeypatch):
+    """SYM-GD's cells, an adaptive descent grown to the full box and a
+    whole-simplex RankHow keep every LP's rows sparse: none of them reaches
+    the dense views (``inequality_matrix`` and ``equality_matrix`` build on
+    ``constraint_rows``)."""
+
+    def densify(self):
+        raise AssertionError("a solve path densified the LP rows")
+
+    monkeypatch.setattr(LinearProgram, "constraint_rows", densify)
+    problem = scenario_problem(family, 0, seed=0)
+    cell_options = RankHowOptions(node_limit=20, verify=False, warm_start_strategy="none")
+    cells = SymGD(
+        SymGDOptions(cell_size=0.2, max_iterations=2, solver_options=cell_options)
+    ).solve(problem)
+    grown = SymGD(
+        SymGDOptions(
+            cell_size=1.0,
+            adaptive=True,
+            max_iterations=20,
+            solver_options=RankHowOptions(node_limit=2, verify=False),
+        )
+    ).solve(problem)
+    simplex = RankHow(RankHowOptions(node_limit=20)).solve(problem)
+    assert min(cells.error, grown.error, simplex.error) >= 0
+    # A descent that cannot reach error 0 doubles its cell up to the box.
+    assert grown.error == 0 or grown.diagnostics["final_cell_size"] == 1.9
 
 
 def test_copy_is_independent():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.solvers.branch_and_bound import BranchAndBoundSolver
 from repro.solvers.lp import LPStatus
 from repro.solvers.milp import MILPModel
 
@@ -109,7 +110,7 @@ def test_evaluate_objective():
 
 def test_solve_convenience_wrapper_returns_optimum():
     model = _indicator_model(big_m=1.0)
-    solution = model.solve()
+    solution = BranchAndBoundSolver().solve(model)
     assert solution.has_solution
     # Optimum: delta = 0, x = 0 with objective 0.
     assert solution.objective == pytest.approx(0.0, abs=1e-7)
